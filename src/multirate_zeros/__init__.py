@@ -8,9 +8,8 @@ against the closed-form values that hold for generic parameters.
 from __future__ import annotations
 
 from ._version import __version__
-from .blocking import (BlockedSystem, MatrixPencil, block, block_reverse,
-                       fast_subsystem, lift_relation_residual, system_pencil,
-                       transfer_eval)
+from .blocking import (BlockedSystem, MatrixPencil, block, fast_subsystem,
+                       lift_relation_residual, system_pencil, transfer_eval)
 from .errors import (CompressionFailure, ConvergenceFailure, MultirateError,
                      NotTallClass, ResolventSingular, SingularA, SingularD,
                      TauOutOfRange, UnsupportedDims, ZeroZ)
@@ -21,8 +20,8 @@ from .model import (FIXTURE_NAMES, Dimensions, MultirateSystem, SystemClass,
                     TolerancePolicy, ValidationResult, classify, fixture,
                     load_system, random_generic, reverse_time, save_system,
                     system_from_dict, system_to_dict, validate)
-from .numerics import (NORMAL_RANK_RADIUS, RankProfile, eigenvalues,
-                       normal_rank, numerical_rank, rank_at, rank_at_infinity)
+from .numerics import (NORMAL_RANK_RADIUS, eigenvalues, normal_rank,
+                       numerical_rank, rank_at, rank_at_infinity)
 from .oracle import (TableRow, TheoryPrediction, dual_index, predict,
                      predict_controllability_rank, predict_mult_infinity,
                      predict_mult_zero, predict_normal_rank, predict_rank_D,
@@ -32,8 +31,7 @@ from .zeros import (ZeroReport, finite_zero_candidates, square_blocked_zeros,
 
 __all__ = [
     "__version__",
-    "BlockedSystem", "MatrixPencil", "block", "block_reverse",
-    "fast_subsystem", "lift_relation_residual", "system_pencil", "transfer_eval",
+    "BlockedSystem", "MatrixPencil", "block", "fast_subsystem", "lift_relation_residual", "system_pencil", "transfer_eval",
     "CompressionFailure", "ConvergenceFailure", "MultirateError",
     "NotTallClass", "ResolventSingular", "SingularA", "SingularD",
     "TauOutOfRange", "UnsupportedDims", "ZeroZ",
@@ -43,8 +41,8 @@ __all__ = [
     "TolerancePolicy", "ValidationResult", "classify", "fixture",
     "load_system", "random_generic", "reverse_time", "save_system",
     "system_from_dict", "system_to_dict", "validate",
-    "NORMAL_RANK_RADIUS", "RankProfile", "eigenvalues", "normal_rank",
-    "numerical_rank", "rank_at", "rank_at_infinity",
+    "NORMAL_RANK_RADIUS", "eigenvalues", "normal_rank", "numerical_rank",
+    "rank_at", "rank_at_infinity",
     "TableRow", "TheoryPrediction", "dual_index", "predict",
     "predict_controllability_rank", "predict_mult_infinity",
     "predict_mult_zero", "predict_normal_rank", "predict_rank_D",

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blocking import BlockedSystem, MatrixPencil, _assemble, _check_tau
+from .blocking import BlockedSystem, MatrixPencil, _assemble
 from .model import MultirateSystem
 
 # Fixed off-circle sample points for the exact normal rank, as (re, im)
@@ -56,15 +56,11 @@ def fraction_matrix(M: np.ndarray) -> np.ndarray:
 
 def exact_block(sys: MultirateSystem, tau: int) -> BlockedSystem:
     """Blocked system assembled in Fraction arithmetic, free of rounding."""
-    d = sys.dims
-    _check_tau(tau, d.N)
-    A_tau, B_tau, C_tau, D_tau = _assemble(
-        d, tau,
+    return _assemble(
+        sys.dims, tau,
         fraction_matrix(sys.A), fraction_matrix(sys.B),
         fraction_matrix(sys.Cf), fraction_matrix(sys.Cs),
         fraction_matrix(sys.Df), fraction_matrix(sys.Ds))
-    return BlockedSystem(dims=d, tau=tau, A_tau=A_tau, B_tau=B_tau,
-                         C_tau=C_tau, D_tau=D_tau, slow_rows=d.p2)
 
 
 def exact_rank(M: np.ndarray) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolventSingular, TauOutOfRange, ZeroZ
-from .model import Dimensions, MultirateSystem, TolerancePolicy, reverse_time
+from .model import Dimensions, MultirateSystem, TolerancePolicy
 
 
 @dataclass(frozen=True)
@@ -53,24 +53,9 @@ class MatrixPencil:
         return Z * self.E.astype(complex) - self.F
 
 
-def _work_dtype(ref: np.ndarray):
-    # float64 inputs assemble in float64; object inputs (e.g. Fraction
-    # entries) assemble without any rounding at all
-    return object if ref.dtype == object else float
-
-
-def _eye_like(k: int, ref: np.ndarray) -> np.ndarray:
-    if ref.dtype == object:
-        I = np.zeros((k, k), dtype=object)
-        for i in range(k):
-            I[i, i] = 1
-        return I
-    return np.eye(k)
-
-
 def _powers(A: np.ndarray, k: int) -> list[np.ndarray]:
     # A^0 .. A^k by repeated multiplication; keeps real data real
-    out = [_eye_like(A.shape[0], A)]
+    out = [np.eye(A.shape[0], dtype=A.dtype)]
     for _ in range(k):
         out.append(out[-1] @ A)
     return out
@@ -81,14 +66,19 @@ def _check_tau(tau: int, N: int) -> None:
         raise TauOutOfRange(tau, N)
 
 
-def _assemble(d: Dimensions, tau: int, A, B, Cf, Cs, Df, Ds):
-    """Blocked matrices from raw state-space matrices; dtype follows the inputs."""
-    n, m, p1, p2, N = d.n, d.m, d.p1, d.p2, d.N
+def _assemble(d: Dimensions, tau: int, A, B, Cf, Cs, Df, Ds) -> BlockedSystem:
+    """Blocked system from raw state-space matrices; dtype follows the inputs.
+
+    float64 inputs assemble in float64; object inputs (e.g. Fraction
+    entries) assemble without any rounding at all.
+    """
+    _check_tau(tau, d.N)
+    m, p1, p2, N = d.m, d.p1, d.p2, d.N
     Ak = _powers(A, N)
     A_tau = Ak[N]
     B_tau = np.hstack([Ak[N - 1 - j] @ B for j in range(N)])
     C_tau = np.vstack([Cf @ Ak[i] for i in range(N)] + [Cs @ Ak[N - tau]])
-    D_tau = np.zeros((N * p1 + p2, N * m), dtype=_work_dtype(A))
+    D_tau = np.zeros((N * p1 + p2, N * m), dtype=A.dtype)
     for i in range(N):
         rows = slice(i * p1, (i + 1) * p1)
         D_tau[rows, i * m:(i + 1) * m] = Df
@@ -98,7 +88,8 @@ def _assemble(d: Dimensions, tau: int, A, B, Cf, Cs, Df, Ds):
     for j in range(N - tau):
         D_tau[slow, j * m:(j + 1) * m] = Cs @ Ak[N - tau - 1 - j] @ B
     D_tau[slow, (N - tau) * m:(N - tau + 1) * m] = Ds
-    return A_tau, B_tau, C_tau, D_tau
+    return BlockedSystem(dims=d, tau=tau, A_tau=A_tau, B_tau=B_tau,
+                         C_tau=C_tau, D_tau=D_tau, slow_rows=p2)
 
 
 def block(sys: MultirateSystem, tau: int) -> BlockedSystem:
@@ -109,45 +100,7 @@ def block(sys: MultirateSystem, tau: int) -> BlockedSystem:
     fast block diagonal with Cf A^(i-j-1) B below it, and a slow row block
     [Cs A^(N-tau-1)B ... Cs B  Ds  0 ... 0] with tau-1 trailing zero blocks.
     """
-    d = sys.dims
-    _check_tau(tau, d.N)
-    A_tau, B_tau, C_tau, D_tau = _assemble(
-        d, tau, sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
-    return BlockedSystem(dims=d, tau=tau, A_tau=A_tau, B_tau=B_tau,
-                         C_tau=C_tau, D_tau=D_tau, slow_rows=d.p2)
-
-
-def block_reverse(sys: MultirateSystem, tau: int,
-                  policy: TolerancePolicy | None = None) -> BlockedSystem:
-    """Blocked reverse-time system, with the mirrored block layout.
-
-    The reverse-time matrices (built from A inverse) are blocked with the
-    column order of B reversed, the fast rows of C in descending power order,
-    D upper instead of lower block triangular, and the slow row block
-    [0 ... 0  Ds~  Cs~ B~ ... Cs~ A~^(tau-2) B~] with N-tau leading zero
-    blocks. Up to row and column permutations this is the forward blocked
-    pattern at delay N-tau+1 with the reverse-time matrices substituted.
-    """
-    d = sys.dims
-    _check_tau(tau, d.N)
-    rev = reverse_time(sys, policy)
-    n, m, p1, p2, N = d.n, d.m, d.p1, d.p2, d.N
-    Ak = _powers(rev.A, N)
-    A_tau = Ak[N]
-    B_tau = np.hstack([Ak[j] @ rev.B for j in range(N)])
-    C_tau = np.vstack([rev.Cf @ Ak[N - 1 - i] for i in range(N)] + [rev.Cs @ Ak[tau - 1]])
-    D_tau = np.zeros((N * p1 + p2, N * m))
-    for i in range(N):
-        rows = slice(i * p1, (i + 1) * p1)
-        D_tau[rows, i * m:(i + 1) * m] = rev.Df
-        for j in range(i + 1, N):
-            D_tau[rows, j * m:(j + 1) * m] = rev.Cf @ Ak[j - i - 1] @ rev.B
-    slow = slice(N * p1, None)
-    D_tau[slow, (N - tau) * m:(N - tau + 1) * m] = rev.Ds
-    for j in range(N - tau + 1, N):
-        D_tau[slow, j * m:(j + 1) * m] = rev.Cs @ Ak[j - (N - tau) - 1] @ rev.B
-    return BlockedSystem(dims=d, tau=tau, A_tau=A_tau, B_tau=B_tau,
-                         C_tau=C_tau, D_tau=D_tau, slow_rows=p2)
+    return _assemble(sys.dims, tau, sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
 
 
 def system_pencil(blk: BlockedSystem) -> MatrixPencil:
@@ -155,9 +108,9 @@ def system_pencil(blk: BlockedSystem) -> MatrixPencil:
     n = blk.A_tau.shape[0]
     rows = n + blk.C_tau.shape[0]
     cols = n + blk.B_tau.shape[1]
-    dtype = _work_dtype(blk.A_tau)
+    dtype = blk.A_tau.dtype
     E = np.zeros((rows, cols), dtype=dtype)
-    E[:n, :n] = _eye_like(n, blk.A_tau)
+    E[:n, :n] = np.eye(n, dtype=dtype)
     F = np.zeros((rows, cols), dtype=dtype)
     F[:n, :n] = blk.A_tau
     F[:n, n:] = blk.B_tau
@@ -180,23 +133,27 @@ def transfer_eval(blk: BlockedSystem, Z: complex,
     return blk.C_tau @ X + blk.D_tau
 
 
-def lift_relation_residual(sys: MultirateSystem, tau: int, Z: complex,
+def lift_relation_residual(lo: BlockedSystem, hi: BlockedSystem, Z: complex,
                            policy: TolerancePolicy | None = None) -> float:
     """Relative residual of the one-step lifting identity between V_tau and V_tau+1.
 
+    lo and hi are one system blocked at consecutive delays tau and tau+1.
     V_tau+1(Z) equals L(Z) V_tau(Z) R(Z) where L cyclically rotates the fast
     output blocks (picking up a factor Z) and R cyclically rotates the input
     blocks (with a factor 1/Z), so the returned Frobenius-norm residual is
     zero in exact arithmetic for every tau in 1..N-1 and Z != 0.
     """
-    d = sys.dims
-    if not 1 <= tau <= d.N - 1:
-        raise TauOutOfRange(tau, d.N - 1)
+    d = lo.dims
+    if not 1 <= lo.tau <= d.N - 1:
+        raise TauOutOfRange(lo.tau, d.N - 1)
+    if hi.dims != d or hi.tau != lo.tau + 1:
+        raise ValueError(f"the lifting relation links delays tau and tau+1 of one "
+                         f"system, got tau={lo.tau} and tau={hi.tau}")
     if Z == 0:
         raise ZeroZ("the lifting relation involves 1/Z and is undefined at Z=0")
     m, p1, p2, N = d.m, d.p1, d.p2, d.N
-    V_lo = transfer_eval(block(sys, tau), Z, policy)
-    V_hi = transfer_eval(block(sys, tau + 1), Z, policy)
+    V_lo = transfer_eval(lo, Z, policy)
+    V_hi = transfer_eval(hi, Z, policy)
     L = np.zeros((N * p1 + p2, N * p1 + p2), dtype=complex)
     L[: (N - 1) * p1, p1: N * p1] = np.eye((N - 1) * p1)
     L[(N - 1) * p1: N * p1, :p1] = Z * np.eye(p1)

@@ -17,9 +17,11 @@ from pathlib import Path
 from ._version import __version__
 from .blocking import block
 from .errors import MultirateError, NotTallClass
-from .harness import (_utc_now, emit_report, grid_spec_from_dict,
-                      run_fixture_suite, run_grid)
-from .model import Dimensions, TolerancePolicy, classify, load_system
+from .harness import (_headline_agreement, _predicted_dict, _utc_now,
+                      emit_report, grid_spec_from_dict, run_fixture_suite,
+                      run_grid)
+from .model import (Dimensions, TolerancePolicy, classify, load_system,
+                    policy_from_dict)
 from .numerics import numerical_rank
 from .oracle import predict, summary_table
 from .zeros import zero_report, zero_report_to_dict
@@ -30,12 +32,9 @@ ANALYZE_SEED = 0
 def _load_policy(path: str | None) -> TolerancePolicy:
     if path is None:
         return TolerancePolicy()
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"policy file {path} must hold a JSON object")
     try:
-        return TolerancePolicy(**data)
-    except TypeError as exc:
+        return policy_from_dict(json.loads(Path(path).read_text()))
+    except ValueError as exc:
         raise ValueError(f"policy file {path}: {exc}") from exc
 
 
@@ -95,20 +94,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             predicted = None
             agreement = None
         else:
-            predicted = {
-                "rank_D": pred.rank_D,
-                "normal_rank": pred.normal_rank,
-                "mult_at_zero": pred.mult_at_zero,
-                "mult_at_infinity": pred.mult_at_infinity,
-                "case_labels": dict(pred.case_labels),
-            }
-            agreement = {
-                "rank_D": measured["rank_D"] == pred.rank_D,
-                "normal_rank": rep.normal_rank == pred.normal_rank,
-                "mult_at_zero": rep.mult_at_zero == pred.mult_at_zero,
-                "mult_at_infinity": rep.mult_at_infinity == pred.mult_at_infinity,
-                "no_finite_nonzero": not rep.finite_nonzero_zeros,
-            }
+            predicted = _predicted_dict(pred)
+            agreement = _headline_agreement(
+                dict(measured, n_finite_nonzero=len(rep.finite_nonzero_zeros)), pred)
             all_agree = all_agree and all(agreement.values())
         results.append({"tau": tau, "measured": measured,
                         "predicted": predicted, "agreement": agreement})

@@ -27,7 +27,7 @@ from ._version import __version__
 from .blocking import block, lift_relation_residual, system_pencil
 from .errors import MultirateError
 from .model import (Dimensions, MultirateSystem, TolerancePolicy, _rng,
-                    classify, fixture, random_generic)
+                    classify, fixture, policy_from_dict, random_generic)
 from .numerics import normal_rank, numerical_rank
 from .oracle import dual_index, predict, predict_controllability_rank
 from .zeros import zero_report
@@ -81,8 +81,9 @@ class GridSpec:
                 raise ValueError(f"{name} must be a nonempty list of ints >= 1")
         if any(N < 2 for N in self.N_values):
             raise ValueError("N values must be >= 2")
-        if self.p1_values is not None and any(v < 1 for v in self.p1_values):
-            raise ValueError("p1 values must be >= 1")
+        if self.p1_values is not None and (
+                not self.p1_values or any(v < 1 for v in self.p1_values)):
+            raise ValueError("p1 values must be a nonempty list of ints >= 1")
         if not self.p2_offsets or any(v < 1 for v in self.p2_offsets):
             raise ValueError("p2 offsets must be >= 1 to stay above the tallness threshold")
         if isinstance(self.taus, str):
@@ -92,6 +93,8 @@ class GridSpec:
             raise ValueError("tau values must be >= 1")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
 
 
 def grid_spec_from_dict(data: dict) -> GridSpec:
@@ -104,35 +107,50 @@ def grid_spec_from_dict(data: dict) -> GridSpec:
         if key not in known:
             raise ValueError(f"unknown grid spec field {key!r}")
 
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    def int_field(key, default):
+        val = data.get(key, default)
+        if not is_int(val):
+            raise ValueError(f"grid spec field {key!r} must be an integer, got {val!r}")
+        return val
+
     def int_list(key, required):
         vals = data.get(key)
         if vals is None:
             if required:
                 raise ValueError(f"grid spec field {key!r} is required")
             return None
-        if not isinstance(vals, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in vals):
+        if not isinstance(vals, list) or not all(is_int(v) for v in vals):
             raise ValueError(f"grid spec field {key!r} must be a list of ints")
         return tuple(vals)
 
     taus = data.get("taus", "all")
     if taus != "all":
-        if not isinstance(taus, list) or not all(
-                isinstance(t, int) and not isinstance(t, bool) for t in taus):
+        if not isinstance(taus, list) or not all(is_int(t) for t in taus):
             raise ValueError('grid spec field "taus" must be "all" or a list of ints')
         taus = tuple(taus)
-    policy = TolerancePolicy(**data["policy"]) if "policy" in data else TolerancePolicy()
-    return GridSpec(
+    try:
+        policy = policy_from_dict(data.get("policy", {}))
+    except ValueError as exc:
+        raise ValueError(f"grid spec field 'policy': {exc}") from exc
+    spec = GridSpec(
         n_values=int_list("n", True),
         m_values=int_list("m", True),
         N_values=int_list("N", True),
         p1_values=int_list("p1", False),
         p2_offsets=int_list("p2_offsets", False) or (1,),
         taus=taus,
-        trials_per_cell=int(data.get("trials_per_cell", 10)),
-        base_seed=int(data.get("base_seed", 0)),
+        trials_per_cell=int_field("trials_per_cell", 10),
+        base_seed=int_field("base_seed", 0),
         policy=policy,
     )
+    # a sweep of no trials would report vacuous agreement
+    if next(cells(spec), None) is None:
+        raise ValueError(f'grid spec field "taus" has no value <= max N = '
+                         f'{max(spec.N_values)}, so the sweep would run no trials')
+    return spec
 
 
 def grid_spec_to_dict(spec: GridSpec) -> dict:
@@ -201,13 +219,20 @@ def _predicted_dict(pred) -> dict:
     }
 
 
-def _agreement_from(meas: dict, pred) -> dict:
+def _headline_agreement(meas: dict, pred) -> dict:
+    """Measured vs predicted for the four headline quantities and finite zeros."""
     return {
         "rank_D": meas["rank_D"] == pred.rank_D,
         "normal_rank": meas["normal_rank"] == pred.normal_rank,
         "mult_at_zero": meas["mult_at_zero"] == pred.mult_at_zero,
         "mult_at_infinity": meas["mult_at_infinity"] == pred.mult_at_infinity,
         "no_finite_nonzero": meas["n_finite_nonzero"] == 0,
+    }
+
+
+def _agreement_from(meas: dict, pred) -> dict:
+    return {
+        **_headline_agreement(meas, pred),
         "duality": (meas["mult_at_zero"] == meas["dual_mult_at_infinity"]
                     and meas["mult_at_infinity"] == meas["dual_mult_at_zero"]),
         "tau_independent": len(set(meas["normal_rank_by_tau"])) == 1,
@@ -299,23 +324,23 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     escalated = ()
     agreement = dict.fromkeys(AGREEMENT_KEYS, False)
     try:
-        blk = block(sys, tau)
+        # every check below reads the same N blocked systems, blocks[t - 1]
+        # being the one at delay t
+        blocks = [block(sys, t) for t in range(1, dims.N + 1)]
+        blk = blocks[tau - 1]
         rep = zero_report(blk, policy, seed)
         rank_D = numerical_rank(blk.D_tau, policy)
 
-        dual = dual_index(tau, dims.N)
-        rep_dual = zero_report(block(sys, dual), policy, seed)
+        rep_dual = zero_report(blocks[dual_index(tau, dims.N) - 1], policy, seed)
 
-        nrank_by_tau = [
-            normal_rank(system_pencil(block(sys, t)), policy, seed)
-            for t in range(1, dims.N + 1)]
+        nrank_by_tau = [normal_rank(system_pencil(b), policy, seed) for b in blocks]
 
         worst = 0.0
         rng = _rng(seed)
-        for t in range(1, dims.N):
+        for lo, hi in zip(blocks, blocks[1:]):
             for theta in rng.uniform(0.0, 2.0 * np.pi, LIFT_SAMPLES):
                 Z = complex(np.cos(theta), np.sin(theta))
-                worst = max(worst, lift_relation_residual(sys, t, Z, policy))
+                worst = max(worst, lift_relation_residual(lo, hi, Z, policy))
 
         measured = {
             "rank_D": rank_D,

@@ -15,7 +15,8 @@ transform, structured fixture systems, and JSON serialization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -65,12 +66,25 @@ class TolerancePolicy:
 
     def __post_init__(self):
         for name in ("rel_rank_tol", "zero_radius", "cluster_tol", "condition_cap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.normal_rank_samples < 3:
-            raise ValueError("normal_rank_samples must be >= 3")
-        if self.resample_limit < 1:
-            raise ValueError("resample_limit must be >= 1")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                    or not math.isfinite(v) or v <= 0:
+                raise ValueError(f"{name} must be a finite positive number, got {v!r}")
+        for name, least in (("normal_rank_samples", 3), ("resample_limit", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+
+
+def policy_from_dict(data: dict) -> TolerancePolicy:
+    """Build a TolerancePolicy from parsed JSON, naming any offending field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"policy must be a JSON object, got {data!r}")
+    known = {f.name for f in fields(TolerancePolicy)}
+    for key in data:
+        if key not in known:
+            raise ValueError(f"unknown policy field {key!r}")
+    return TolerancePolicy(**data)
 
 
 _MATRIX_SHAPES = {
@@ -117,9 +131,9 @@ def validate(sys: MultirateSystem) -> ValidationResult:
         arr = getattr(sys, name)
         want = shape_of(sys.dims)
         if arr.shape != want:
-            problems.append(f"{name} has shape {arr.shape}, expected {want}")
+            problems.append(f"matrix {name!r} has shape {arr.shape}, expected {want}")
         elif not np.all(np.isfinite(arr)):
-            problems.append(f"{name} contains non-finite entries")
+            problems.append(f"matrix {name!r} contains non-finite entries")
     return ValidationResult(tuple(problems))
 
 
@@ -307,21 +321,18 @@ def system_from_dict(data: dict) -> MultirateSystem:
             raise ValueError(f"field {key!r} must be an integer, got {data[key]!r}")
     dims = Dimensions(n=data["n"], m=data["m"], p1=data["p1"], p2=data["p2"], N=data["N"])
     mats = {}
-    for name, shape_of in _MATRIX_SHAPES.items():
+    for name in _MATRIX_SHAPES:
         if name not in data:
             raise ValueError(f"missing matrix field {name!r}")
         try:
-            arr = np.asarray(data[name], dtype=float)
+            mats[name] = np.asarray(data[name], dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"matrix field {name!r} is not numeric: {exc}") from None
-        arr = np.atleast_2d(arr)
-        if arr.shape != shape_of(dims):
-            raise ValueError(
-                f"matrix field {name!r} has shape {arr.shape}, expected {shape_of(dims)}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"matrix field {name!r} contains non-finite entries")
-        mats[name] = arr
-    return MultirateSystem(dims=dims, **mats)
+    sys = MultirateSystem(dims=dims, **mats)
+    violations = validate(sys).violations
+    if violations:
+        raise ValueError("; ".join(violations))
+    return sys
 
 
 def load_system(path: str | Path) -> MultirateSystem:

@@ -7,8 +7,6 @@ harness cross-checks every value against closed-form predictions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blocking import BlockedSystem, MatrixPencil
@@ -80,12 +78,3 @@ def eigenvalues(M: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from None
 
-
-@dataclass(frozen=True)
-class RankProfile:
-    """Measured ranks of one blocked system: at a generic point, 0, infinity, and of D_tau."""
-
-    normal_rank: int
-    rank_at_zero: int
-    rank_at_infinity: int
-    rank_D: int

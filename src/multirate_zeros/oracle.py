@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotTallClass, TauOutOfRange
+from .blocking import _check_tau
+from .errors import NotTallClass
 from .model import Dimensions, SystemClass, classify
 
 
@@ -73,15 +74,10 @@ def _require_tall(dims: Dimensions) -> SystemClass:
     return cls
 
 
-def _require_tau(tau: int, N: int) -> None:
-    if not 1 <= tau <= N:
-        raise TauOutOfRange(tau, N)
-
-
 def predict_rank_D(dims: Dimensions, tau: int) -> tuple[int, str]:
     """Generic rank of D_tau."""
     cls = _require_tall(dims)
-    _require_tau(tau, dims.N)
+    _check_tau(tau, dims.N)
     n, m, p1, N = dims.n, dims.m, dims.p1, dims.N
     if cls is SystemClass.FAST_TALL:
         return N * m, "full-column"
@@ -104,7 +100,7 @@ def predict_normal_rank(dims: Dimensions) -> tuple[int, str]:
 def predict_mult_infinity(dims: Dimensions, tau: int) -> tuple[int, str]:
     """Generic zero multiplicity at infinity."""
     cls = _require_tall(dims)
-    _require_tau(tau, dims.N)
+    _check_tau(tau, dims.N)
     n, m, p1, N = dims.n, dims.m, dims.p1, dims.N
     w = m - p1
     if cls is SystemClass.FAST_TALL or w == 0 or n <= (N - tau) * w:
@@ -117,7 +113,7 @@ def predict_mult_infinity(dims: Dimensions, tau: int) -> tuple[int, str]:
 def predict_mult_zero(dims: Dimensions, tau: int) -> tuple[int, str]:
     """Generic zero multiplicity at the origin."""
     cls = _require_tall(dims)
-    _require_tau(tau, dims.N)
+    _check_tau(tau, dims.N)
     n, m, p1, N = dims.n, dims.m, dims.p1, dims.N
     w = m - p1
     if cls is SystemClass.FAST_TALL or w == 0 or n <= (tau - 1) * w:
@@ -136,7 +132,7 @@ def predict_controllability_rank(n: int, m: int, nu: int) -> int:
 
 def dual_index(tau: int, N: int) -> int:
     """Delay pairing under which origin and infinity multiplicities swap."""
-    _require_tau(tau, N)
+    _check_tau(tau, N)
     return N - tau + 1
 
 

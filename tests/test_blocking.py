@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multirate_zeros.blocking import (block, block_reverse, fast_subsystem,
+from multirate_zeros.blocking import (block, fast_subsystem,
                                       lift_relation_residual, system_pencil,
                                       transfer_eval)
-from multirate_zeros.errors import (ResolventSingular, SingularA,
-                                    TauOutOfRange, ZeroZ)
+from multirate_zeros.errors import ResolventSingular, TauOutOfRange, ZeroZ
 from multirate_zeros.model import (Dimensions, MultirateSystem, fixture,
                                    random_generic, reverse_time)
 
@@ -111,58 +110,28 @@ class TestWorkedInstance:
         assert np.allclose(P[1], row)
 
 
-class TestBlockReverse:
-    def test_scalar_slow_row(self):
-        # with A = 1 the reverse-time slow data are Cs and Ds - Cs B, and
-        # delay 1 puts the slow feedthrough in the trailing block
-        sys = scalar_system(a=1.0, b=2.0, cf=3.0, cs=5.0, df=7.0, ds=11.0)
-        blk = block_reverse(sys, 1)
-        slow = blk.D_tau[2]
-        assert np.allclose(slow, [0.0, 11.0 - 5.0 * 2.0])
-
-    def test_upper_triangular_fast_part(self):
-        sys = random_generic(Dimensions(2, 2, 1, 3, 3), seed=2)
-        blk = block_reverse(sys, 2)
-        fast = blk.D_tau[:3, :]
-        for i in range(3):
-            for j in range(i):
-                assert np.all(fast[i, j * 2:(j + 1) * 2] == 0.0)
-
+class TestTimeReversal:
     @pytest.mark.parametrize("dims,seed", [
         (Dimensions(1, 3, 1, 5, 2), 7),
         (Dimensions(2, 2, 1, 4, 3), 8),
         (Dimensions(3, 2, 2, 1, 4), 9),
         (Dimensions(4, 3, 2, 4, 3), 10),
     ])
-    def test_permutation_onto_forward_pattern(self, dims, seed):
-        # reversing the fast output row blocks and the input column blocks
-        # carries the reverse-time pencil at delay tau onto the forward
-        # pencil of the reversed system at the dual delay N - tau + 1
+    def test_dual_delay_mirrors_the_transfer_function(self, dims, seed):
+        # the reverse-time system blocked at the dual delay N - tau + 1 has,
+        # at Z, the forward blocked transfer function at 1/Z with the fast
+        # output blocks and the input blocks taken in reverse order
         n, m, p1, p2, N = dims.n, dims.m, dims.p1, dims.p2, dims.N
         sys = random_generic(dims, seed)
         rev = reverse_time(sys)
-        row = list(range(n))
-        for i in range(N):
-            row += list(range(n + (N - 1 - i) * p1, n + (N - i) * p1))
-        row += list(range(n + N * p1, n + N * p1 + p2))
-        col = list(range(n))
-        for j in range(N):
-            col += list(range(n + (N - 1 - j) * m, n + (N - j) * m))
+        row = [k for i in range(N) for k in range((N - 1 - i) * p1, (N - i) * p1)]
+        row += list(range(N * p1, N * p1 + p2))
+        col = [k for j in range(N) for k in range((N - 1 - j) * m, (N - j) * m)]
+        Z = 0.3 + 0.8j
         for tau in range(1, N + 1):
-            rp = system_pencil(block_reverse(sys, tau))
-            fp = system_pencil(block(rev, N - tau + 1))
-            for X, Y in ((rp.E, fp.E), (rp.F, fp.F)):
-                assert np.array_equal(X[np.ix_(row, col)], Y)
-
-    def test_tau_out_of_range(self):
-        sys = scalar_system(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(TauOutOfRange):
-            block_reverse(sys, 0)
-
-    def test_singular_A_refused(self):
-        sys = scalar_system(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(SingularA):
-            block_reverse(sys, 1)
+            fwd = transfer_eval(block(sys, tau), 1 / Z)[np.ix_(row, col)]
+            back = transfer_eval(block(rev, N - tau + 1), Z)
+            assert np.linalg.norm(fwd - back) < 1e-9 * np.linalg.norm(back)
 
 
 class TestSystemPencil:
@@ -220,26 +189,33 @@ class TestLiftRelation:
     @pytest.mark.parametrize("tau", [1, 2])
     def test_residual_small_inside_range(self, tau):
         sys = random_generic(Dimensions(2, 2, 1, 4, 3), seed=21)
-        assert lift_relation_residual(sys, tau, 0.7 + 0.2j) < 1e-10
+        lo, hi = block(sys, tau), block(sys, tau + 1)
+        assert lift_relation_residual(lo, hi, 0.7 + 0.2j) < 1e-10
 
     def test_zero_point_refused(self):
         sys = random_generic(Dimensions(2, 2, 1, 4, 3), seed=21)
         with pytest.raises(ZeroZ):
-            lift_relation_residual(sys, 1, 0.0)
+            lift_relation_residual(block(sys, 1), block(sys, 2), 0.0)
 
     def test_final_delay_has_no_successor(self):
         sys = random_generic(Dimensions(2, 2, 1, 4, 3), seed=21)
         with pytest.raises(TauOutOfRange):
-            lift_relation_residual(sys, 3, 1.0)
+            lift_relation_residual(block(sys, 3), block(sys, 3), 1.0)
+
+    def test_delays_must_be_consecutive(self):
+        sys = random_generic(Dimensions(2, 2, 1, 4, 3), seed=21)
+        with pytest.raises(ValueError, match="tau=1 and tau=3"):
+            lift_relation_residual(block(sys, 1), block(sys, 3), 1.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_residual_on_unit_circle(self, seed):
         sys = random_generic(Dimensions(3, 2, 1, 3, 4), seed=seed)
+        blocks = [block(sys, tau) for tau in range(1, 5)]
         rng = np.random.default_rng(seed)
-        for tau in range(1, 4):
+        for lo, hi in zip(blocks, blocks[1:]):
             theta = rng.uniform(0, 2 * np.pi)
             Z = complex(np.cos(theta), np.sin(theta))
-            assert lift_relation_residual(sys, tau, Z) < 1e-9
+            assert lift_relation_residual(lo, hi, Z) < 1e-9
 
 
 class TestFastSubsystem:

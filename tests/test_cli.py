@@ -83,6 +83,15 @@ class TestAnalyze:
         assert code == 2
         assert "policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [{"rel_rank_tol": "x"}, {"normal_rank_samples": 7.5}])
+    def test_mistyped_policy_value_names_field(self, bad, example1_file, tmp_path, capsys):
+        pol = tmp_path / "policy.json"
+        pol.write_text(json.dumps(bad))
+        code = main(["analyze", "--system", str(example1_file),
+                     "--policy", str(pol), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert next(iter(bad)) in capsys.readouterr().err
+
     def test_blunt_tolerance_reports_disagreement(self, example1_file, tmp_path):
         # a rank threshold of 0.5 swallows genuine singular values, so the
         # measured ranks drop below the generic predictions and the exit
@@ -154,6 +163,23 @@ class TestVerify:
         code = main(["verify", "--grid", str(grid), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,field", [
+        ({"policy": {"rel_rank_tol": "x"}}, "rel_rank_tol"),
+        ({"policy": [1]}, "policy"),
+        ({"policy": {"normal_rank_samples": 7.5}}, "normal_rank_samples"),
+        ({"trials_per_cell": 1.7}, "trials_per_cell"),
+        ({"trials_per_cell": "2"}, "trials_per_cell"),
+        ({"base_seed": -3}, "base_seed"),
+        ({"taus": [9]}, "taus"),
+        ({"p1": []}, "p1"),
+    ])
+    def test_bad_grid_value_names_field(self, extra, field, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n": [1], "m": [2], "N": [2], **extra}))
+        code = main(["verify", "--grid", str(grid), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert field in capsys.readouterr().err
 
     def test_missing_grid_file(self, tmp_path, capsys):
         code = main(["verify", "--grid", str(tmp_path / "nope.json"),

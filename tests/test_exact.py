@@ -5,13 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multirate_zeros._exact import (exact_block, exact_normal_rank,
                                     exact_rank, exact_rank_at,
                                     fraction_matrix)
 from multirate_zeros.blocking import MatrixPencil, block, system_pencil
-from multirate_zeros.harness import run_trial
-from multirate_zeros.model import Dimensions, random_generic
+from multirate_zeros.harness import _fixture_rank_rows, run_trial
+from multirate_zeros.model import (Dimensions, TolerancePolicy, fixture,
+                                   random_generic)
+from multirate_zeros.numerics import numerical_rank
 
 from conftest import EXAMPLE1_DIMS
 
@@ -55,6 +60,42 @@ class TestExactRank:
     def test_matches_float_rank_on_generic_data(self, seed):
         M = np.random.default_rng(seed).standard_normal((4, 6))
         assert exact_rank(fraction_matrix(M)) == np.linalg.matrix_rank(M)
+
+
+class TestFloatRankNeverExceedsExact:
+    """The escalation trigger's premise: a float rank can only under-report."""
+
+    @given(data=st.data(), rows=st.integers(2, 6), cols=st.integers(2, 6))
+    @settings(max_examples=40)
+    def test_rank_deficient_integer_products(self, data, rows, cols):
+        # small-integer factors multiply exactly in float64, so M is exactly
+        # the rational matrix it stands for, of rank at most inner
+        inner = data.draw(st.integers(1, min(rows, cols) - 1))
+        ints = st.integers(-4, 4)
+        X = data.draw(arrays(np.int64, (rows, inner), elements=ints))
+        Y = data.draw(arrays(np.int64, (inner, cols), elements=ints))
+        M = (X @ Y).astype(float)
+        assert numerical_rank(M) <= exact_rank(fraction_matrix(M))
+
+    @given(data=st.data(),
+           dims=st.builds(Dimensions, n=st.integers(1, 3), m=st.integers(1, 3),
+                          p1=st.integers(1, 3), p2=st.integers(1, 3),
+                          N=st.integers(2, 3)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20)
+    def test_blocked_feedthrough_of_random_draws(self, data, dims, seed):
+        tau = data.draw(st.integers(1, dims.N))
+        sys = random_generic(dims, seed)
+        assert numerical_rank(block(sys, tau).D_tau) <= \
+            exact_rank(exact_block(sys, tau).D_tau)
+
+    @given(row=st.sampled_from(_fixture_rank_rows(TolerancePolicy())))
+    @settings(max_examples=20)
+    def test_blocked_feedthrough_of_shift_fixtures(self, row):
+        dims = Dimensions(row["n"], row["m"], row["p1"], row["p2"], row["N"])
+        sys = fixture(row["fixture"], dims, row["tau"], 0)
+        assert numerical_rank(block(sys, row["tau"]).D_tau) <= \
+            exact_rank(exact_block(sys, row["tau"]).D_tau)
 
 
 class TestExactRankAt:

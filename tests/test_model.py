@@ -60,9 +60,15 @@ class TestTolerancePolicy:
         dict(condition_cap=0.0),
         dict(normal_rank_samples=2),
         dict(resample_limit=0),
+        dict(rel_rank_tol="x"),
+        dict(zero_radius=True),
+        dict(cluster_tol=float("nan")),
+        dict(condition_cap=float("inf")),
+        dict(normal_rank_samples=7.5),
+        dict(resample_limit=True),
     ])
     def test_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             TolerancePolicy(**kwargs)
 
 

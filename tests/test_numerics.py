@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from multirate_zeros.blocking import MatrixPencil, block, system_pencil
 from multirate_zeros.errors import ConvergenceFailure  # noqa: F401  (surfaced type)
 from multirate_zeros.model import Dimensions, random_generic
-from multirate_zeros.numerics import (NORMAL_RANK_RADIUS, RankProfile,
-                                      eigenvalues, normal_rank,
-                                      numerical_rank, rank_at,
+from multirate_zeros.numerics import (NORMAL_RANK_RADIUS, eigenvalues,
+                                      normal_rank, numerical_rank, rank_at,
                                       rank_at_infinity)
 
 from conftest import EXAMPLE1_DIMS
@@ -162,10 +161,3 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(np.zeros((2, 3)))
 
-
-class TestRankProfile:
-    def test_holds_measured_values(self):
-        prof = RankProfile(normal_rank=6, rank_at_zero=5, rank_at_infinity=6, rank_D=5)
-        assert prof.normal_rank == 6
-        assert prof.rank_at_zero <= prof.normal_rank
-        assert prof.rank_at_infinity <= prof.normal_rank
