@@ -10,10 +10,12 @@ undecidable in float arithmetic: the same reading is produced by a genuine
 rank drop and by an unlucky but full-rank draw.
 
 This module settles such trials. Matrices are rebuilt from the original
-entries with Fraction arithmetic, which is rounding-free, and ranks are
-computed over the rationals with sympy's exact domain matrices. Ranks at
-nonreal points use the realification identity: the complex rank of X + iY
-is half the real rank of [[X, -Y], [Y, X]].
+entries with Fraction arithmetic, which is rounding-free, and a rank is
+computed in integers: each row, scaled by the lcm of its denominators,
+goes through fraction-free Bareiss elimination, whose divisions are exact.
+The pencil is real, so its normal rank is sampled at real points. Only a
+nonreal point (a finite-zero candidate) is realified: the complex rank of
+X + iY is half the real rank of [[X, -Y], [Y, X]].
 
 The verification harness calls in only for trials whose float measurement
 disagrees with the closed-form prediction. That trigger does not bias the
@@ -26,6 +28,7 @@ decide which trials get the treatment, never what the measurement says.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,25 +36,16 @@ import numpy as np
 from .blocking import BlockedSystem, MatrixPencil, _assemble
 from .model import MultirateSystem
 
-# Fixed off-circle sample points for the exact normal rank, as (re, im)
-# rationals. Rank at any point is a lower bound on the normal rank that is
-# attained away from the finitely many zeros, so the max over a few generic
-# points decides it; none of these lie on |Z| = 1 or near 0.
-_SAMPLE_POINTS = (
-    (Fraction(7, 5), Fraction(1, 3)),
-    (Fraction(-4, 3), Fraction(6, 7)),
-    (Fraction(1, 2), Fraction(-13, 9)),
-)
+# Fixed real sample points for the exact normal rank. Rank at any point is
+# a lower bound on the normal rank that is attained away from the finitely
+# many zeros, so the max over a few generic points decides it; none of these
+# lie on |Z| = 1 or at 0.
+_SAMPLE_POINTS = (Fraction(7, 5), Fraction(-4, 3), Fraction(1, 2))
 
 
 def fraction_matrix(M: np.ndarray) -> np.ndarray:
     """Entry-exact copy of a float matrix as an object array of Fractions."""
-    M = np.atleast_2d(np.asarray(M))
-    out = np.empty(M.shape, dtype=object)
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            out[i, j] = Fraction(float(M[i, j]))
-    return out
+    return np.vectorize(Fraction, otypes=[object])(np.atleast_2d(np.asarray(M, dtype=float)))
 
 
 def exact_block(sys: MultirateSystem, tau: int) -> BlockedSystem:
@@ -65,13 +59,25 @@ def exact_block(sys: MultirateSystem, tau: int) -> BlockedSystem:
 
 def exact_rank(M: np.ndarray) -> int:
     """Rank of a matrix of Fractions (or ints) over the rationals."""
-    # sympy is imported lazily: only escalated trials pay for it
-    from sympy import QQ
-    from sympy.polys.matrices import DomainMatrix
-
-    M = np.atleast_2d(M)
-    rows = [[QQ(x.numerator, x.denominator) for x in row] for row in M.tolist()]
-    return DomainMatrix(rows, M.shape, QQ).rank()
+    rows = []
+    for row in np.atleast_2d(M).tolist():   # a row scaled to integers keeps the rank
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    # Bareiss: after k pivots each entry is a (k+1)-minor, so dividing by the
+    # previous pivot is exact; the smallest pivot keeps those minors short
+    rank, prev = 0, 1
+    while rows and rows[0]:
+        at = min((i for i, row in enumerate(rows) if row[0]),
+                 key=lambda i: abs(rows[i][0]), default=None)
+        if at is None:
+            rows = [row[1:] for row in rows]
+            continue
+        pivot = rows.pop(at)
+        p = pivot[0]
+        rows = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], pivot[1:])]
+                for row in rows]
+        rank, prev = rank + 1, p
+    return rank
 
 
 def exact_rank_at(pencil: MatrixPencil, re: Fraction, im: Fraction = Fraction(0)) -> int:
@@ -86,4 +92,4 @@ def exact_rank_at(pencil: MatrixPencil, re: Fraction, im: Fraction = Fraction(0)
 
 
 def exact_normal_rank(pencil: MatrixPencil) -> int:
-    return max(exact_rank_at(pencil, re, im) for re, im in _SAMPLE_POINTS)
+    return max(exact_rank_at(pencil, z) for z in _SAMPLE_POINTS)

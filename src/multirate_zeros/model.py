@@ -317,7 +317,7 @@ def system_from_dict(data: dict) -> MultirateSystem:
     for key in ("n", "m", "p1", "p2", "N"):
         if key not in data:
             raise ValueError(f"missing integer field {key!r}")
-        if not isinstance(data[key], int):
+        if not isinstance(data[key], int) or isinstance(data[key], bool):
             raise ValueError(f"field {key!r} must be an integer, got {data[key]!r}")
     dims = Dimensions(n=data["n"], m=data["m"], p1=data["p1"], p2=data["p2"], N=data["N"])
     mats = {}

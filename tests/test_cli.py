@@ -75,6 +75,17 @@ class TestAnalyze:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["n", "m", "p1", "p2", "N"])
+    def test_bool_dimension_names_field(self, field, example1_file, tmp_path, capsys):
+        # JSON true is a Python int subclass; it is not a dimension
+        data = json.loads(example1_file.read_text())
+        data[field] = True
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(data))
+        code = main(["analyze", "--system", str(bad), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"field {field!r} must be an integer" in capsys.readouterr().err
+
     def test_unknown_policy_field(self, example1_file, tmp_path, capsys):
         pol = tmp_path / "policy.json"
         pol.write_text(json.dumps({"bogus_knob": 1}))

@@ -1,7 +1,11 @@
 """Rational-arithmetic rank measurements used to settle borderline trials."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from multirate_zeros import _exact, harness
 from multirate_zeros._exact import (exact_block, exact_normal_rank,
                                     exact_rank, exact_rank_at,
                                     fraction_matrix)
@@ -19,6 +24,27 @@ from multirate_zeros.model import (Dimensions, TolerancePolicy, fixture,
 from multirate_zeros.numerics import numerical_rank
 
 from conftest import EXAMPLE1_DIMS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# small rationals with non-dyadic denominators, zero often enough to leave
+# whole columns empty
+RATIONALS = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=7))
+
+
+def rational_matrix(data, rows: int, cols: int) -> np.ndarray:
+    entries = data.draw(st.lists(RATIONALS, min_size=rows * cols, max_size=rows * cols))
+    return np.array(entries, dtype=object).reshape(rows, cols)
+
+
+def sympy_rank(M: np.ndarray) -> int:
+    """The reference: rank over QQ by sympy's exact domain matrices."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = [[QQ(x.numerator, x.denominator) for x in row] for row in M.tolist()]
+    return DomainMatrix(rows, M.shape, QQ).rank()
 
 
 class TestFractionMatrix:
@@ -60,6 +86,34 @@ class TestExactRank:
     def test_matches_float_rank_on_generic_data(self, seed):
         M = np.random.default_rng(seed).standard_normal((4, 6))
         assert exact_rank(fraction_matrix(M)) == np.linalg.matrix_rank(M)
+
+
+class TestExactRankMatchesSympy:
+    """Bareiss elimination in integers against sympy's rank over QQ."""
+
+    @given(data=st.data(), rows=st.integers(0, 6), cols=st.integers(0, 6),
+           inner=st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_products_of_rational_factors(self, data, rows, cols, inner):
+        # rank at most inner, so every inner < min(rows, cols) is deficient
+        M = rational_matrix(data, rows, inner) @ rational_matrix(data, inner, cols)
+        assert exact_rank(M) == sympy_rank(M)
+
+    @given(dims=st.builds(Dimensions, n=st.integers(1, 3), m=st.integers(1, 2),
+                          p1=st.integers(1, 2), p2=st.integers(1, 3),
+                          N=st.integers(2, 3)),
+           seed=st.integers(0, 2**32 - 1), point=st.sampled_from(_exact._SAMPLE_POINTS))
+    @settings(max_examples=15, deadline=None)
+    def test_pencils_of_random_draws(self, dims, seed, point):
+        # dyadic entries with wide exponents, the matrices escalation sees
+        pencil = system_pencil(exact_block(random_generic(dims, seed), 1))
+        M = point * pencil.E - pencil.F
+        assert exact_rank(M) == sympy_rank(M)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, shape):
+        M = np.empty(shape, dtype=object)
+        assert exact_rank(M) == sympy_rank(M) == 0
 
 
 class TestFloatRankNeverExceedsExact:
@@ -176,3 +230,37 @@ class TestEscalation:
         assert a.measured == b.measured
         assert a.escalated == b.escalated
         assert a.agreement == b.agreement
+
+    def test_duality_is_settled_with_the_multiplicities(self):
+        # escalating mult_at_infinity alone once left duality comparing an
+        # exact multiplicity with a float one at the dual delay
+        rec = run_trial(Dimensions(5, 5, 3, 24, 8), tau=7, seed=106065)
+        assert {"mult_at_infinity", "duality"} <= set(rec.escalated)
+        assert rec.error is None
+        assert rec.agree_all
+
+    def test_each_exact_rank_is_computed_once(self, monkeypatch):
+        matrices = []
+
+        def recording(M):
+            matrices.append(np.atleast_2d(M).tolist())
+            return exact_rank(M)
+
+        monkeypatch.setattr(_exact, "exact_rank", recording)
+        monkeypatch.setattr(harness, "exact_rank", recording)
+        rec = run_trial(Dimensions(3, 2, 2, 1, 4), tau=1, seed=4016)
+        assert "duality" in rec.escalated
+        # the normal rank at three points, the rank at zero and of D_tau,
+        # at tau and at its dual delay, each once
+        assert len(matrices) == 2 * (len(_exact._SAMPLE_POINTS) + 2)
+        assert all(a != b for i, a in enumerate(matrices) for b in matrices[:i])
+
+    def test_escalated_trial_leaves_sympy_unimported(self):
+        code = ("import sys\n"
+                "from multirate_zeros import Dimensions, run_trial\n"
+                "rec = run_trial(Dimensions(3, 2, 2, 1, 4), tau=1, seed=4016)\n"
+                "assert rec.escalated and rec.agree_all\n"
+                "print('sympy' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert out.stdout.strip() == "False"

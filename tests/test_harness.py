@@ -6,12 +6,15 @@ import json
 
 import pytest
 
+from multirate_zeros import harness, zeros
+from multirate_zeros.blocking import block, system_pencil
 from multirate_zeros.errors import NotTallClass
 from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, GridSpec,
                                      cells, emit_report, grid_spec_from_dict,
                                      grid_spec_to_dict, run_fixture_suite,
                                      run_grid, run_trial)
-from multirate_zeros.model import Dimensions, TolerancePolicy
+from multirate_zeros.model import Dimensions, TolerancePolicy, random_generic
+from multirate_zeros.numerics import normal_rank
 
 from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS
 
@@ -58,6 +61,26 @@ class TestRunTrial:
         assert len(meas["normal_rank_by_tau"]) == 3
         assert len(set(meas["normal_rank_by_tau"])) == 1
         assert meas["lift_residual_max"] < 1e-9
+
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    def test_each_delays_normal_rank_is_measured_once(self, monkeypatch, tau):
+        # N = 3: the zero reports measure the pencils at tau and at its dual
+        # delay N - tau + 1 (tau = 2 is its own dual), the sweep the rest
+        calls = []
+
+        def counting(pencil, policy, seed):
+            calls.append(pencil)
+            return normal_rank(pencil, policy, seed)
+
+        monkeypatch.setattr(harness, "normal_rank", counting)
+        monkeypatch.setattr(zeros, "normal_rank", counting)
+        dims = Dimensions(2, 2, 1, 4, 3)
+        rec = run_trial(dims, tau=tau, seed=1)
+        assert len(calls) == dims.N
+        sys = random_generic(dims, 1)
+        assert rec.measured["normal_rank_by_tau"] == [
+            normal_rank(system_pencil(block(sys, t)), TolerancePolicy(), 1)
+            for t in range(1, 4)]
 
     def test_deterministic_except_elapsed(self):
         a = run_trial(Dimensions(2, 3, 1, 5, 2), tau=2, seed=7)
