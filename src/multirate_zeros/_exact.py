@@ -35,6 +35,7 @@ import numpy as np
 
 from .blocking import BlockedSystem, MatrixPencil, _assemble
 from .model import MultirateSystem
+from .numerics import _max_rank
 
 # Fixed real sample points for the exact normal rank. Rank at any point is
 # a lower bound on the normal rank that is attained away from the finitely
@@ -51,10 +52,10 @@ def fraction_matrix(M: np.ndarray) -> np.ndarray:
 def exact_block(sys: MultirateSystem, tau: int) -> BlockedSystem:
     """Blocked system assembled in Fraction arithmetic, free of rounding."""
     return _assemble(
-        sys.dims, tau,
+        sys.dims, (tau,),
         fraction_matrix(sys.A), fraction_matrix(sys.B),
         fraction_matrix(sys.Cf), fraction_matrix(sys.Cs),
-        fraction_matrix(sys.Df), fraction_matrix(sys.Ds))
+        fraction_matrix(sys.Df), fraction_matrix(sys.Ds))[0]
 
 
 def exact_rank(M: np.ndarray) -> int:
@@ -92,4 +93,9 @@ def exact_rank_at(pencil: MatrixPencil, re: Fraction, im: Fraction = Fraction(0)
 
 
 def exact_normal_rank(pencil: MatrixPencil) -> int:
-    return max(exact_rank_at(pencil, z) for z in _SAMPLE_POINTS)
+    """Max exact rank over _SAMPLE_POINTS, stopping once it reaches min(rows, cols).
+
+    No rank exceeds min(rows, cols), so a point that reaches it settles the
+    max and the points after it cannot change the result.
+    """
+    return _max_rank((exact_rank_at(pencil, z) for z in _SAMPLE_POINTS), min(pencil.shape))

@@ -66,30 +66,43 @@ def _check_tau(tau: int, N: int) -> None:
         raise TauOutOfRange(tau, N)
 
 
-def _assemble(d: Dimensions, tau: int, A, B, Cf, Cs, Df, Ds) -> BlockedSystem:
-    """Blocked system from raw state-space matrices; dtype follows the inputs.
+def _assemble(d: Dimensions, taus, A, B, Cf, Cs, Df, Ds) -> list[BlockedSystem]:
+    """Blocked systems at each delay in taus from raw state-space matrices.
 
-    float64 inputs assemble in float64; object inputs (e.g. Fraction
-    entries) assemble without any rounding at all.
+    Only the p2 slow rows of C_tau and D_tau depend on tau, so A_tau, B_tau,
+    the fast rows and the slow products Cs A^k B are built once, and the
+    returned systems share their A_tau and B_tau arrays. dtype follows the
+    inputs: float64 inputs assemble in float64; object inputs (e.g.
+    Fraction entries) assemble without any rounding at all.
     """
-    _check_tau(tau, d.N)
+    for tau in taus:
+        _check_tau(tau, d.N)
     m, p1, p2, N = d.m, d.p1, d.p2, d.N
     Ak = _powers(A, N)
     A_tau = Ak[N]
     B_tau = np.hstack([Ak[N - 1 - j] @ B for j in range(N)])
-    C_tau = np.vstack([Cf @ Ak[i] for i in range(N)] + [Cs @ Ak[N - tau]])
-    D_tau = np.zeros((N * p1 + p2, N * m), dtype=A.dtype)
+    CfAk = [Cf @ Ak[i] for i in range(N)]
+    CsAk = [Cs @ Ak[i] for i in range(N)]
+    # products associate as (C A^k) B, the order the entries were defined in
+    CfAkB = [CfAk[k] @ B for k in range(N - 1)]
+    CsAkB = [CsAk[k] @ B for k in range(N - 1)]
+    C_fast = np.vstack(CfAk)
+    D_fast = np.zeros((N * p1, N * m), dtype=A.dtype)
     for i in range(N):
         rows = slice(i * p1, (i + 1) * p1)
-        D_tau[rows, i * m:(i + 1) * m] = Df
+        D_fast[rows, i * m:(i + 1) * m] = Df
         for j in range(i):
-            D_tau[rows, j * m:(j + 1) * m] = Cf @ Ak[i - j - 1] @ B
-    slow = slice(N * p1, None)
-    for j in range(N - tau):
-        D_tau[slow, j * m:(j + 1) * m] = Cs @ Ak[N - tau - 1 - j] @ B
-    D_tau[slow, (N - tau) * m:(N - tau + 1) * m] = Ds
-    return BlockedSystem(dims=d, tau=tau, A_tau=A_tau, B_tau=B_tau,
-                         C_tau=C_tau, D_tau=D_tau, slow_rows=p2)
+            D_fast[rows, j * m:(j + 1) * m] = CfAkB[i - j - 1]
+    out = []
+    for tau in taus:
+        D_slow = np.zeros((p2, N * m), dtype=A.dtype)
+        for j in range(N - tau):
+            D_slow[:, j * m:(j + 1) * m] = CsAkB[N - tau - 1 - j]
+        D_slow[:, (N - tau) * m:(N - tau + 1) * m] = Ds
+        out.append(BlockedSystem(dims=d, tau=tau, A_tau=A_tau, B_tau=B_tau,
+                                 C_tau=np.vstack([C_fast, CsAk[N - tau]]),
+                                 D_tau=np.vstack([D_fast, D_slow]), slow_rows=p2))
+    return out
 
 
 def block(sys: MultirateSystem, tau: int) -> BlockedSystem:
@@ -100,7 +113,17 @@ def block(sys: MultirateSystem, tau: int) -> BlockedSystem:
     fast block diagonal with Cf A^(i-j-1) B below it, and a slow row block
     [Cs A^(N-tau-1)B ... Cs B  Ds  0 ... 0] with tau-1 trailing zero blocks.
     """
-    return _assemble(sys.dims, tau, sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
+    return _assemble(sys.dims, (tau,), sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)[0]
+
+
+def block_all(sys: MultirateSystem) -> list[BlockedSystem]:
+    """The blocked systems at every delay: entry t-1 equals block(sys, t).
+
+    The delay-independent parts are built once and shared, so this costs
+    little more than a single block call.
+    """
+    return _assemble(sys.dims, range(1, sys.dims.N + 1),
+                     sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
 
 
 def system_pencil(blk: BlockedSystem) -> MatrixPencil:
@@ -119,18 +142,21 @@ def system_pencil(blk: BlockedSystem) -> MatrixPencil:
     return MatrixPencil(E=E, F=F)
 
 
-def transfer_eval(blk: BlockedSystem, Z: complex,
-                  policy: TolerancePolicy | None = None) -> np.ndarray:
-    """Blocked transfer function V_tau(Z) = C_tau (Z*I - A_tau)^-1 B_tau + D_tau."""
-    policy = policy or TolerancePolicy()
+def _solve_resolvent(blk: BlockedSystem, Z: complex, policy: TolerancePolicy) -> np.ndarray:
+    """X = (Z*I - A_tau)^-1 B_tau, refused when the resolvent is ill conditioned."""
     n = blk.A_tau.shape[0]
     resolvent = Z * np.eye(n) - blk.A_tau
     cond = np.linalg.cond(resolvent)
     if not np.isfinite(cond) or cond > policy.condition_cap:
         raise ResolventSingular(
             f"Z*I - A_tau at Z={Z} has condition {cond:.3e}, cap {policy.condition_cap:.1e}")
-    X = np.linalg.solve(resolvent, blk.B_tau.astype(complex))
-    return blk.C_tau @ X + blk.D_tau
+    return np.linalg.solve(resolvent, blk.B_tau.astype(complex))
+
+
+def transfer_eval(blk: BlockedSystem, Z: complex,
+                  policy: TolerancePolicy | None = None) -> np.ndarray:
+    """Blocked transfer function V_tau(Z) = C_tau (Z*I - A_tau)^-1 B_tau + D_tau."""
+    return blk.C_tau @ _solve_resolvent(blk, Z, policy or TolerancePolicy()) + blk.D_tau
 
 
 def lift_relation_residual(lo: BlockedSystem, hi: BlockedSystem, Z: complex,
@@ -141,7 +167,8 @@ def lift_relation_residual(lo: BlockedSystem, hi: BlockedSystem, Z: complex,
     V_tau+1(Z) equals L(Z) V_tau(Z) R(Z) where L cyclically rotates the fast
     output blocks (picking up a factor Z) and R cyclically rotates the input
     blocks (with a factor 1/Z), so the returned Frobenius-norm residual is
-    zero in exact arithmetic for every tau in 1..N-1 and Z != 0.
+    zero in exact arithmetic for every tau in 1..N-1 and Z != 0. A_tau and
+    B_tau do not depend on the delay, so one resolvent solve serves both.
     """
     d = lo.dims
     if not 1 <= lo.tau <= d.N - 1:
@@ -149,11 +176,16 @@ def lift_relation_residual(lo: BlockedSystem, hi: BlockedSystem, Z: complex,
     if hi.dims != d or hi.tau != lo.tau + 1:
         raise ValueError(f"the lifting relation links delays tau and tau+1 of one "
                          f"system, got tau={lo.tau} and tau={hi.tau}")
+    # block_all shares A_tau and B_tau between delays, so `is` usually settles it
+    if not all(a is b or np.array_equal(a, b)
+               for a, b in ((lo.A_tau, hi.A_tau), (lo.B_tau, hi.B_tau))):
+        raise ValueError("the lifting relation links one system, but A_tau or B_tau differ")
     if Z == 0:
         raise ZeroZ("the lifting relation involves 1/Z and is undefined at Z=0")
     m, p1, p2, N = d.m, d.p1, d.p2, d.N
-    V_lo = transfer_eval(lo, Z, policy)
-    V_hi = transfer_eval(hi, Z, policy)
+    X = _solve_resolvent(lo, Z, policy or TolerancePolicy())
+    V_lo = lo.C_tau @ X + lo.D_tau
+    V_hi = hi.C_tau @ X + hi.D_tau
     L = np.zeros((N * p1 + p2, N * p1 + p2), dtype=complex)
     L[: (N - 1) * p1, p1: N * p1] = np.eye((N - 1) * p1)
     L[(N - 1) * p1: N * p1, :p1] = Z * np.eye(p1)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._exact import exact_block, exact_normal_rank, exact_rank, exact_rank_at
 from ._version import __version__
-from .blocking import block, lift_relation_residual, system_pencil
+from .blocking import block, block_all, lift_relation_residual, system_pencil
 from .errors import MultirateError
 from .model import (Dimensions, MultirateSystem, TolerancePolicy, _rng,
                     classify, fixture, policy_from_dict, random_generic)
@@ -62,7 +62,8 @@ class GridSpec:
     p2 is derived per cell as max(N*(m - p1), 0) + offset, which keeps
     every cell strictly tall for offsets >= 1. p1_values of None means
     1..m for each m. taus is "all" (1..N per cell) or an explicit list,
-    silently truncated to taus <= N in cells where N is smaller.
+    silently truncated to taus <= N in cells where N is smaller; a list
+    with no tau <= max N is refused, since it would run no trials.
     """
 
     n_values: tuple[int, ...]
@@ -96,6 +97,10 @@ class GridSpec:
             raise ValueError("trials_per_cell must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
+        # a sweep of no trials would report vacuous agreement
+        if next(cells(self), None) is None:
+            raise ValueError(f"taus has no value <= max N = {max(self.N_values)}, "
+                             f"so the sweep would run no trials")
 
 
 def grid_spec_from_dict(data: dict) -> GridSpec:
@@ -136,7 +141,7 @@ def grid_spec_from_dict(data: dict) -> GridSpec:
         policy = policy_from_dict(data.get("policy", {}))
     except ValueError as exc:
         raise ValueError(f"grid spec field 'policy': {exc}") from exc
-    spec = GridSpec(
+    return GridSpec(
         n_values=int_list("n", True),
         m_values=int_list("m", True),
         N_values=int_list("N", True),
@@ -147,11 +152,6 @@ def grid_spec_from_dict(data: dict) -> GridSpec:
         base_seed=int_field("base_seed", 0),
         policy=policy,
     )
-    # a sweep of no trials would report vacuous agreement
-    if next(cells(spec), None) is None:
-        raise ValueError(f'grid spec field "taus" has no value <= max N = '
-                         f'{max(spec.N_values)}, so the sweep would run no trials')
-    return spec
 
 
 def grid_spec_to_dict(spec: GridSpec) -> dict:
@@ -326,7 +326,7 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     try:
         # every check below reads the same N blocked systems, blocks[t - 1]
         # being the one at delay t
-        blocks = [block(sys, t) for t in range(1, dims.N + 1)]
+        blocks = block_all(sys)
         blk = blocks[tau - 1]
         rep = zero_report(blk, policy, seed)
         rank_D = numerical_rank(blk.D_tau, policy)

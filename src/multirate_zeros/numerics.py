@@ -7,6 +7,8 @@ harness cross-checks every value against closed-form predictions.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .blocking import BlockedSystem, MatrixPencil
@@ -48,6 +50,28 @@ def rank_at(pencil: MatrixPencil, Z: complex, policy: TolerancePolicy | None = N
     return numerical_rank(M, policy)
 
 
+def _max_rank(ranks, bound: int) -> int:
+    """Max of a lazy sequence of ranks, read only until one reaches bound.
+
+    bound is min(rows, cols) of the matrices ranked, which no rank can
+    exceed, so stopping there gives the max of the whole sequence.
+    """
+    best = 0
+    for r in ranks:
+        best = max(best, r)
+        if best == bound:
+            break
+    return best
+
+
+@lru_cache(maxsize=1)
+def _sample_points(seed: int, count: int) -> tuple[complex, ...]:
+    # every pencil of a trial is sampled with one seed, so one entry holds
+    # the points for all of them; a tuple, so no caller can change them
+    thetas = _rng(seed).uniform(0.0, 2.0 * np.pi, count)
+    return tuple(NORMAL_RANK_RADIUS * np.exp(1j * t) for t in thetas)
+
+
 def normal_rank(pencil: MatrixPencil, policy: TolerancePolicy | None = None,
                 seed: int = 0) -> int:
     """Maximum rank over sampled points Z = radius * exp(i*theta).
@@ -55,12 +79,14 @@ def normal_rank(pencil: MatrixPencil, policy: TolerancePolicy | None = None,
     The angles come from a Philox stream keyed by seed, so the result is
     deterministic in (pencil, policy, seed). The rank at a random point
     equals the normal rank with probability 1; the max over several points
-    guards against an unlucky draw near a zero.
+    guards against an unlucky draw near a zero. Sampling stops at the first
+    point whose rank reaches min(rows, cols): no rank can exceed that bound,
+    so the remaining points cannot raise the max and the result is the same
+    as over all of them.
     """
     policy = policy or TolerancePolicy()
-    rng = _rng(seed)
-    thetas = rng.uniform(0.0, 2.0 * np.pi, policy.normal_rank_samples)
-    return max(rank_at(pencil, NORMAL_RANK_RADIUS * np.exp(1j * t), policy) for t in thetas)
+    points = _sample_points(seed, policy.normal_rank_samples)
+    return _max_rank((rank_at(pencil, Z, policy) for Z in points), min(pencil.shape))
 
 
 def rank_at_infinity(blk: BlockedSystem, policy: TolerancePolicy | None = None) -> int:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multirate_zeros.blocking import (block, fast_subsystem,
+from multirate_zeros.blocking import (block, block_all, fast_subsystem,
                                       lift_relation_residual, system_pencil,
                                       transfer_eval)
 from multirate_zeros.errors import ResolventSingular, TauOutOfRange, ZeroZ
@@ -71,6 +71,46 @@ class TestBlock:
         sys = scalar_system(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(TauOutOfRange):
             block(sys, tau)
+
+
+def formula_block(sys: MultirateSystem, tau: int) -> dict:
+    """The blocked matrices written out from the block docstring, block by block."""
+    d = sys.dims
+    N, m, p1, p2 = d.N, d.m, d.p1, d.p2
+    Ak = [np.eye(d.n)]
+    for _ in range(N):
+        Ak.append(Ak[-1] @ sys.A)
+    fast = [[sys.Df if j == i else (sys.Cf @ Ak[i - j - 1]) @ sys.B if j < i
+             else np.zeros((p1, m)) for j in range(N)] for i in range(N)]
+    slow = ([(sys.Cs @ Ak[N - tau - 1 - j]) @ sys.B for j in range(N - tau)]
+            + [sys.Ds] + [np.zeros((p2, m))] * (tau - 1))
+    return {
+        "A_tau": Ak[N],
+        "B_tau": np.hstack([Ak[N - 1 - j] @ sys.B for j in range(N)]),
+        "C_tau": np.vstack([sys.Cf @ Ak[i] for i in range(N)] + [sys.Cs @ Ak[N - tau]]),
+        "D_tau": np.block(fast + [slow]),
+    }
+
+
+class TestBlockAll:
+    @pytest.mark.parametrize("dims,seed", [
+        (Dimensions(2, 2, 1, 3, 3), 1),
+        (Dimensions(3, 2, 2, 1, 4), 7),     # p1 = m
+        (Dimensions(2, 1, 2, 1, 3), 3),     # fast tall
+        (Dimensions(5, 5, 3, 24, 8), 0),    # the extreme-delay cell
+        (Dimensions(1, 3, 1, 5, 2), 11),
+    ])
+    def test_every_delay_is_bitwise_the_formula(self, dims, seed):
+        sys = random_generic(dims, seed)
+        blocks = block_all(sys)
+        assert [b.tau for b in blocks] == list(range(1, dims.N + 1))
+        for t in range(1, dims.N + 1):
+            blk, single = blocks[t - 1], block(sys, t)
+            assert blk.dims == dims and blk.slow_rows == dims.p2
+            for name, want in formula_block(sys, t).items():
+                for got in (getattr(blk, name), getattr(single, name)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (t, name)
 
 
 class TestWorkedInstance:
@@ -201,6 +241,28 @@ class TestLiftRelation:
         sys = random_generic(Dimensions(2, 2, 1, 4, 3), seed=21)
         with pytest.raises(TauOutOfRange):
             lift_relation_residual(block(sys, 3), block(sys, 3), 1.0)
+
+    def test_singular_resolvent_refused(self):
+        # A_tau = a^N = 1, so Z*I - A_tau vanishes at Z = 1
+        sys = scalar_system(a=1.0, b=1.0, cf=1.0, cs=1.0, df=1.0, ds=1.0)
+        with pytest.raises(ResolventSingular):
+            lift_relation_residual(block(sys, 1), block(sys, 2), 1.0)
+
+    def test_one_resolvent_solve_per_point(self, monkeypatch):
+        sys = random_generic(Dimensions(2, 2, 1, 4, 3), seed=21)
+        lo, hi = block(sys, 1), block(sys, 2)
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+        assert lift_relation_residual(lo, hi, 0.7 + 0.2j) < 1e-10
+        assert len(solves) == 1
+
+    def test_systems_must_match(self):
+        dims = Dimensions(2, 2, 1, 4, 3)
+        lo = block(random_generic(dims, seed=21), 1)
+        hi = block(random_generic(dims, seed=22), 2)
+        with pytest.raises(ValueError, match="one system"):
+            lift_relation_residual(lo, hi, 1.0)
 
     def test_delays_must_be_consecutive(self):
         sys = random_generic(Dimensions(2, 2, 1, 4, 3), seed=21)

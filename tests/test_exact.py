@@ -203,6 +203,35 @@ class TestExactNormalRank:
         assert got == dims.n + dims.N * dims.m
 
 
+class TestExactNormalRankEarlyExit:
+    """Stopping at min(rows, cols) leaves the max over the points unchanged."""
+
+    @given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 5),
+           inner=st.integers(0, 5), planted=st.integers(0, 3),
+           at=st.sampled_from(_exact._SAMPLE_POINTS))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_max_over_every_point(self, data, rows, cols, inner, planted, at):
+        # a shared inner-dimensional factorization makes every
+        # inner < min(rows, cols) rank deficient; up to `planted` zeros sit
+        # on the sample point `at`, where the rank falls short of the max
+        U, V = rational_matrix(data, rows, inner), rational_matrix(data, inner, cols)
+        E0 = rational_matrix(data, inner, inner)
+        eig = rational_matrix(data, 1, inner)
+        eig[0, :planted] = at
+        pencil = MatrixPencil(E=U @ E0 @ V, F=U @ (E0 * eig) @ V)
+        every = max(exact_rank_at(pencil, z) for z in _exact._SAMPLE_POINTS)
+        assert exact_normal_rank(pencil) == every
+
+    def test_full_column_pencil_costs_one_rank(self, monkeypatch):
+        sys = random_generic(Dimensions(2, 1, 2, 1, 3), seed=1)
+        pencil = system_pencil(exact_block(sys, 1))
+        calls = []
+        monkeypatch.setattr(_exact, "exact_rank_at",
+                            lambda *a: calls.append(1) or exact_rank_at(*a))
+        assert exact_normal_rank(pencil) == min(pencil.shape)
+        assert len(calls) == 1
+
+
 class TestEscalation:
     """The float screen is settled in exact arithmetic when it disagrees."""
 
@@ -250,9 +279,10 @@ class TestEscalation:
         monkeypatch.setattr(harness, "exact_rank", recording)
         rec = run_trial(Dimensions(3, 2, 2, 1, 4), tau=1, seed=4016)
         assert "duality" in rec.escalated
-        # the normal rank at three points, the rank at zero and of D_tau,
+        # the normal rank (the 12x11 pencil has full column rank at the
+        # first sample point, so one point), the rank at zero and of D_tau,
         # at tau and at its dual delay, each once
-        assert len(matrices) == 2 * (len(_exact._SAMPLE_POINTS) + 2)
+        assert len(matrices) == 2 * (1 + 2)
         assert all(a != b for i, a in enumerate(matrices) for b in matrices[:i])
 
     def test_escalated_trial_leaves_sympy_unimported(self):

@@ -174,14 +174,17 @@ class TestRunGrid:
         assert report.cells[0]["agree"] == 2
         assert report.grid == grid_spec_to_dict(SINGLE_CELL)
 
-    def test_empty_tau_list_is_vacuous(self):
-        spec = GridSpec(n_values=(1,), m_values=(1,), N_values=(2,),
-                        p1_values=(2,), taus=())
-        report = run_grid(spec)
-        assert report.total_trials == 0
-        assert report.all_agree
-        assert report.agreement_rates == {k: 1.0 for k in AGREEMENT_KEYS}
-        assert report.trials == () and report.cells == ()
+    # a sweep of no trials would report all_agree over nothing, so a spec
+    # that leaves no cell to run is refused when it is built
+    def test_empty_tau_list_is_refused(self):
+        with pytest.raises(ValueError, match="taus"):
+            GridSpec(n_values=(1,), m_values=(1,), N_values=(2,),
+                     p1_values=(2,), taus=())
+
+    def test_taus_above_every_N_are_refused(self):
+        with pytest.raises(ValueError, match="taus"):
+            GridSpec(n_values=(1,), m_values=(1,), N_values=(2, 3),
+                     p1_values=(2,), taus=(4, 5))
 
     def test_seed_schedule_is_sequential(self):
         spec = GridSpec(n_values=(1,), m_values=(2,), N_values=(2,),
@@ -290,13 +293,6 @@ class TestEmitReport:
         first = lines[1].split(",")
         assert first[:7] == ["1", "2", "1", "3", "2", "1", "0"]
         assert first[CSV_COLUMNS.index("agree_all")] == "true"
-
-    def test_csv_empty_grid_is_header_only(self, tmp_path):
-        spec = GridSpec(n_values=(1,), m_values=(1,), N_values=(2,),
-                        p1_values=(2,), taus=())
-        path = tmp_path / "empty.csv"
-        emit_report(run_grid(spec), "csv", path)
-        assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
     def test_csv_rejects_fixture_suite(self, tmp_path):
         with pytest.raises(ValueError, match="grid report"):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multirate_zeros import numerics
 from multirate_zeros.blocking import MatrixPencil, block, system_pencil
 from multirate_zeros.errors import ConvergenceFailure  # noqa: F401  (surfaced type)
-from multirate_zeros.model import Dimensions, random_generic
+from multirate_zeros.model import Dimensions, TolerancePolicy, _rng, random_generic
 from multirate_zeros.numerics import (NORMAL_RANK_RADIUS, eigenvalues,
                                       normal_rank, numerical_rank, rank_at,
                                       rank_at_infinity)
@@ -117,6 +118,76 @@ class TestNormalRank:
 
     def test_sampling_radius_pinned(self):
         assert NORMAL_RANK_RADIUS == 1.372000091
+
+
+def every_sample_point(policy, seed):
+    thetas = _rng(seed).uniform(0.0, 2.0 * np.pi, policy.normal_rank_samples)
+    return [NORMAL_RANK_RADIUS * np.exp(1j * t) for t in thetas]
+
+
+def rank_at_every_sample(pencil, policy, seed):
+    """The normal rank with no early exit: the max over all sample points."""
+    return max(rank_at(pencil, Z, policy) for Z in every_sample_point(policy, seed))
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    func = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or func(*a, **k))
+    return calls
+
+
+class TestNormalRankEarlyExit:
+    """Stopping at min(rows, cols) leaves the max over the samples unchanged."""
+
+    @given(rows=st.integers(1, 7), cols=st.integers(1, 7), inner=st.integers(0, 7),
+           planted=st.integers(0, 3), at=st.integers(0, 2),
+           draw=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_max_over_every_sample(self, rows, cols, inner, planted, at, draw, seed):
+        # E and F share an inner-dimensional factorization, so every
+        # inner < min(rows, cols) gives a rank-deficient pencil; up to
+        # `planted` zeros sit on sample point `at`, where the rank read falls
+        # short of the max
+        policy = TolerancePolicy()
+        rng = np.random.default_rng(draw)
+        U, V = rng.standard_normal((rows, inner)), rng.standard_normal((inner, cols))
+        E0 = rng.standard_normal((inner, inner))
+        eig = rng.standard_normal(inner).astype(complex)
+        eig[:planted] = every_sample_point(policy, seed)[at]
+        pencil = MatrixPencil(E=U @ E0 @ V, F=U @ (E0 * eig) @ V)
+        assert normal_rank(pencil, policy, seed) == rank_at_every_sample(pencil, policy, seed)
+
+    @given(dims=st.builds(Dimensions, n=st.integers(1, 4), m=st.integers(1, 3),
+                          p1=st.integers(1, 4), p2=st.integers(1, 4),
+                          N=st.integers(2, 4)),
+           draw=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_max_over_every_sample_on_blocked_pencils(self, dims, draw, seed):
+        policy = TolerancePolicy()
+        pencil = system_pencil(block(random_generic(dims, draw), 1))
+        assert normal_rank(pencil, policy, seed) == rank_at_every_sample(pencil, policy, seed)
+
+    def test_full_column_pencil_costs_one_rank(self, monkeypatch, policy):
+        dims = Dimensions(2, 1, 2, 1, 3)
+        pencil = system_pencil(block(random_generic(dims, seed=3), 2))
+        calls = counting(monkeypatch, numerics, "rank_at")
+        assert normal_rank(pencil, policy, seed=0) == min(pencil.shape)
+        assert len(calls) == 1
+
+    def test_deficient_pencil_takes_every_sample(self, monkeypatch, example1_sys, policy):
+        pencil = system_pencil(block(example1_sys, 1))
+        calls = counting(monkeypatch, numerics, "rank_at")
+        assert normal_rank(pencil, policy, seed=0) < min(pencil.shape)
+        assert len(calls) == policy.normal_rank_samples
+
+    def test_angles_drawn_once_per_seed(self, monkeypatch, policy):
+        pencil = system_pencil(block(random_generic(Dimensions(2, 2, 1, 3, 3), seed=5), 1))
+        numerics._sample_points.cache_clear()
+        draws = counting(monkeypatch, numerics, "_rng")
+        for _ in range(3):
+            normal_rank(pencil, policy, seed=12345)
+        assert len(draws) == 1
 
 
 class TestRankAtInfinity:
