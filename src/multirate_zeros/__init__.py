@@ -16,12 +16,12 @@ from .errors import (CompressionFailure, ConvergenceFailure, MultirateError,
 from .harness import (GridSpec, TrialRecord, VerificationReport, emit_report,
                       grid_spec_from_dict, run_fixture_suite, run_grid,
                       run_trial)
-from .model import (FIXTURE_NAMES, Dimensions, MultirateSystem, SystemClass,
-                    TolerancePolicy, ValidationResult, classify, fixture,
-                    load_system, random_generic, reverse_time, save_system,
+from .model import (Dimensions, MultirateSystem, SystemClass, TolerancePolicy,
+                    ValidationResult, classify, fixture, load_system,
+                    random_generic, reverse_time, save_system,
                     system_from_dict, system_to_dict, validate)
 from .numerics import (NORMAL_RANK_RADIUS, eigenvalues, normal_rank,
-                       numerical_rank, rank_at, rank_at_infinity)
+                       numerical_rank, rank_at)
 from .oracle import (TableRow, TheoryPrediction, dual_index, predict,
                      predict_controllability_rank, predict_mult_infinity,
                      predict_mult_zero, predict_normal_rank, predict_rank_D,
@@ -37,12 +37,12 @@ __all__ = [
     "TauOutOfRange", "UnsupportedDims", "ZeroZ",
     "GridSpec", "TrialRecord", "VerificationReport", "emit_report",
     "grid_spec_from_dict", "run_fixture_suite", "run_grid", "run_trial",
-    "FIXTURE_NAMES", "Dimensions", "MultirateSystem", "SystemClass",
+    "Dimensions", "MultirateSystem", "SystemClass",
     "TolerancePolicy", "ValidationResult", "classify", "fixture",
     "load_system", "random_generic", "reverse_time", "save_system",
     "system_from_dict", "system_to_dict", "validate",
     "NORMAL_RANK_RADIUS", "eigenvalues", "normal_rank", "numerical_rank",
-    "rank_at", "rank_at_infinity",
+    "rank_at",
     "TableRow", "TheoryPrediction", "dual_index", "predict",
     "predict_controllability_rank", "predict_mult_infinity",
     "predict_mult_zero", "predict_normal_rank", "predict_rank_D",

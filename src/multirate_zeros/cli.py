@@ -22,7 +22,6 @@ from .harness import (_headline_agreement, _predicted_dict, _utc_now,
                       run_grid)
 from .model import (Dimensions, TolerancePolicy, classify, load_system,
                     policy_from_dict)
-from .numerics import numerical_rank
 from .oracle import predict, summary_table
 from .zeros import zero_report, zero_report_to_dict
 
@@ -83,10 +82,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     results = []
     all_agree = True
     for tau in taus:
-        blk = block(sys_, tau)
-        rep = zero_report(blk, policy, ANALYZE_SEED)
+        rep = zero_report(block(sys_, tau), policy, ANALYZE_SEED)
         measured = zero_report_to_dict(rep)
-        measured["rank_D"] = numerical_rank(blk.D_tau, policy)
         measured["rank_at_zero"] = rep.normal_rank - rep.mult_at_zero
         measured["rank_at_infinity"] = rep.normal_rank - rep.mult_at_infinity
         pred = predictions.get(tau)

@@ -31,7 +31,7 @@ from .model import (Dimensions, MultirateSystem, TolerancePolicy, _rng,
                     classify, fixture, policy_from_dict, random_generic)
 from .numerics import normal_rank, numerical_rank
 from .oracle import dual_index, predict, predict_controllability_rank
-from .zeros import zero_report
+from .zeros import multiplicities, zero_report
 
 LIFT_RESIDUAL_TOL = 1e-9
 LIFT_SAMPLES = 3
@@ -87,7 +87,8 @@ class GridSpec:
                 not self.p1_values or any(v < 1 for v in self.p1_values)):
             raise ValueError("p1 values must be a nonempty list of ints >= 1")
         if not self.p2_offsets or any(v < 1 for v in self.p2_offsets):
-            raise ValueError("p2 offsets must be >= 1 to stay above the tallness threshold")
+            raise ValueError("p2_offsets must be a nonempty list of ints >= 1, "
+                             "to stay above the tallness threshold")
         if isinstance(self.taus, str):
             if self.taus != "all":
                 raise ValueError(f'taus must be "all" or a list, got {self.taus!r}')
@@ -137,6 +138,7 @@ def grid_spec_from_dict(data: dict) -> GridSpec:
         if not isinstance(taus, list) or not all(is_int(t) for t in taus):
             raise ValueError('grid spec field "taus" must be "all" or a list of ints')
         taus = tuple(taus)
+    p2_offsets = int_list("p2_offsets", False)
     try:
         policy = policy_from_dict(data.get("policy", {}))
     except ValueError as exc:
@@ -146,7 +148,7 @@ def grid_spec_from_dict(data: dict) -> GridSpec:
         m_values=int_list("m", True),
         N_values=int_list("N", True),
         p1_values=int_list("p1", False),
-        p2_offsets=int_list("p2_offsets", False) or (1,),
+        p2_offsets=(1,) if p2_offsets is None else p2_offsets,
         taus=taus,
         trials_per_cell=int_field("trials_per_cell", 10),
         base_seed=int_field("base_seed", 0),
@@ -305,7 +307,9 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     same instance: the origin/infinity multiplicity swap at the dual delay
     N - tau + 1, the delay independence of the measured normal rank, and
     the one-step lifting relation between consecutive delays at random
-    points on the unit circle. Numerical failures (e.g. every compression
+    points on the unit circle. The finite-zero search runs at tau only:
+    the other delays need their normal rank, and the dual delay also its
+    two multiplicities. Numerical failures (e.g. every compression
     attempt ill conditioned) are captured in the record, not raised.
 
     A quantity whose float measurement disagrees with the prediction is
@@ -327,17 +331,20 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
         # every check below reads the same N blocked systems, blocks[t - 1]
         # being the one at delay t
         blocks = block_all(sys)
-        blk = blocks[tau - 1]
-        rep = zero_report(blk, policy, seed)
-        rank_D = numerical_rank(blk.D_tau, policy)
-
+        rep = zero_report(blocks[tau - 1], policy, seed)
         dual = dual_index(tau, dims.N)
-        rep_dual = rep if dual == tau else zero_report(blocks[dual - 1], policy, seed)
-
-        # the zero reports already measured the pencils at tau and its dual
-        known = {tau: rep.normal_rank, dual: rep_dual.normal_rank}
-        nrank_by_tau = [known[t] if t in known else normal_rank(system_pencil(b), policy, seed)
-                        for t, b in enumerate(blocks, 1)]
+        # kept when tau is its own dual; otherwise the sweep measures them
+        dual_mults = rep.mult_at_zero, rep.mult_at_infinity
+        nrank_by_tau = []
+        for t, b in enumerate(blocks, 1):
+            if t == tau:
+                nrank_by_tau.append(rep.normal_rank)
+                continue
+            pencil = system_pencil(b)
+            rho = normal_rank(pencil, policy, seed)
+            nrank_by_tau.append(rho)
+            if t == dual:
+                dual_mults = multiplicities(b, pencil, rho, policy)[1:]
 
         worst = 0.0
         rng = _rng(seed)
@@ -347,7 +354,7 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
                 worst = max(worst, lift_relation_residual(lo, hi, Z, policy))
 
         measured = {
-            "rank_D": rank_D,
+            "rank_D": rep.rank_D,
             "normal_rank": rep.normal_rank,
             "rank_at_zero": rep.normal_rank - rep.mult_at_zero,
             "rank_at_infinity": rep.normal_rank - rep.mult_at_infinity,
@@ -356,8 +363,8 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
             "n_finite_nonzero": len(rep.finite_nonzero_zeros),
             "n_boundary_candidates": len(rep.boundary_candidates),
             "candidates_examined": rep.candidates_examined,
-            "dual_mult_at_zero": rep_dual.mult_at_zero,
-            "dual_mult_at_infinity": rep_dual.mult_at_infinity,
+            "dual_mult_at_zero": dual_mults[0],
+            "dual_mult_at_infinity": dual_mults[1],
             "normal_rank_by_tau": nrank_by_tau,
             "lift_residual_max": worst,
         }

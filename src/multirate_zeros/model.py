@@ -285,8 +285,6 @@ _FIXTURES = {
     "shift_controllability": _fixture_shift_controllability,
 }
 
-FIXTURE_NAMES = tuple(_FIXTURES)
-
 
 def fixture(name: str, dims: Dimensions, tau: int, seed: int) -> MultirateSystem:
     """Instantiate a named structured system.

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blocking import BlockedSystem, MatrixPencil
+from .blocking import MatrixPencil
 from .errors import ConvergenceFailure
 from .model import TolerancePolicy, _rng
 
@@ -87,11 +87,6 @@ def normal_rank(pencil: MatrixPencil, policy: TolerancePolicy | None = None,
     policy = policy or TolerancePolicy()
     points = _sample_points(seed, policy.normal_rank_samples)
     return _max_rank((rank_at(pencil, Z, policy) for Z in points), min(pencil.shape))
-
-
-def rank_at_infinity(blk: BlockedSystem, policy: TolerancePolicy | None = None) -> int:
-    """Rank of the pencil limit at infinity, defined as n + rank(D_tau)."""
-    return blk.A_tau.shape[0] + numerical_rank(blk.D_tau, policy)
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:

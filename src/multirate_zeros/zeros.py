@@ -17,7 +17,7 @@ import numpy as np
 from .blocking import BlockedSystem, MatrixPencil, system_pencil
 from .errors import CompressionFailure, SingularD
 from .model import TolerancePolicy, _rng
-from .numerics import eigenvalues, normal_rank, numerical_rank, rank_at, rank_at_infinity
+from .numerics import eigenvalues, normal_rank, numerical_rank, rank_at
 
 # gate for accepting a compressed eigenproblem, and the safety factor on the
 # noise floor below which an eigenvalue of it is treated as infinite
@@ -36,6 +36,7 @@ class ZeroReport:
 
     tau: int
     normal_rank: int
+    rank_D: int
     mult_at_zero: int
     mult_at_infinity: int
     finite_nonzero_zeros: tuple[tuple[complex, int], ...]
@@ -129,16 +130,29 @@ def verify_zero(pencil: MatrixPencil, Z0: complex, policy: TolerancePolicy,
     return max(0, drop)
 
 
+def multiplicities(blk: BlockedSystem, pencil: MatrixPencil, rho: int,
+                   policy: TolerancePolicy) -> tuple[int, int, int]:
+    """(rank(D_tau), multiplicity at 0, multiplicity at infinity) at normal rank rho.
+
+    The multiplicities are the drops below rho of the rank at Z = 0 and of
+    n + rank(D_tau); neither needs the finite-zero search.
+    """
+    rank_D = numerical_rank(blk.D_tau, policy)
+    mult0 = verify_zero(pencil, 0.0, policy, rho)
+    return rank_D, mult0, max(0, rho - blk.A_tau.shape[0] - rank_D)
+
+
 def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
                 seed: int = 0) -> ZeroReport:
     """Full zero structure: multiplicities at 0 and infinity, verified finite nonzero zeros.
 
-    The multiplicity at the origin comes from a direct rank test at Z = 0
-    and the one at infinity from n + rank(D_tau); neither depends on the
-    candidate search. Candidates farther from the origin than cluster_tol
-    are listed as finite nonzero zeros when the rank test confirms them;
-    those in the band between zero_radius and cluster_tol are reported
-    separately instead of being silently attributed to the origin.
+    The multiplicities come from `multiplicities`, independent of the
+    candidate search. This is the only caller of the finite-zero search,
+    and a verification trial calls it at tau alone. Candidates farther from
+    the origin than cluster_tol are listed as finite nonzero zeros when the
+    rank test confirms them; those in the band between zero_radius and
+    cluster_tol are reported separately instead of being silently
+    attributed to the origin.
     Candidates beyond 1/zero_radius are copies of the point at infinity
     (they come from compressed eigenvalues at the noise floor of the
     infinite-eigenvalue filter) and are skipped the same way.
@@ -146,8 +160,7 @@ def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
     policy = policy or TolerancePolicy()
     pencil = system_pencil(blk)
     rho = normal_rank(pencil, policy, seed)
-    mult0 = verify_zero(pencil, 0.0, policy, rho)
-    multinf = max(0, rho - rank_at_infinity(blk, policy))
+    rank_D, mult0, multinf = multiplicities(blk, pencil, rho, policy)
     candidates = finite_zero_candidates(pencil, policy, seed, rho)
     finite: list[tuple[complex, int]] = []
     boundary: list[tuple[complex, int]] = []
@@ -164,6 +177,7 @@ def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
     return ZeroReport(
         tau=blk.tau,
         normal_rank=rho,
+        rank_D=rank_D,
         mult_at_zero=mult0,
         mult_at_infinity=multinf,
         finite_nonzero_zeros=tuple(finite),
@@ -197,6 +211,7 @@ def zero_report_to_dict(rep: ZeroReport) -> dict:
     return {
         "tau": rep.tau,
         "normal_rank": rep.normal_rank,
+        "rank_D": rep.rank_D,
         "mult_at_zero": rep.mult_at_zero,
         "mult_at_infinity": rep.mult_at_infinity,
         "finite_nonzero_zeros": [

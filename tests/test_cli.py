@@ -184,6 +184,7 @@ class TestVerify:
         ({"base_seed": -3}, "base_seed"),
         ({"taus": [9]}, "taus"),
         ({"p1": []}, "p1"),
+        ({"p2_offsets": []}, "p2_offsets"),
     ])
     def test_bad_grid_value_names_field(self, extra, field, tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -15,6 +15,8 @@ from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, GridSpec,
                                      run_grid, run_trial)
 from multirate_zeros.model import Dimensions, TolerancePolicy, random_generic
 from multirate_zeros.numerics import normal_rank
+from multirate_zeros.oracle import dual_index
+from multirate_zeros.zeros import finite_zero_candidates, zero_report
 
 from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS
 
@@ -64,8 +66,7 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("tau", [1, 2, 3])
     def test_each_delays_normal_rank_is_measured_once(self, monkeypatch, tau):
-        # N = 3: the zero reports measure the pencils at tau and at its dual
-        # delay N - tau + 1 (tau = 2 is its own dual), the sweep the rest
+        # N = 3: the zero report measures the pencil at tau, the sweep the rest
         calls = []
 
         def counting(pencil, policy, seed):
@@ -81,6 +82,32 @@ class TestRunTrial:
         assert rec.measured["normal_rank_by_tau"] == [
             normal_rank(system_pencil(block(sys, t)), TolerancePolicy(), 1)
             for t in range(1, 4)]
+
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    def test_finite_zero_search_runs_once(self, monkeypatch, tau):
+        # N = 3: tau = 2 is its own dual, 1 and 3 are each other's
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return finite_zero_candidates(*args)
+
+        monkeypatch.setattr(zeros, "finite_zero_candidates", counting)
+        run_trial(Dimensions(2, 2, 1, 4, 3), tau=tau, seed=1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dims,tau", [
+        (Dimensions(2, 2, 1, 4, 3), 1), (Dimensions(2, 2, 1, 4, 3), 2),
+        (Dimensions(2, 2, 1, 4, 3), 3), (LONG_HORIZON_DIMS, 1), (LONG_HORIZON_DIMS, 8)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dual_multiplicities_match_a_full_zero_report(self, dims, tau, seed):
+        # a full zero report at the dual delay is the reference reading
+        rec = run_trial(dims, tau=tau, seed=seed)
+        assert rec.escalated == ()
+        dual = dual_index(tau, dims.N)
+        ref = zero_report(block(random_generic(dims, seed), dual), TolerancePolicy(), seed)
+        assert rec.measured["dual_mult_at_zero"] == ref.mult_at_zero
+        assert rec.measured["dual_mult_at_infinity"] == ref.mult_at_infinity
 
     def test_deterministic_except_elapsed(self):
         a = run_trial(Dimensions(2, 3, 1, 5, 2), tau=2, seed=7)

@@ -11,8 +11,8 @@ from multirate_zeros.blocking import MatrixPencil, block, system_pencil
 from multirate_zeros.errors import ConvergenceFailure  # noqa: F401  (surfaced type)
 from multirate_zeros.model import Dimensions, TolerancePolicy, _rng, random_generic
 from multirate_zeros.numerics import (NORMAL_RANK_RADIUS, eigenvalues,
-                                      normal_rank, numerical_rank, rank_at,
-                                      rank_at_infinity)
+                                      normal_rank, numerical_rank, rank_at)
+from multirate_zeros.zeros import multiplicities
 
 from conftest import EXAMPLE1_DIMS
 
@@ -190,10 +190,19 @@ class TestNormalRankEarlyExit:
         assert len(draws) == 1
 
 
-class TestRankAtInfinity:
+class TestMultiplicities:
+    @staticmethod
+    def rank_at_infinity(blk, policy):
+        # n + rank(D_tau) as multiplicities reads it for the drop at infinity
+        pencil = system_pencil(blk)
+        rho = normal_rank(pencil, policy)
+        rank_D, _, mult_inf = multiplicities(blk, pencil, rho, policy)
+        assert mult_inf == max(0, rho - blk.A_tau.shape[0] - rank_D)
+        return blk.A_tau.shape[0] + rank_D
+
     def test_worked_instance(self, example1_sys, policy):
         blk = block(example1_sys, 1)
-        assert rank_at_infinity(blk, policy) == 1 + 5
+        assert self.rank_at_infinity(blk, policy) == 1 + 5
 
     def test_zero_feedthrough(self, policy):
         from multirate_zeros.blocking import BlockedSystem
@@ -201,12 +210,12 @@ class TestRankAtInfinity:
         blk = BlockedSystem(dims=d, tau=1, A_tau=np.eye(2),
                             B_tau=np.ones((2, 2)), C_tau=np.ones((3, 2)),
                             D_tau=np.zeros((3, 2)), slow_rows=1)
-        assert rank_at_infinity(blk, policy) == 2
+        assert self.rank_at_infinity(blk, policy) == 2
 
     def test_fast_tall_full_column(self, policy):
         dims = Dimensions(2, 1, 2, 1, 3)
         blk = block(random_generic(dims, seed=12), 1)
-        assert rank_at_infinity(blk, policy) == dims.n + dims.N * dims.m
+        assert self.rank_at_infinity(blk, policy) == dims.n + dims.N * dims.m
 
 
 class TestEigenvalues:

@@ -5,16 +5,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multirate_zeros.blocking import (MatrixPencil, block, fast_subsystem,
                                       system_pencil)
 from multirate_zeros.errors import SingularD
 from multirate_zeros.model import (Dimensions, MultirateSystem,
                                    TolerancePolicy, random_generic)
-from multirate_zeros.numerics import eigenvalues, normal_rank
+from multirate_zeros.numerics import eigenvalues, normal_rank, numerical_rank
 from multirate_zeros.zeros import (ZeroReport, finite_zero_candidates,
-                                   square_blocked_zeros, verify_zero,
-                                   zero_report, zero_report_to_dict)
+                                   multiplicities, square_blocked_zeros,
+                                   verify_zero, zero_report,
+                                   zero_report_to_dict)
 
 from conftest import LONG_HORIZON_DIMS
 
@@ -102,13 +105,13 @@ class TestZeroReport:
         assert rep.finite_nonzero_zeros == ()
 
     def test_multiplicity_identities(self, example1_sys, policy):
-        from multirate_zeros.numerics import rank_at, rank_at_infinity
+        from multirate_zeros.numerics import rank_at
         blk = block(example1_sys, 1)
         rep = zero_report(blk, policy, seed=0)
         pencil = system_pencil(blk)
         assert rep.mult_at_zero == rep.normal_rank - rank_at(pencil, 0.0, policy)
-        assert rep.mult_at_infinity == max(
-            0, rep.normal_rank - rank_at_infinity(blk, policy))
+        rank_at_infinity = blk.A_tau.shape[0] + numerical_rank(blk.D_tau, policy)
+        assert rep.mult_at_infinity == max(0, rep.normal_rank - rank_at_infinity)
 
     def test_deterministic(self, example1_sys, policy):
         blk = block(example1_sys, 1)
@@ -119,6 +122,23 @@ class TestZeroReport:
         assert rep.tau == 2
         assert rep.seed == 9
         assert isinstance(rep, ZeroReport)
+
+
+class TestMultiplicities:
+    @given(dims=st.builds(Dimensions, n=st.integers(1, 4), m=st.integers(1, 3),
+                          p1=st.integers(1, 3), p2=st.integers(1, 4),
+                          N=st.integers(2, 4)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    def test_zero_report_reads_them_at_every_delay(self, dims, seed):
+        policy = TolerancePolicy()
+        sys = random_generic(dims, seed)
+        for tau in range(1, dims.N + 1):
+            blk = block(sys, tau)
+            rep = zero_report(blk, policy, seed)
+            got = multiplicities(blk, system_pencil(blk), rep.normal_rank, policy)
+            assert got == (rep.rank_D, rep.mult_at_zero, rep.mult_at_infinity)
+            assert rep.rank_D == numerical_rank(blk.D_tau, policy)
 
 
 class TestSquareBlockedZeros:
@@ -167,7 +187,8 @@ class TestSerialization:
             assert set(entry["location"]) == {"re", "im"}
 
     def test_populated_zero_list_round_trips(self, policy):
-        rep = ZeroReport(tau=1, normal_rank=3, mult_at_zero=0, mult_at_infinity=0,
+        rep = ZeroReport(tau=1, normal_rank=3, rank_D=2, mult_at_zero=0,
+                         mult_at_infinity=0,
                          finite_nonzero_zeros=((1.5 + 0.5j, 2),),
                          boundary_candidates=((1e-7 + 0j, 1),),
                          candidates_examined=4, seed=0)
