@@ -159,41 +159,42 @@ def transfer_eval(blk: BlockedSystem, Z: complex,
     return blk.C_tau @ _solve_resolvent(blk, Z, policy or TolerancePolicy()) + blk.D_tau
 
 
-def lift_relation_residual(lo: BlockedSystem, hi: BlockedSystem, Z: complex,
+def lift_relation_residual(blocks: list[BlockedSystem], Z: complex,
                            policy: TolerancePolicy | None = None) -> float:
-    """Relative residual of the one-step lifting identity between V_tau and V_tau+1.
+    """Largest relative residual of the one-step lifting identity over delays 1..N.
 
-    lo and hi are one system blocked at consecutive delays tau and tau+1.
-    V_tau+1(Z) equals L(Z) V_tau(Z) R(Z) where L cyclically rotates the fast
-    output blocks (picking up a factor Z) and R cyclically rotates the input
-    blocks (with a factor 1/Z), so the returned Frobenius-norm residual is
-    zero in exact arithmetic for every tau in 1..N-1 and Z != 0. A_tau and
-    B_tau do not depend on the delay, so one resolvent solve serves both.
+    blocks is one system blocked at every delay 1..N, as block_all returns
+    it. For each tau in 1..N-1, V_tau+1(Z) equals L(Z) V_tau(Z) R(Z): L
+    rotates the fast output blocks up by one, the first picking up a factor
+    Z, and leaves the slow rows alone; R rotates the input blocks left by
+    one, the first picking up a factor 1/Z. Both are applied as block
+    rotations, and the Frobenius-norm residual is zero in exact arithmetic
+    for every Z != 0. A_tau and B_tau do not depend on the delay, so one
+    resolvent solve serves all N transfer functions.
     """
-    d = lo.dims
-    if not 1 <= lo.tau <= d.N - 1:
-        raise TauOutOfRange(lo.tau, d.N - 1)
-    if hi.dims != d or hi.tau != lo.tau + 1:
-        raise ValueError(f"the lifting relation links delays tau and tau+1 of one "
-                         f"system, got tau={lo.tau} and tau={hi.tau}")
-    # block_all shares A_tau and B_tau between delays, so `is` usually settles it
-    if not all(a is b or np.array_equal(a, b)
-               for a, b in ((lo.A_tau, hi.A_tau), (lo.B_tau, hi.B_tau))):
-        raise ValueError("the lifting relation links one system, but A_tau or B_tau differ")
+    def same(a, b):
+        # block_all shares A_tau and B_tau between delays, so `is` usually settles it
+        return a is b or np.array_equal(a, b)
+
+    first = blocks[0] if blocks else None
+    layout = [(b.dims, b.slow_rows, b.tau) for b in blocks]
+    if first is None or layout != [(first.dims, first.slow_rows, t)
+                                   for t in range(1, first.dims.N + 1)] \
+            or not all(same(b.A_tau, first.A_tau) and same(b.B_tau, first.B_tau)
+                       for b in blocks):
+        raise ValueError("the lifting relation needs one system blocked at every "
+                         "delay 1..N, in order, as block_all returns it")
     if Z == 0:
         raise ZeroZ("the lifting relation involves 1/Z and is undefined at Z=0")
-    m, p1, p2, N = d.m, d.p1, d.p2, d.N
-    X = _solve_resolvent(lo, Z, policy or TolerancePolicy())
-    V_lo = lo.C_tau @ X + lo.D_tau
-    V_hi = hi.C_tau @ X + hi.D_tau
-    L = np.zeros((N * p1 + p2, N * p1 + p2), dtype=complex)
-    L[: (N - 1) * p1, p1: N * p1] = np.eye((N - 1) * p1)
-    L[(N - 1) * p1: N * p1, :p1] = Z * np.eye(p1)
-    L[N * p1:, N * p1:] = np.eye(p2)
-    R = np.zeros((N * m, N * m), dtype=complex)
-    R[:m, (N - 1) * m:] = np.eye(m) / Z
-    R[m:, : (N - 1) * m] = np.eye((N - 1) * m)
-    return float(np.linalg.norm(V_hi - L @ V_lo @ R) / np.linalg.norm(V_hi))
+    m, p1, N = first.dims.m, first.dims.p1, first.dims.N
+    X = _solve_resolvent(first, Z, policy or TolerancePolicy())
+    V = [b.C_tau @ X + b.D_tau for b in blocks]
+    worst = 0.0
+    for lo, hi in zip(V, V[1:]):
+        rows = np.vstack([lo[p1:N * p1], Z * lo[:p1], lo[N * p1:]])
+        rotated = np.hstack([rows[:, m:], rows[:, :m] / Z])
+        worst = max(worst, float(np.linalg.norm(hi - rotated) / np.linalg.norm(hi)))
+    return worst
 
 
 def fast_subsystem(blk: BlockedSystem) -> BlockedSystem:

@@ -27,7 +27,7 @@ from ._exact import exact_block, exact_normal_rank, exact_rank, exact_rank_at
 from ._version import __version__
 from .blocking import block, block_all, lift_relation_residual, system_pencil
 from .errors import MultirateError
-from .model import (Dimensions, MultirateSystem, TolerancePolicy, _rng,
+from .model import (Dimensions, MultirateSystem, TolerancePolicy, _is_int, _rng,
                     classify, fixture, policy_from_dict, random_generic)
 from .numerics import normal_rank, numerical_rank
 from .oracle import dual_index, predict, predict_controllability_rank
@@ -92,8 +92,14 @@ class GridSpec:
         if isinstance(self.taus, str):
             if self.taus != "all":
                 raise ValueError(f'taus must be "all" or a list, got {self.taus!r}')
+        elif not all(_is_int(t) for t in self.taus):
+            raise ValueError(f'taus must be "all" or a list of ints, got {self.taus!r}')
         elif any(t < 1 for t in self.taus):
             raise ValueError("tau values must be >= 1")
+        for name in ("trials_per_cell", "base_seed"):
+            v = getattr(self, name)
+            if not _is_int(v):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be >= 1")
         if self.base_seed < 0:
@@ -114,29 +120,20 @@ def grid_spec_from_dict(data: dict) -> GridSpec:
         if key not in known:
             raise ValueError(f"unknown grid spec field {key!r}")
 
-    def is_int(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    def int_field(key, default):
-        val = data.get(key, default)
-        if not is_int(val):
-            raise ValueError(f"grid spec field {key!r} must be an integer, got {val!r}")
-        return val
-
     def int_list(key, required):
         vals = data.get(key)
         if vals is None:
             if required:
                 raise ValueError(f"grid spec field {key!r} is required")
             return None
-        if not isinstance(vals, list) or not all(is_int(v) for v in vals):
+        if not isinstance(vals, list) or not all(_is_int(v) for v in vals):
             raise ValueError(f"grid spec field {key!r} must be a list of ints")
         return tuple(vals)
 
     taus = data.get("taus", "all")
     if taus != "all":
-        if not isinstance(taus, list) or not all(is_int(t) for t in taus):
-            raise ValueError('grid spec field "taus" must be "all" or a list of ints')
+        if not isinstance(taus, list):
+            raise ValueError('grid spec field "taus" must be "all" or a list')
         taus = tuple(taus)
     p2_offsets = int_list("p2_offsets", False)
     try:
@@ -150,8 +147,8 @@ def grid_spec_from_dict(data: dict) -> GridSpec:
         p1_values=int_list("p1", False),
         p2_offsets=(1,) if p2_offsets is None else p2_offsets,
         taus=taus,
-        trials_per_cell=int_field("trials_per_cell", 10),
-        base_seed=int_field("base_seed", 0),
+        trials_per_cell=data.get("trials_per_cell", 10),
+        base_seed=data.get("base_seed", 0),
         policy=policy,
     )
 
@@ -306,8 +303,9 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     Beyond the four headline quantities, three structural checks run on the
     same instance: the origin/infinity multiplicity swap at the dual delay
     N - tau + 1, the delay independence of the measured normal rank, and
-    the one-step lifting relation between consecutive delays at random
-    points on the unit circle. The finite-zero search runs at tau only:
+    the one-step lifting relation between every pair of consecutive
+    delays, at LIFT_SAMPLES points on the unit circle drawn once per trial
+    from the trial's seeded stream. The finite-zero search runs at tau only:
     the other delays need their normal rank, and the dual delay also its
     two multiplicities. Numerical failures (e.g. every compression
     attempt ill conditioned) are captured in the record, not raised.
@@ -346,12 +344,9 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
             if t == dual:
                 dual_mults = multiplicities(b, pencil, rho, policy)[1:]
 
-        worst = 0.0
-        rng = _rng(seed)
-        for lo, hi in zip(blocks, blocks[1:]):
-            for theta in rng.uniform(0.0, 2.0 * np.pi, LIFT_SAMPLES):
-                Z = complex(np.cos(theta), np.sin(theta))
-                worst = max(worst, lift_relation_residual(lo, hi, Z, policy))
+        points = [complex(np.cos(theta), np.sin(theta))
+                  for theta in _rng(seed).uniform(0.0, 2.0 * np.pi, LIFT_SAMPLES)]
+        worst = max(lift_relation_residual(blocks, Z, policy) for Z in points)
 
         measured = {
             "rank_D": rep.rank_D,
@@ -524,27 +519,17 @@ def _fixture_rank_rows(policy: TolerancePolicy) -> list[dict]:
                 p2 = N * w + 1
                 for tau in range(1, N + 1):
                     T = (N - tau) * w
-                    for n in range(w, T + 1):
-                        dims = Dimensions(n=n, m=m, p1=p1, p2=p2, N=N)
-                        sys = fixture("shift_small_n", dims, tau, 0)
+                    # (fixture, n, closed-form rank of D_tau) for this delay
+                    cases = [("shift_small_n", n, (N - 1) * p1 + m + n)
+                             for n in range(w, T + 1)]
+                    if tau <= N - 1:
+                        cases += [("shift_large_n", T + q, (tau - 1) * p1 + (N - tau + 1) * m)
+                                  for q in (1, 2)]
+                    for name, n, expected in cases:
+                        sys = fixture(name, Dimensions(n=n, m=m, p1=p1, p2=p2, N=N), tau, 0)
                         meas = numerical_rank(block(sys, tau).D_tau, policy)
-                        expected = (N - 1) * p1 + m + n
                         rows.append({
-                            "fixture": "shift_small_n",
-                            "n": n, "m": m, "p1": p1, "p2": p2, "N": N,
-                            "tau": tau, "expected": expected, "measured": meas,
-                            "agree": meas == expected,
-                        })
-                    if tau > N - 1:
-                        continue
-                    for q in (1, 2):
-                        n = T + q
-                        dims = Dimensions(n=n, m=m, p1=p1, p2=p2, N=N)
-                        sys = fixture("shift_large_n", dims, tau, 0)
-                        meas = numerical_rank(block(sys, tau).D_tau, policy)
-                        expected = (tau - 1) * p1 + (N - tau + 1) * m
-                        rows.append({
-                            "fixture": "shift_large_n",
+                            "fixture": name,
                             "n": n, "m": m, "p1": p1, "p2": p2, "N": N,
                             "tau": tau, "expected": expected, "measured": meas,
                             "agree": meas == expected,

@@ -25,6 +25,11 @@ import numpy as np
 from .errors import SingularA, UnsupportedDims
 
 
+def _is_int(v) -> bool:
+    # bool is an int subclass, and JSON true is no size or count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Dimensions:
     """Integer sizes of a multirate system: state n, input m, fast/slow output p1/p2, rate ratio N."""
@@ -36,10 +41,14 @@ class Dimensions:
     N: int
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not _is_int(v):
+                raise ValueError(f"field {f.name!r} must be an integer, got {v!r}")
         for name in ("n", "m", "p1", "p2"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"dimension {name} must be >= 1, got {getattr(self, name)}")
-        if int(self.N) < 2:
+        if self.N < 2:
             raise ValueError(f"rate ratio N must be >= 2, got {self.N}")
 
     @property
@@ -72,7 +81,7 @@ class TolerancePolicy:
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
         for name, least in (("normal_rank_samples", 3), ("resample_limit", 1)):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < least:
+            if not _is_int(v) or v < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
@@ -315,8 +324,6 @@ def system_from_dict(data: dict) -> MultirateSystem:
     for key in ("n", "m", "p1", "p2", "N"):
         if key not in data:
             raise ValueError(f"missing integer field {key!r}")
-        if not isinstance(data[key], int) or isinstance(data[key], bool):
-            raise ValueError(f"field {key!r} must be an integer, got {data[key]!r}")
     dims = Dimensions(n=data["n"], m=data["m"], p1=data["p1"], p2=data["p2"], N=data["N"])
     mats = {}
     for name in _MATRIX_SHAPES:

@@ -1,6 +1,8 @@
 """Blocked system assembly, the pencil, transfer evaluation, lifting recursion."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,59 +227,90 @@ class TestTransferEval:
         assert np.allclose(V, direct)
 
 
+def explicit_lift_residuals(blocks, Z):
+    """Per-pair residuals of V_tau+1 = L V_tau R with L(Z) and R(Z) written out as matrices."""
+    d = blocks[0].dims
+    N, m, p1, p2 = d.N, d.m, d.p1, d.p2
+    L = np.zeros((N * p1 + p2, N * p1 + p2), dtype=complex)
+    L[: (N - 1) * p1, p1: N * p1] = np.eye((N - 1) * p1)
+    L[(N - 1) * p1: N * p1, :p1] = Z * np.eye(p1)
+    L[N * p1:, N * p1:] = np.eye(p2)
+    R = np.zeros((N * m, N * m), dtype=complex)
+    R[:m, (N - 1) * m:] = np.eye(m) / Z
+    R[m:, : (N - 1) * m] = np.eye((N - 1) * m)
+    V = [transfer_eval(b, Z) for b in blocks]
+    return [np.linalg.norm(hi - L @ lo @ R) / np.linalg.norm(hi) for lo, hi in zip(V, V[1:])]
+
+
+LIFT_DIMS = Dimensions(2, 2, 1, 5, 4)
+
+
 class TestLiftRelation:
-    @pytest.mark.parametrize("tau", [1, 2])
-    def test_residual_small_inside_range(self, tau):
-        sys = random_generic(Dimensions(2, 2, 1, 4, 3), seed=21)
-        lo, hi = block(sys, tau), block(sys, tau + 1)
-        assert lift_relation_residual(lo, hi, 0.7 + 0.2j) < 1e-10
+    @given(dims=st.sampled_from([Dimensions(2, 1, 3, 1, 4),      # FastTall
+                                 Dimensions(3, 2, 2, 1, 4),      # p1 = m
+                                 Dimensions(5, 5, 3, 24, 8)]),   # the extreme-delay cell
+           seed=st.integers(0, 10**6),
+           theta=st.floats(0.0, 2 * np.pi),
+           scales=st.lists(st.sampled_from([0.0, 1e-6, 1e-2, 1.0]), min_size=8, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_rotations_match_explicit_L_and_R(self, dims, seed, theta, scales):
+        # scaled noise on each delay's D_tau makes every pair's residual
+        # differ, so each pair in turn can be the largest
+        blocks = block_all(random_generic(dims, seed))
+        noise = np.random.default_rng(seed)
+        blocks = [replace(b, D_tau=b.D_tau + s * noise.standard_normal(b.D_tau.shape))
+                  for b, s in zip(blocks, scales)]
+        Z = complex(np.cos(theta), np.sin(theta))
+        want = max(explicit_lift_residuals(blocks, Z))
+        assert abs(lift_relation_residual(blocks, Z) - want) <= 1e-14 * max(want, 1.0)
+
+    def test_fault_at_a_later_delay_is_seen(self):
+        # the first pair (delays 1 and 2) is untouched; pairs 2 and 3 are not
+        blocks = block_all(random_generic(LIFT_DIMS, seed=21))
+        D = blocks[2].D_tau.copy()
+        D[LIFT_DIMS.N * LIFT_DIMS.p1:] += 1.0
+        blocks[2] = replace(blocks[2], D_tau=D)
+        assert lift_relation_residual(blocks, 0.7 + 0.2j) >= 1e-3
 
     def test_zero_point_refused(self):
-        sys = random_generic(Dimensions(2, 2, 1, 4, 3), seed=21)
         with pytest.raises(ZeroZ):
-            lift_relation_residual(block(sys, 1), block(sys, 2), 0.0)
-
-    def test_final_delay_has_no_successor(self):
-        sys = random_generic(Dimensions(2, 2, 1, 4, 3), seed=21)
-        with pytest.raises(TauOutOfRange):
-            lift_relation_residual(block(sys, 3), block(sys, 3), 1.0)
+            lift_relation_residual(block_all(random_generic(LIFT_DIMS, seed=21)), 0.0)
 
     def test_singular_resolvent_refused(self):
         # A_tau = a^N = 1, so Z*I - A_tau vanishes at Z = 1
         sys = scalar_system(a=1.0, b=1.0, cf=1.0, cs=1.0, df=1.0, ds=1.0)
         with pytest.raises(ResolventSingular):
-            lift_relation_residual(block(sys, 1), block(sys, 2), 1.0)
+            lift_relation_residual(block_all(sys), 1.0)
 
     def test_one_resolvent_solve_per_point(self, monkeypatch):
-        sys = random_generic(Dimensions(2, 2, 1, 4, 3), seed=21)
-        lo, hi = block(sys, 1), block(sys, 2)
+        # one solve serves all N = 4 delays, where a solve per pair made 3
+        blocks = block_all(random_generic(LIFT_DIMS, seed=21))
         solves = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
-        assert lift_relation_residual(lo, hi, 0.7 + 0.2j) < 1e-10
+        assert lift_relation_residual(blocks, 0.7 + 0.2j) < 1e-10
         assert len(solves) == 1
 
     def test_systems_must_match(self):
-        dims = Dimensions(2, 2, 1, 4, 3)
-        lo = block(random_generic(dims, seed=21), 1)
-        hi = block(random_generic(dims, seed=22), 2)
+        blocks = (block_all(random_generic(LIFT_DIMS, seed=21))[:2]
+                  + block_all(random_generic(LIFT_DIMS, seed=22))[2:])
         with pytest.raises(ValueError, match="one system"):
-            lift_relation_residual(lo, hi, 1.0)
+            lift_relation_residual(blocks, 1.0)
 
     def test_delays_must_be_consecutive(self):
-        sys = random_generic(Dimensions(2, 2, 1, 4, 3), seed=21)
-        with pytest.raises(ValueError, match="tau=1 and tau=3"):
-            lift_relation_residual(block(sys, 1), block(sys, 3), 1.0)
+        b1, b2, b3, b4 = block_all(random_generic(LIFT_DIMS, seed=21))
+        for blocks in ([b1, b3, b4], [b1, b2, b2, b4], []):   # missing, duplicate, none
+            with pytest.raises(ValueError, match="every delay"):
+                lift_relation_residual(blocks, 1.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_residual_on_unit_circle(self, seed):
+        # separately blocked delays share no arrays: A_tau and B_tau are
+        # compared by value
         sys = random_generic(Dimensions(3, 2, 1, 3, 4), seed=seed)
         blocks = [block(sys, tau) for tau in range(1, 5)]
-        rng = np.random.default_rng(seed)
-        for lo, hi in zip(blocks, blocks[1:]):
-            theta = rng.uniform(0, 2 * np.pi)
-            Z = complex(np.cos(theta), np.sin(theta))
-            assert lift_relation_residual(lo, hi, Z) < 1e-9
+        for theta in np.random.default_rng(seed).uniform(0, 2 * np.pi, 3):
+            assert lift_relation_residual(blocks, complex(np.cos(theta), np.sin(theta))) < 1e-9
 
 
 class TestFastSubsystem:

@@ -4,16 +4,17 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from multirate_zeros import harness, zeros
-from multirate_zeros.blocking import block, system_pencil
+from multirate_zeros.blocking import block, lift_relation_residual, system_pencil
 from multirate_zeros.errors import NotTallClass
-from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, GridSpec,
+from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, LIFT_SAMPLES, GridSpec,
                                      cells, emit_report, grid_spec_from_dict,
                                      grid_spec_to_dict, run_fixture_suite,
                                      run_grid, run_trial)
-from multirate_zeros.model import Dimensions, TolerancePolicy, random_generic
+from multirate_zeros.model import Dimensions, TolerancePolicy, _rng, random_generic
 from multirate_zeros.numerics import normal_rank
 from multirate_zeros.oracle import dual_index
 from multirate_zeros.zeros import finite_zero_candidates, zero_report
@@ -96,6 +97,21 @@ class TestRunTrial:
         run_trial(Dimensions(2, 2, 1, 4, 3), tau=tau, seed=1)
         assert len(calls) == 1
 
+    def test_lift_check_takes_every_delay_at_each_sample_point(self, monkeypatch):
+        # the points are the first LIFT_SAMPLES draws of the trial's stream
+        calls, residuals = [], []
+
+        def counting(blocks, Z, policy):
+            calls.append(([b.tau for b in blocks], Z))
+            residuals.append(lift_relation_residual(blocks, Z, policy))
+            return residuals[-1]
+
+        monkeypatch.setattr(harness, "lift_relation_residual", counting)
+        rec = run_trial(Dimensions(2, 2, 1, 4, 3), tau=2, seed=1)
+        thetas = _rng(1).uniform(0.0, 2.0 * np.pi, LIFT_SAMPLES)
+        assert calls == [([1, 2, 3], complex(np.cos(t), np.sin(t))) for t in thetas]
+        assert rec.measured["lift_residual_max"] == max(residuals)
+
     @pytest.mark.parametrize("dims,tau", [
         (Dimensions(2, 2, 1, 4, 3), 1), (Dimensions(2, 2, 1, 4, 3), 2),
         (Dimensions(2, 2, 1, 4, 3), 3), (LONG_HORIZON_DIMS, 1), (LONG_HORIZON_DIMS, 8)])
@@ -146,6 +162,19 @@ class TestGridSpecValidation:
     def test_zero_trials(self):
         with pytest.raises(ValueError, match="trials_per_cell"):
             GridSpec(n_values=(1,), m_values=(1,), N_values=(2,), trials_per_cell=0)
+
+    # a directly built spec is checked like one parsed from JSON
+    def test_float_trials_per_cell(self):
+        with pytest.raises(ValueError, match="trials_per_cell"):
+            GridSpec(n_values=(1,), m_values=(2,), N_values=(2,), trials_per_cell=1.5)
+
+    def test_float_base_seed(self):
+        with pytest.raises(ValueError, match="base_seed"):
+            GridSpec(n_values=(1,), m_values=(2,), N_values=(2,), base_seed=0.5)
+
+    def test_float_tau(self):
+        with pytest.raises(ValueError, match="taus"):
+            GridSpec(n_values=(1,), m_values=(2,), N_values=(2,), taus=(1.5,))
 
 
 class TestCells:

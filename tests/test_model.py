@@ -42,6 +42,14 @@ class TestDimensions:
         with pytest.raises(ValueError):
             Dimensions(**kwargs)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n", True), ("N", True), ("n", 1.5), ("p2", 3.0), ("m", "2")])
+    def test_rejects_non_integer_sizes(self, field, value):
+        kwargs = dict(n=1, m=2, p1=1, p2=3, N=2)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"field {field!r} must be an integer"):
+            Dimensions(**kwargs)
+
 
 class TestTolerancePolicy:
     def test_defaults(self):
