@@ -18,13 +18,13 @@ nonreal point (a finite-zero candidate) is realified: the complex rank of
 X + iY is half the real rank of [[X, -Y], [Y, X]].
 
 The verification harness calls in only for trials whose float measurement
-disagrees with the closed-form prediction. That trigger does not bias the
-result: a float rank can only under-report the exact rank (rounding
-perturbs singular values by far less than the rank threshold), so a float
-measurement that already matches the predicted generic maximum is exact,
-and only the disagreeing direction ever needs the expensive arithmetic.
-Exact values are measured from the system instance alone; predictions
-decide which trials get the treatment, never what the measurement says.
+disagrees with the closed-form prediction, and re-reads only the ranks
+below their generic value. A float rank can only under-report the exact
+rank (rounding perturbs singular values by far less than the rank
+threshold), and no instance's exact rank exceeds the generic value, so a
+float reading that meets it is exact. Predictions enter only as such upper
+bounds, which let a lower bound settle a reading: a float rank, or an exact
+rank at one sample point. They never supply a value.
 """
 from __future__ import annotations
 
@@ -49,13 +49,13 @@ def fraction_matrix(M: np.ndarray) -> np.ndarray:
     return np.vectorize(Fraction, otypes=[object])(np.atleast_2d(np.asarray(M, dtype=float)))
 
 
-def exact_block(sys: MultirateSystem, tau: int) -> BlockedSystem:
-    """Blocked system assembled in Fraction arithmetic, free of rounding."""
+def exact_block(sys: MultirateSystem) -> list[BlockedSystem]:
+    """`block_all` in Fraction arithmetic: every delay 1..N, free of rounding."""
     return _assemble(
-        sys.dims, (tau,),
+        sys.dims, range(1, sys.dims.N + 1),
         fraction_matrix(sys.A), fraction_matrix(sys.B),
         fraction_matrix(sys.Cf), fraction_matrix(sys.Cs),
-        fraction_matrix(sys.Df), fraction_matrix(sys.Ds))[0]
+        fraction_matrix(sys.Df), fraction_matrix(sys.Ds))
 
 
 def exact_rank(M: np.ndarray) -> int:
@@ -92,10 +92,13 @@ def exact_rank_at(pencil: MatrixPencil, re: Fraction, im: Fraction = Fraction(0)
     return doubled // 2
 
 
-def exact_normal_rank(pencil: MatrixPencil) -> int:
-    """Max exact rank over _SAMPLE_POINTS, stopping once it reaches min(rows, cols).
+def exact_normal_rank(pencil: MatrixPencil, bound: int | None = None) -> int:
+    """Max exact rank over _SAMPLE_POINTS, stopping once it reaches min(bound, rows, cols).
 
-    No rank exceeds min(rows, cols), so a point that reaches it settles the
-    max and the points after it cannot change the result.
+    A point's rank is a lower bound on the normal rank; min(rows, cols) is
+    an upper bound, and so is bound when it is the generic value. A point
+    that meets the upper bound settles the max. A point ranking above a
+    bound set too low does not stop the sweep, so the excess still shows.
     """
-    return _max_rank((exact_rank_at(pencil, z) for z in _SAMPLE_POINTS), min(pencil.shape))
+    limit = min(pencil.shape) if bound is None else min(bound, *pencil.shape)
+    return _max_rank((exact_rank_at(pencil, z) for z in _SAMPLE_POINTS), limit)

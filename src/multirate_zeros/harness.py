@@ -27,9 +27,9 @@ from ._exact import exact_block, exact_normal_rank, exact_rank, exact_rank_at
 from ._version import __version__
 from .blocking import block, block_all, lift_relation_residual, system_pencil
 from .errors import MultirateError
-from .model import (Dimensions, MultirateSystem, TolerancePolicy, _is_int, _rng,
-                    classify, fixture, policy_from_dict, random_generic)
-from .numerics import normal_rank, numerical_rank
+from .model import (Dimensions, MultirateSystem, TolerancePolicy, _is_int, classify,
+                    fixture, policy_from_dict, random_generic)
+from .numerics import _sample_angles, normal_rank, numerical_rank, rank_at
 from .oracle import dual_index, predict, predict_controllability_rank
 from .zeros import multiplicities, zero_report
 
@@ -77,18 +77,15 @@ class GridSpec:
     policy: TolerancePolicy = TolerancePolicy()
 
     def __post_init__(self):
-        for name in ("n_values", "m_values", "N_values"):
+        for name in ("n_values", "m_values", "N_values", "p1_values", "p2_offsets"):
             vals = getattr(self, name)
-            if not vals or any(v < 1 for v in vals):
-                raise ValueError(f"{name} must be a nonempty list of ints >= 1")
+            if name == "p1_values" and vals is None:
+                continue
+            # p2_offsets >= 1 keeps every cell above the tallness threshold
+            if not vals or any(not _is_int(v) or v < 1 for v in vals):
+                raise ValueError(f"{name} must be a nonempty list of ints >= 1, got {vals!r}")
         if any(N < 2 for N in self.N_values):
             raise ValueError("N values must be >= 2")
-        if self.p1_values is not None and (
-                not self.p1_values or any(v < 1 for v in self.p1_values)):
-            raise ValueError("p1 values must be a nonempty list of ints >= 1")
-        if not self.p2_offsets or any(v < 1 for v in self.p2_offsets):
-            raise ValueError("p2_offsets must be a nonempty list of ints >= 1, "
-                             "to stay above the tallness threshold")
         if isinstance(self.taus, str):
             if self.taus != "all":
                 raise ValueError(f'taus must be "all" or a list, got {self.taus!r}')
@@ -191,9 +188,9 @@ def cells(spec: GridSpec):
 class TrialRecord:
     """One measured-vs-predicted comparison, with the extra structural checks.
 
-    escalated lists the agreement keys whose float measurement was settled
-    by exact rational arithmetic; their pre-escalation readings are kept
-    under measured["screen"].
+    escalated lists the agreement keys that disagreed on the float readings
+    (see run_trial); measured["screen"] keeps the float value of each field
+    that the exact readings changed.
     """
 
     dims: Dimensions
@@ -240,60 +237,54 @@ def _agreement_from(meas: dict, pred) -> dict:
     }
 
 
-def _escalate(sys: MultirateSystem, dims: Dimensions, tau: int,
-              needs: set, finite_zeros) -> dict:
-    """Exact replacement values for the measured entries behind flagged keys.
+def _rank_fields(rank: dict, dims: Dimensions, tau: int) -> dict:
+    """Every rank field of a trial's measured dict, from its rank readings.
 
-    Flagged trials sit where the float reading is ambiguous by construction,
-    so the flagged quantities are re-measured in rounding-free rational
-    arithmetic. Everything here is a function of the system instance alone.
+    rank maps (quantity, delay) to a reading: "normal_rank" at every delay,
+    "rank_D" and "rank_at_zero" at tau and at its dual delay.
     """
-    n, N = dims.n, dims.N
+    out = {"rank_D": rank["rank_D", tau], "normal_rank": rank["normal_rank", tau],
+           "normal_rank_by_tau": [rank["normal_rank", t] for t in range(1, dims.N + 1)]}
+    for t, prefix in ((tau, ""), (dual_index(tau, dims.N), "dual_")):
+        out[prefix + "mult_at_zero"], out[prefix + "mult_at_infinity"] = multiplicities(
+            rank["normal_rank", t], rank["rank_at_zero", t], rank["rank_D", t], dims.n)
+    out["rank_at_zero"] = out["normal_rank"] - out["mult_at_zero"]
+    out["rank_at_infinity"] = out["normal_rank"] - out["mult_at_infinity"]
+    return out
+
+
+def _escalate(sys: MultirateSystem, dims: Dimensions, tau: int,
+              rank: dict, finite_zeros) -> tuple[dict, int]:
+    """The rank readings, those below their generic value re-read exactly,
+    and the number of finite zeros that survive exact arithmetic.
+
+    A float reading at the generic value is already exact (see _exact).
+    """
+    generic = {}
+    for t in {tau, dual_index(tau, dims.N)}:
+        pred = predict(dims, t)
+        generic["rank_D", t] = pred.rank_D
+        generic["rank_at_zero", t] = pred.normal_rank - pred.mult_at_zero
+    # the generic normal rank is the same at every delay
+    generic.update((("normal_rank", t), pred.normal_rank) for t in range(1, dims.N + 1))
+    blocks = exact_block(sys)
 
     @cache
     def pencil(t):
-        return system_pencil(exact_block(sys, t))
+        return system_pencil(blocks[t - 1])
 
-    @cache
-    def nrank(t):
-        return exact_normal_rank(pencil(t))
-
-    @cache
-    def rank_D(t):
-        # the pencil's lower right block is -D_tau
-        return exact_rank(pencil(t).F[n:, n:])
-
-    @cache
-    def rank_at_zero(t):
-        return exact_rank_at(pencil(t), Fraction(0))
-
-    out = {}
-    if "normal_rank" in needs:
-        out["normal_rank"] = nrank(tau)
-    if "rank_D" in needs:
-        out["rank_D"] = rank_D(tau)
-    if "mult_at_zero" in needs:
-        out["rank_at_zero"] = rank_at_zero(tau)
-        out["mult_at_zero"] = nrank(tau) - out["rank_at_zero"]
-    if "mult_at_infinity" in needs:
-        out["rank_at_infinity"] = n + rank_D(tau)
-        out["mult_at_infinity"] = nrank(tau) - out["rank_at_infinity"]
-    if "no_finite_nonzero" in needs:
-        confirmed = 0
-        for loc, _ in finite_zeros:
-            # the float location is itself an exact rational point; a
-            # genuine drop there survives exact arithmetic, a tolerance
-            # artifact does not
-            at = exact_rank_at(pencil(tau), Fraction(loc.real), Fraction(loc.imag))
-            confirmed += at < nrank(tau)
-        out["n_finite_nonzero"] = confirmed
-    if "duality" in needs:
-        for t, prefix in ((tau, ""), (dual_index(tau, N), "dual_")):
-            out[prefix + "mult_at_zero"] = nrank(t) - rank_at_zero(t)
-            out[prefix + "mult_at_infinity"] = nrank(t) - n - rank_D(t)
-    if "tau_independent" in needs:
-        out["normal_rank_by_tau"] = [nrank(t) for t in range(1, N + 1)]
-    return out
+    read = {
+        "normal_rank": lambda t: exact_normal_rank(pencil(t), generic["normal_rank", t]),
+        "rank_D": lambda t: exact_rank(blocks[t - 1].D_tau),
+        "rank_at_zero": lambda t: exact_rank_at(pencil(t), Fraction(0)),
+    }
+    rank = {(q, t): read[q](t) if value < generic[q, t] else value
+            for (q, t), value in rank.items()}
+    # the float location is itself an exact rational point; a genuine drop
+    # there survives exact arithmetic, a tolerance artifact does not
+    confirmed = sum(exact_rank_at(pencil(tau), Fraction(z.real), Fraction(z.imag))
+                    < rank["normal_rank", tau] for z, _ in finite_zeros)
+    return rank, confirmed
 
 
 def run_trial(dims: Dimensions, tau: int, seed: int,
@@ -304,18 +295,18 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     same instance: the origin/infinity multiplicity swap at the dual delay
     N - tau + 1, the delay independence of the measured normal rank, and
     the one-step lifting relation between every pair of consecutive
-    delays, at LIFT_SAMPLES points on the unit circle drawn once per trial
-    from the trial's seeded stream. The finite-zero search runs at tau only:
-    the other delays need their normal rank, and the dual delay also its
-    two multiplicities. Numerical failures (e.g. every compression
-    attempt ill conditioned) are captured in the record, not raised.
+    delays, at LIFT_SAMPLES unit-circle points at the first angles of the
+    normal-rank sample draw. The finite-zero search runs at tau only. Every
+    rank field is derived by `_rank_fields` from rank readings: the normal
+    rank at every delay, and the ranks of D_tau and at Z = 0 at tau and at
+    the dual delay. Numerical failures (e.g. every compression attempt ill
+    conditioned) are captured in the record, not raised.
 
-    A quantity whose float measurement disagrees with the prediction is
-    settled by exact rational arithmetic before the final comparison: such
-    readings are exactly the ones a float tolerance cannot decide, and the
-    exact value either clears the flag (tolerance collision) or stands as
-    a genuine disagreement. The lifting residual, a float identity check
-    with no rank content, is never escalated.
+    When a check other than the lifting residual (a float identity with no
+    rank content) disagrees, the trial escalates: every reading below its
+    generic value, and every finite zero, is re-read in exact rational
+    arithmetic, and the record is derived again. The exact value either
+    clears the flag (a tolerance collision) or stands as a disagreement.
     """
     policy = policy or TolerancePolicy()
     pred = predict(dims, tau)
@@ -331,49 +322,37 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
         blocks = block_all(sys)
         rep = zero_report(blocks[tau - 1], policy, seed)
         dual = dual_index(tau, dims.N)
-        # kept when tau is its own dual; otherwise the sweep measures them
-        dual_mults = rep.mult_at_zero, rep.mult_at_infinity
-        nrank_by_tau = []
+        rank = {("rank_D", tau): rep.rank_D, ("rank_at_zero", tau): rep.rank_at_zero}
         for t, b in enumerate(blocks, 1):
             if t == tau:
-                nrank_by_tau.append(rep.normal_rank)
+                rank["normal_rank", t] = rep.normal_rank
                 continue
             pencil = system_pencil(b)
-            rho = normal_rank(pencil, policy, seed)
-            nrank_by_tau.append(rho)
+            rank["normal_rank", t] = normal_rank(pencil, policy, seed)
             if t == dual:
-                dual_mults = multiplicities(b, pencil, rho, policy)[1:]
+                rank["rank_D", t] = numerical_rank(b.D_tau, policy)
+                rank["rank_at_zero", t] = rank_at(pencil, 0.0, policy)
 
         points = [complex(np.cos(theta), np.sin(theta))
-                  for theta in _rng(seed).uniform(0.0, 2.0 * np.pi, LIFT_SAMPLES)]
+                  for theta in _sample_angles(seed, policy.normal_rank_samples)[:LIFT_SAMPLES]]
         worst = max(lift_relation_residual(blocks, Z, policy) for Z in points)
 
         measured = {
-            "rank_D": rep.rank_D,
-            "normal_rank": rep.normal_rank,
-            "rank_at_zero": rep.normal_rank - rep.mult_at_zero,
-            "rank_at_infinity": rep.normal_rank - rep.mult_at_infinity,
-            "mult_at_zero": rep.mult_at_zero,
-            "mult_at_infinity": rep.mult_at_infinity,
+            **_rank_fields(rank, dims, tau),
             "n_finite_nonzero": len(rep.finite_nonzero_zeros),
             "n_boundary_candidates": len(rep.boundary_candidates),
             "candidates_examined": rep.candidates_examined,
-            "dual_mult_at_zero": dual_mults[0],
-            "dual_mult_at_infinity": dual_mults[1],
-            "normal_rank_by_tau": nrank_by_tau,
             "lift_residual_max": worst,
         }
         agreement = _agreement_from(measured, pred)
-        needs = {k for k in AGREEMENT_KEYS
-                 if k != "lift_residual" and not agreement[k]}
-        if needs & {"mult_at_zero", "mult_at_infinity"}:
-            # duality compares both multiplicities: all four must be exact
-            needs.add("duality")
-        if needs:
-            updates = _escalate(sys, dims, tau, needs, rep.finite_nonzero_zeros)
-            measured["screen"] = {k: measured[k] for k in sorted(updates)}
-            measured.update(updates)
-            escalated = tuple(sorted(needs))
+        escalated = tuple(sorted(k for k in AGREEMENT_KEYS
+                                 if k != "lift_residual" and not agreement[k]))
+        if escalated:
+            rank, confirmed = _escalate(sys, dims, tau, rank, rep.finite_nonzero_zeros)
+            screen = measured
+            measured = {**screen, **_rank_fields(rank, dims, tau),
+                        "n_finite_nonzero": confirmed}
+            measured["screen"] = {k: v for k, v in screen.items() if measured[k] != v}
             agreement = _agreement_from(measured, pred)
     except MultirateError as exc:
         error = f"{type(exc).__name__}: {exc}"

@@ -53,8 +53,9 @@ def rank_at(pencil: MatrixPencil, Z: complex, policy: TolerancePolicy | None = N
 def _max_rank(ranks, bound: int) -> int:
     """Max of a lazy sequence of ranks, read only until one reaches bound.
 
-    bound is min(rows, cols) of the matrices ranked, which no rank can
-    exceed, so stopping there gives the max of the whole sequence.
+    When no rank in the sequence can exceed bound (min(rows, cols) of the
+    matrices ranked, or a smaller upper bound), stopping there gives the
+    max of the whole sequence.
     """
     best = 0
     for r in ranks:
@@ -65,11 +66,15 @@ def _max_rank(ranks, bound: int) -> int:
 
 
 @lru_cache(maxsize=1)
+def _sample_angles(seed: int, count: int) -> tuple[float, ...]:
+    # one entry serves every pencil of a trial and its lift check; a tuple,
+    # so no caller can change it
+    return tuple(_rng(seed).uniform(0.0, 2.0 * np.pi, count))
+
+
+@lru_cache(maxsize=1)
 def _sample_points(seed: int, count: int) -> tuple[complex, ...]:
-    # every pencil of a trial is sampled with one seed, so one entry holds
-    # the points for all of them; a tuple, so no caller can change them
-    thetas = _rng(seed).uniform(0.0, 2.0 * np.pi, count)
-    return tuple(NORMAL_RANK_RADIUS * np.exp(1j * t) for t in thetas)
+    return tuple(NORMAL_RANK_RADIUS * np.exp(1j * t) for t in _sample_angles(seed, count))
 
 
 def normal_rank(pencil: MatrixPencil, policy: TolerancePolicy | None = None,

@@ -37,6 +37,7 @@ class ZeroReport:
     tau: int
     normal_rank: int
     rank_D: int
+    rank_at_zero: int
     mult_at_zero: int
     mult_at_infinity: int
     finite_nonzero_zeros: tuple[tuple[complex, int], ...]
@@ -130,25 +131,23 @@ def verify_zero(pencil: MatrixPencil, Z0: complex, policy: TolerancePolicy,
     return max(0, drop)
 
 
-def multiplicities(blk: BlockedSystem, pencil: MatrixPencil, rho: int,
-                   policy: TolerancePolicy) -> tuple[int, int, int]:
-    """(rank(D_tau), multiplicity at 0, multiplicity at infinity) at normal rank rho.
+def multiplicities(rho: int, rank_at_zero: int, rank_D: int, n: int) -> tuple[int, int]:
+    """(multiplicity at 0, multiplicity at infinity) of a pencil of normal rank rho.
 
-    The multiplicities are the drops below rho of the rank at Z = 0 and of
-    n + rank(D_tau); neither needs the finite-zero search.
+    They are the drops below rho of the rank at Z = 0 and of n + rank(D_tau),
+    for a state of size n; neither needs the finite-zero search.
     """
-    rank_D = numerical_rank(blk.D_tau, policy)
-    mult0 = verify_zero(pencil, 0.0, policy, rho)
-    return rank_D, mult0, max(0, rho - blk.A_tau.shape[0] - rank_D)
+    return max(0, rho - rank_at_zero), max(0, rho - n - rank_D)
 
 
 def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
                 seed: int = 0) -> ZeroReport:
     """Full zero structure: multiplicities at 0 and infinity, verified finite nonzero zeros.
 
-    The multiplicities come from `multiplicities`, independent of the
-    candidate search. This is the only caller of the finite-zero search,
-    and a verification trial calls it at tau alone. Candidates farther from
+    The multiplicities come from `multiplicities`, applied to the ranks at
+    Z = 0 and of D_tau, independent of the candidate search. This is the
+    only caller of the finite-zero search, and a verification trial calls
+    it at tau alone. Candidates farther from
     the origin than cluster_tol are listed as finite nonzero zeros when the
     rank test confirms them; those in the band between zero_radius and
     cluster_tol are reported separately instead of being silently
@@ -160,7 +159,9 @@ def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
     policy = policy or TolerancePolicy()
     pencil = system_pencil(blk)
     rho = normal_rank(pencil, policy, seed)
-    rank_D, mult0, multinf = multiplicities(blk, pencil, rho, policy)
+    rank_D = numerical_rank(blk.D_tau, policy)
+    rank0 = rank_at(pencil, 0.0, policy)
+    mult0, multinf = multiplicities(rho, rank0, rank_D, blk.A_tau.shape[0])
     candidates = finite_zero_candidates(pencil, policy, seed, rho)
     finite: list[tuple[complex, int]] = []
     boundary: list[tuple[complex, int]] = []
@@ -178,6 +179,7 @@ def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
         tau=blk.tau,
         normal_rank=rho,
         rank_D=rank_D,
+        rank_at_zero=rank0,
         mult_at_zero=mult0,
         mult_at_infinity=multinf,
         finite_nonzero_zeros=tuple(finite),

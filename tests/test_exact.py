@@ -1,11 +1,13 @@
 """Rational-arithmetic rank measurements used to settle borderline trials."""
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,10 +24,16 @@ from multirate_zeros.harness import _fixture_rank_rows, run_trial
 from multirate_zeros.model import (Dimensions, TolerancePolicy, fixture,
                                    random_generic)
 from multirate_zeros.numerics import numerical_rank
+from multirate_zeros.oracle import dual_index, predict
 
 from conftest import EXAMPLE1_DIMS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the acceptance-grid trials (base seed 0, n <= 3) that escalate, with the
+# agreement keys each escalates
+ESCALATION_CASES = json.loads(
+    (SRC.parent / "perfbench" / "escalation_cases.json").read_text())["trials"]
 
 # small rationals with non-dyadic denominators, zero often enough to leave
 # whole columns empty
@@ -106,7 +114,7 @@ class TestExactRankMatchesSympy:
     @settings(max_examples=15, deadline=None)
     def test_pencils_of_random_draws(self, dims, seed, point):
         # dyadic entries with wide exponents, the matrices escalation sees
-        pencil = system_pencil(exact_block(random_generic(dims, seed), 1))
+        pencil = system_pencil(exact_block(random_generic(dims, seed))[0])
         M = point * pencil.E - pencil.F
         assert exact_rank(M) == sympy_rank(M)
 
@@ -141,7 +149,7 @@ class TestFloatRankNeverExceedsExact:
         tau = data.draw(st.integers(1, dims.N))
         sys = random_generic(dims, seed)
         assert numerical_rank(block(sys, tau).D_tau) <= \
-            exact_rank(exact_block(sys, tau).D_tau)
+            exact_rank(exact_block(sys)[tau - 1].D_tau)
 
     @given(row=st.sampled_from(_fixture_rank_rows(TolerancePolicy())))
     @settings(max_examples=20)
@@ -149,7 +157,7 @@ class TestFloatRankNeverExceedsExact:
         dims = Dimensions(row["n"], row["m"], row["p1"], row["p2"], row["N"])
         sys = fixture(row["fixture"], dims, row["tau"], 0)
         assert numerical_rank(block(sys, row["tau"]).D_tau) <= \
-            exact_rank(exact_block(sys, row["tau"]).D_tau)
+            exact_rank(exact_block(sys)[row["tau"] - 1].D_tau)
 
 
 class TestExactRankAt:
@@ -163,7 +171,7 @@ class TestExactRankAt:
         sys = random_generic(Dimensions(2, 2, 1, 3, 2), seed=seed)
         blk = block(sys, 1)
         pencil = system_pencil(blk)
-        exact_pencil = system_pencil(exact_block(sys, 1))
+        exact_pencil = system_pencil(exact_block(sys)[0])
         re, im = Fraction(7, 5), Fraction(1, 3)
         Z = float(re) + 1j * float(im)
         float_rank = np.linalg.matrix_rank(Z * pencil.E - pencil.F)
@@ -175,16 +183,24 @@ class TestExactBlock:
     def test_agrees_with_float_assembly(self, tau):
         sys = random_generic(Dimensions(2, 2, 1, 3, 3), seed=5)
         fl = block(sys, tau)
-        ex = exact_block(sys, tau)
+        ex = exact_block(sys)[tau - 1]
         assert ex.dims == fl.dims and ex.tau == fl.tau and ex.slow_rows == fl.slow_rows
         for name in ("A_tau", "B_tau", "C_tau", "D_tau"):
             exact = getattr(ex, name).astype(float)
             assert np.allclose(exact, getattr(fl, name), rtol=1e-12, atol=1e-15)
 
+    def test_every_delay_from_one_assembly(self):
+        sys = random_generic(Dimensions(2, 2, 1, 3, 3), seed=5)
+        blocks = exact_block(sys)
+        assert [b.tau for b in blocks] == [1, 2, 3]
+        # the delay-independent matrices are built once and shared
+        assert all(b.A_tau is blocks[0].A_tau and b.B_tau is blocks[0].B_tau
+                   for b in blocks)
+
     def test_products_are_rounding_free(self):
         # the exact path reproduces A^N as true rational products
         sys = random_generic(Dimensions(3, 1, 1, 1, 4), seed=2)
-        ex = exact_block(sys, 1)
+        ex = exact_block(sys)[0]
         A = fraction_matrix(sys.A)
         expected = A
         for _ in range(3):
@@ -194,12 +210,12 @@ class TestExactBlock:
 
 class TestExactNormalRank:
     def test_worked_instance(self, example1_sys):
-        assert exact_normal_rank(system_pencil(exact_block(example1_sys, 1))) == 6
+        assert exact_normal_rank(system_pencil(exact_block(example1_sys)[0])) == 6
 
     def test_fast_tall_full_column(self):
         dims = Dimensions(2, 1, 2, 1, 3)
         sys = random_generic(dims, seed=1)
-        got = exact_normal_rank(system_pencil(exact_block(sys, 1)))
+        got = exact_normal_rank(system_pencil(exact_block(sys)[0]))
         assert got == dims.n + dims.N * dims.m
 
 
@@ -222,9 +238,28 @@ class TestExactNormalRankEarlyExit:
         every = max(exact_rank_at(pencil, z) for z in _exact._SAMPLE_POINTS)
         assert exact_normal_rank(pencil) == every
 
+    @given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 5),
+           inner=st.integers(0, 5), planted=st.integers(0, 3),
+           at=st.sampled_from(_exact._SAMPLE_POINTS), slack=st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_at_or_above_the_value_leaves_it_unchanged(
+            self, data, rows, cols, inner, planted, at, slack):
+        U, V = rational_matrix(data, rows, inner), rational_matrix(data, inner, cols)
+        E0 = rational_matrix(data, inner, inner)
+        eig = rational_matrix(data, 1, inner)
+        eig[0, :planted] = at
+        pencil = MatrixPencil(E=U @ E0 @ V, F=U @ (E0 * eig) @ V)
+        value = exact_normal_rank(pencil)
+        bound = value + slack
+        first = exact_rank_at(pencil, _exact._SAMPLE_POINTS[0])
+        with mock.patch.object(_exact, "exact_rank_at", wraps=exact_rank_at) as spy:
+            assert exact_normal_rank(pencil, bound) == value
+        if first == min(bound, rows, cols):
+            assert spy.call_count == 1
+
     def test_full_column_pencil_costs_one_rank(self, monkeypatch):
         sys = random_generic(Dimensions(2, 1, 2, 1, 3), seed=1)
-        pencil = system_pencil(exact_block(sys, 1))
+        pencil = system_pencil(exact_block(sys)[0])
         calls = []
         monkeypatch.setattr(_exact, "exact_rank_at",
                             lambda *a: calls.append(1) or exact_rank_at(*a))
@@ -261,29 +296,61 @@ class TestEscalation:
         assert a.agreement == b.agreement
 
     def test_duality_is_settled_with_the_multiplicities(self):
-        # escalating mult_at_infinity alone once left duality comparing an
-        # exact multiplicity with a float one at the dual delay
-        rec = run_trial(Dimensions(5, 5, 3, 24, 8), tau=7, seed=106065)
-        assert {"mult_at_infinity", "duality"} <= set(rec.escalated)
+        # the float normal rank reads 35 at all 8 delays against a generic
+        # 36; each of the 8 readings is re-read exactly, so the dual
+        # multiplicities and the delay sweep are exact along with tau's
+        dims = Dimensions(5, 5, 3, 24, 8)
+        rec = run_trial(dims, tau=7, seed=106065)
         assert rec.error is None
+        assert rec.measured["screen"]["normal_rank_by_tau"] == [35] * 8
+        assert rec.measured["normal_rank_by_tau"] == [36] * 8
+        dual = predict(dims, dual_index(7, dims.N))
+        assert rec.measured["dual_mult_at_zero"] == dual.mult_at_zero
+        assert rec.measured["dual_mult_at_infinity"] == dual.mult_at_infinity
+        assert "duality" not in rec.escalated
         assert rec.agree_all
 
     def test_each_exact_rank_is_computed_once(self, monkeypatch):
-        matrices = []
+        # only the rank at Z = 0 at delay 1 reads below its generic value;
+        # every other reading already meets it and is not re-read
+        ranked, assembled = [], []
 
         def recording(M):
-            matrices.append(np.atleast_2d(M).tolist())
+            ranked.append(np.atleast_2d(M).tolist())
             return exact_rank(M)
+
+        def assembling(sys):
+            assembled.append(sys)
+            return exact_block(sys)
 
         monkeypatch.setattr(_exact, "exact_rank", recording)
         monkeypatch.setattr(harness, "exact_rank", recording)
+        monkeypatch.setattr(harness, "exact_block", assembling)
         rec = run_trial(Dimensions(3, 2, 2, 1, 4), tau=1, seed=4016)
-        assert "duality" in rec.escalated
-        # the normal rank (the 12x11 pencil has full column rank at the
-        # first sample point, so one point), the rank at zero and of D_tau,
-        # at tau and at its dual delay, each once
-        assert len(matrices) == 2 * (1 + 2)
-        assert all(a != b for i, a in enumerate(matrices) for b in matrices[:i])
+        assert rec.escalated == ("duality", "mult_at_zero")
+        assert rec.measured["screen"] == {"mult_at_zero": 1, "rank_at_zero": 10}
+        assert len(ranked) == 1
+        assert len(assembled) == 1
+
+    @pytest.mark.parametrize("case", ESCALATION_CASES, ids=lambda c: str(c["seed"]))
+    def test_record_matches_a_full_exact_remeasure(self, case):
+        # the reference reads every rank exactly, with no bound and no
+        # float screen: the clearance must not change any derived field
+        dims = Dimensions(case["n"], case["m"], case["p1"], case["p2"], case["N"])
+        tau = case["tau"]
+        rec = run_trial(dims, tau=tau, seed=case["seed"])
+        assert list(rec.escalated) == case["escalated"]
+        blocks = exact_block(random_generic(dims, case["seed"]))
+        pencils = [system_pencil(b) for b in blocks]
+        rank = {("normal_rank", t): max(exact_rank_at(p, z) for z in _exact._SAMPLE_POINTS)
+                for t, p in enumerate(pencils, 1)}
+        for t in (tau, dual_index(tau, dims.N)):
+            rank["rank_D", t] = exact_rank(blocks[t - 1].D_tau)
+            rank["rank_at_zero", t] = exact_rank_at(pencils[t - 1], Fraction(0))
+        reference = harness._rank_fields(rank, dims, tau)
+        assert {k: rec.measured[k] for k in reference} == reference
+        assert rec.measured["n_finite_nonzero"] == 0
+        assert rec.agree_all
 
     def test_escalated_trial_leaves_sympy_unimported(self):
         code = ("import sys\n"

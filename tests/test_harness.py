@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from multirate_zeros import harness, zeros
+from multirate_zeros import harness, numerics, zeros
 from multirate_zeros.blocking import block, lift_relation_residual, system_pencil
 from multirate_zeros.errors import NotTallClass
 from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, LIFT_SAMPLES, GridSpec,
@@ -112,6 +112,19 @@ class TestRunTrial:
         assert calls == [([1, 2, 3], complex(np.cos(t), np.sin(t))) for t in thetas]
         assert rec.measured["lift_residual_max"] == max(residuals)
 
+    def test_trial_builds_three_philox_generators(self, monkeypatch):
+        # the system draw, the normal-rank angles (whose first LIFT_SAMPLES
+        # the lift check reuses) and the compression
+        numerics._sample_points.cache_clear()
+        numerics._sample_angles.cache_clear()
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda *a, **k: built.append(k) or philox(*a, **k))
+        rec = run_trial(Dimensions(2, 2, 1, 4, 3), tau=2, seed=1)
+        assert rec.escalated == ()
+        assert len(built) == 3
+
     @pytest.mark.parametrize("dims,tau", [
         (Dimensions(2, 2, 1, 4, 3), 1), (Dimensions(2, 2, 1, 4, 3), 2),
         (Dimensions(2, 2, 1, 4, 3), 3), (LONG_HORIZON_DIMS, 1), (LONG_HORIZON_DIMS, 8)])
@@ -175,6 +188,20 @@ class TestGridSpecValidation:
     def test_float_tau(self):
         with pytest.raises(ValueError, match="taus"):
             GridSpec(n_values=(1,), m_values=(2,), N_values=(2,), taus=(1.5,))
+
+    # a non-integer axis value would fail mid-sweep, in the cell that uses it
+    def test_float_axis_value(self):
+        with pytest.raises(ValueError, match="n_values"):
+            GridSpec(n_values=(1, 1.5), m_values=(2,), N_values=(2,), trials_per_cell=1)
+
+    def test_bool_axis_value(self):
+        with pytest.raises(ValueError, match="m_values"):
+            GridSpec(n_values=(1,), m_values=(2, True), N_values=(2,), trials_per_cell=1)
+
+    def test_float_offset(self):
+        with pytest.raises(ValueError, match="p2_offsets"):
+            GridSpec(n_values=(1,), m_values=(2,), N_values=(2,), p2_offsets=(1, 2.0),
+                     trials_per_cell=1)
 
 
 class TestCells:

@@ -196,7 +196,9 @@ class TestMultiplicities:
         # n + rank(D_tau) as multiplicities reads it for the drop at infinity
         pencil = system_pencil(blk)
         rho = normal_rank(pencil, policy)
-        rank_D, _, mult_inf = multiplicities(blk, pencil, rho, policy)
+        rank_D = numerical_rank(blk.D_tau, policy)
+        _, mult_inf = multiplicities(rho, rank_at(pencil, 0.0, policy), rank_D,
+                                     blk.A_tau.shape[0])
         assert mult_inf == max(0, rho - blk.A_tau.shape[0] - rank_D)
         return blk.A_tau.shape[0] + rank_D
 

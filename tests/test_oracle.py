@@ -112,6 +112,15 @@ class TestMultiplicities:
         assert mz == minf_dual
 
     @given(dt=tall_dims_and_tau())
+    def test_generic_ranks_give_the_predicted_multiplicities(self, dt):
+        # escalation clears a reading at its generic value: these identities
+        # make generic readings derive the predicted multiplicities
+        dims, tau = dt
+        pred = predict(dims, tau)
+        assert pred.mult_at_infinity == pred.normal_rank - dims.n - pred.rank_D
+        assert pred.normal_rank - pred.mult_at_zero >= 0
+
+    @given(dt=tall_dims_and_tau())
     def test_fast_tall_has_no_special_zeros(self, dt):
         dims, tau = dt
         if dims.p1 >= dims.m:

@@ -13,7 +13,7 @@ from multirate_zeros.blocking import (MatrixPencil, block, fast_subsystem,
 from multirate_zeros.errors import SingularD
 from multirate_zeros.model import (Dimensions, MultirateSystem,
                                    TolerancePolicy, random_generic)
-from multirate_zeros.numerics import eigenvalues, normal_rank, numerical_rank
+from multirate_zeros.numerics import eigenvalues, normal_rank, numerical_rank, rank_at
 from multirate_zeros.zeros import (ZeroReport, finite_zero_candidates,
                                    multiplicities, square_blocked_zeros,
                                    verify_zero, zero_report,
@@ -136,9 +136,10 @@ class TestMultiplicities:
         for tau in range(1, dims.N + 1):
             blk = block(sys, tau)
             rep = zero_report(blk, policy, seed)
-            got = multiplicities(blk, system_pencil(blk), rep.normal_rank, policy)
-            assert got == (rep.rank_D, rep.mult_at_zero, rep.mult_at_infinity)
+            got = multiplicities(rep.normal_rank, rep.rank_at_zero, rep.rank_D, dims.n)
+            assert got == (rep.mult_at_zero, rep.mult_at_infinity)
             assert rep.rank_D == numerical_rank(blk.D_tau, policy)
+            assert rep.rank_at_zero == rank_at(system_pencil(blk), 0.0, policy)
 
 
 class TestSquareBlockedZeros:
@@ -187,7 +188,7 @@ class TestSerialization:
             assert set(entry["location"]) == {"re", "im"}
 
     def test_populated_zero_list_round_trips(self, policy):
-        rep = ZeroReport(tau=1, normal_rank=3, rank_D=2, mult_at_zero=0,
+        rep = ZeroReport(tau=1, normal_rank=3, rank_D=2, rank_at_zero=3, mult_at_zero=0,
                          mult_at_infinity=0,
                          finite_nonzero_zeros=((1.5 + 0.5j, 2),),
                          boundary_candidates=((1e-7 + 0j, 1),),
