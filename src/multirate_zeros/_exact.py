@@ -20,9 +20,11 @@ X + iY is half the real rank of [[X, -Y], [Y, X]].
 The verification harness calls in only for trials whose float measurement
 disagrees with the closed-form prediction, and re-reads only the ranks
 below their generic value. A float rank can only under-report the exact
-rank (rounding perturbs singular values by far less than the rank
-threshold), and no instance's exact rank exceeds the generic value, so a
-float reading that meets it is exact. Predictions enter only as such upper
+rank: rounding perturbs singular values by far less than the rank
+threshold, which holds because TolerancePolicy refuses a rel_rank_tol
+below machine epsilon (below it, rounding noise counts as rank). No
+instance's exact rank exceeds the generic value, so a float reading that
+meets it is exact. Predictions enter only as such upper
 bounds, which let a lower bound settle a reading: a float rank, or an exact
 rank at one sample point. They never supply a value.
 """
@@ -100,5 +102,4 @@ def exact_normal_rank(pencil: MatrixPencil, bound: int | None = None) -> int:
     that meets the upper bound settles the max. A point ranking above a
     bound set too low does not stop the sweep, so the excess still shows.
     """
-    limit = min(pencil.shape) if bound is None else min(bound, *pencil.shape)
-    return _max_rank((exact_rank_at(pencil, z) for z in _SAMPLE_POINTS), limit)
+    return _max_rank((exact_rank_at(pencil, z) for z in _SAMPLE_POINTS), pencil.shape, bound)

@@ -82,11 +82,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     results = []
     all_agree = True
     for tau in taus:
-        rep = zero_report(block(sys_, tau), policy, ANALYZE_SEED)
+        pred = predictions.get(tau)
+        # the generic normal rank bounds this system's too, so it stops the sweep
+        rep = zero_report(block(sys_, tau), policy, ANALYZE_SEED,
+                          None if pred is None else pred.normal_rank)
         measured = zero_report_to_dict(rep)
         measured["rank_at_zero"] = rep.normal_rank - rep.mult_at_zero
         measured["rank_at_infinity"] = rep.normal_rank - rep.mult_at_infinity
-        pred = predictions.get(tau)
         if pred is None:
             predicted = None
             agreement = None

@@ -299,7 +299,9 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     normal-rank sample draw. The finite-zero search runs at tau only. Every
     rank field is derived by `_rank_fields` from rank readings: the normal
     rank at every delay, and the ranks of D_tau and at Z = 0 at tau and at
-    the dual delay. Numerical failures (e.g. every compression attempt ill
+    the dual delay. Each normal-rank sweep stops at the predicted normal
+    rank, which no instance exceeds, so a reading that meets it costs one
+    sample point. Numerical failures (e.g. every compression attempt ill
     conditioned) are captured in the record, not raised.
 
     When a check other than the lifting residual (a float identity with no
@@ -320,7 +322,7 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
         # every check below reads the same N blocked systems, blocks[t - 1]
         # being the one at delay t
         blocks = block_all(sys)
-        rep = zero_report(blocks[tau - 1], policy, seed)
+        rep = zero_report(blocks[tau - 1], policy, seed, pred.normal_rank)
         dual = dual_index(tau, dims.N)
         rank = {("rank_D", tau): rep.rank_D, ("rank_at_zero", tau): rep.rank_at_zero}
         for t, b in enumerate(blocks, 1):
@@ -328,7 +330,7 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
                 rank["normal_rank", t] = rep.normal_rank
                 continue
             pencil = system_pencil(b)
-            rank["normal_rank", t] = normal_rank(pencil, policy, seed)
+            rank["normal_rank", t] = normal_rank(pencil, policy, seed, pred.normal_rank)
             if t == dual:
                 rank["rank_D", t] = numerical_rank(b.D_tau, policy)
                 rank["rank_at_zero", t] = rank_at(pencil, 0.0, policy)

@@ -79,6 +79,14 @@ class TolerancePolicy:
             if isinstance(v, bool) or not isinstance(v, (int, float)) \
                     or not math.isfinite(v) or v <= 0:
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
+        # below machine epsilon rounding noise counts as rank, so a float rank
+        # could exceed the exact one; the bounded normal-rank sweeps and the
+        # exact re-reads below generic values rely on it never doing so. At
+        # the floor the threshold is numpy's matrix_rank default.
+        eps = float(np.finfo(float).eps)
+        if self.rel_rank_tol < eps:
+            raise ValueError(f"rel_rank_tol must be at least machine epsilon {eps!r}, "
+                             f"got {self.rel_rank_tol!r}")
         for name, least in (("normal_rank_samples", 3), ("resample_limit", 1)):
             v = getattr(self, name)
             if not _is_int(v) or v < least:

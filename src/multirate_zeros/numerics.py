@@ -50,17 +50,23 @@ def rank_at(pencil: MatrixPencil, Z: complex, policy: TolerancePolicy | None = N
     return numerical_rank(M, policy)
 
 
-def _max_rank(ranks, bound: int) -> int:
-    """Max of a lazy sequence of ranks, read only until one reaches bound.
+def _max_rank(ranks, shape: tuple[int, int], bound: int | None = None) -> int:
+    """Max of a lazy sequence of ranks of a pencil of this shape at sample points.
 
-    When no rank in the sequence can exceed bound (min(rows, cols) of the
-    matrices ranked, or a smaller upper bound), stopping there gives the
-    max of the whole sequence.
+    Reading stops at the first rank that reaches min(bound, rows, cols), or
+    min(rows, cols) when bound is None. That gives the max of the whole
+    sequence when no rank in it can exceed the limit: no rank exceeds
+    min(rows, cols), and a rank at a point does not exceed the normal rank,
+    which is at most bound when bound is the generic normal rank of the
+    pencil's dimensions. Reading stops only on a rank equal to the limit,
+    so once a rank exceeds a bound set too low, every rank is read and the
+    excess shows.
     """
+    limit = min(shape) if bound is None else min(bound, *shape)
     best = 0
     for r in ranks:
         best = max(best, r)
-        if best == bound:
+        if best == limit:
             break
     return best
 
@@ -78,20 +84,23 @@ def _sample_points(seed: int, count: int) -> tuple[complex, ...]:
 
 
 def normal_rank(pencil: MatrixPencil, policy: TolerancePolicy | None = None,
-                seed: int = 0) -> int:
+                seed: int = 0, bound: int | None = None) -> int:
     """Maximum rank over sampled points Z = radius * exp(i*theta).
 
     The angles come from a Philox stream keyed by seed, so the result is
     deterministic in (pencil, policy, seed). The rank at a random point
     equals the normal rank with probability 1; the max over several points
     guards against an unlucky draw near a zero. Sampling stops at the first
-    point whose rank reaches min(rows, cols): no rank can exceed that bound,
-    so the remaining points cannot raise the max and the result is the same
-    as over all of them.
+    point whose rank reaches min(bound, rows, cols), where bound, when
+    given, is the generic normal rank, which no instance's normal rank
+    exceeds. A float rank at a point does not exceed the exact normal rank
+    at any rel_rank_tol the policy accepts, so the remaining points cannot
+    raise the max and the result is the same as over all of them (see
+    `_max_rank`).
     """
     policy = policy or TolerancePolicy()
     points = _sample_points(seed, policy.normal_rank_samples)
-    return _max_rank((rank_at(pencil, Z, policy) for Z in points), min(pencil.shape))
+    return _max_rank((rank_at(pencil, Z, policy) for Z in points), pencil.shape, bound)
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:

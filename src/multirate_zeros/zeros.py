@@ -141,7 +141,7 @@ def multiplicities(rho: int, rank_at_zero: int, rank_D: int, n: int) -> tuple[in
 
 
 def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
-                seed: int = 0) -> ZeroReport:
+                seed: int = 0, bound: int | None = None) -> ZeroReport:
     """Full zero structure: multiplicities at 0 and infinity, verified finite nonzero zeros.
 
     The multiplicities come from `multiplicities`, applied to the ranks at
@@ -155,10 +155,13 @@ def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
     Candidates beyond 1/zero_radius are copies of the point at infinity
     (they come from compressed eigenvalues at the noise floor of the
     infinite-eigenvalue filter) and are skipped the same way.
+    bound, the generic normal rank of the blocked dimensions when given,
+    stops the normal-rank sweep early without changing its value (see
+    `normal_rank`).
     """
     policy = policy or TolerancePolicy()
     pencil = system_pencil(blk)
-    rho = normal_rank(pencil, policy, seed)
+    rho = normal_rank(pencil, policy, seed, bound)
     rank_D = numerical_rank(blk.D_tau, policy)
     rank0 = rank_at(pencil, 0.0, policy)
     mult0, multinf = multiplicities(rho, rank0, rank_D, blk.A_tau.shape[0])

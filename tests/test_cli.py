@@ -5,10 +5,12 @@ import json
 
 import pytest
 
+from multirate_zeros import cli
 from multirate_zeros.cli import main
 from multirate_zeros.harness import CSV_COLUMNS
 from multirate_zeros.model import (Dimensions, fixture, random_generic,
                                    save_system)
+from multirate_zeros.zeros import zero_report
 
 from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS
 
@@ -94,7 +96,8 @@ class TestAnalyze:
         assert code == 2
         assert "policy" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", [{"rel_rank_tol": "x"}, {"normal_rank_samples": 7.5}])
+    @pytest.mark.parametrize("bad", [{"rel_rank_tol": "x"}, {"normal_rank_samples": 7.5},
+                                     {"rel_rank_tol": 1e-17}])
     def test_mistyped_policy_value_names_field(self, bad, example1_file, tmp_path, capsys):
         pol = tmp_path / "policy.json"
         pol.write_text(json.dumps(bad))
@@ -115,6 +118,26 @@ class TestAnalyze:
         assert code == 1
         payload = json.loads(out.read_text())
         assert payload["all_agree"] is False
+
+    def test_bounded_sweep_leaves_the_report_unchanged(self, example1_file, tmp_path,
+                                                       monkeypatch):
+        # the predicted normal rank stops each normal-rank sweep early; the
+        # payload must be the one the unbounded sweep gives
+        bounds = []
+
+        def bounded(blk, policy, seed, bound):
+            bounds.append(bound)
+            return zero_report(blk, policy, seed, bound)
+
+        payloads = []
+        for report in (bounded, lambda blk, policy, seed, bound: zero_report(blk, policy, seed)):
+            monkeypatch.setattr(cli, "zero_report", report)
+            out = tmp_path / f"report{len(payloads)}.json"
+            assert main(["analyze", "--system", str(example1_file), "--out", str(out)]) == 0
+            payloads.append(json.loads(out.read_text()))
+            del payloads[-1]["timestamp"]
+        assert bounds == [6, 6]
+        assert payloads[0] == payloads[1]
 
     def test_not_tall_system_measures_without_predictions(self, tmp_path):
         sys_path = tmp_path / "square.json"
@@ -185,6 +208,7 @@ class TestVerify:
         ({"taus": [9]}, "taus"),
         ({"p1": []}, "p1"),
         ({"p2_offsets": []}, "p2_offsets"),
+        ({"policy": {"rel_rank_tol": 1e-17}}, "rel_rank_tol"),
     ])
     def test_bad_grid_value_names_field(self, extra, field, tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -15,7 +15,7 @@ from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, LIFT_SAMPLES, 
                                      grid_spec_to_dict, run_fixture_suite,
                                      run_grid, run_trial)
 from multirate_zeros.model import Dimensions, TolerancePolicy, _rng, random_generic
-from multirate_zeros.numerics import normal_rank
+from multirate_zeros.numerics import normal_rank, rank_at
 from multirate_zeros.oracle import dual_index
 from multirate_zeros.zeros import finite_zero_candidates, zero_report
 
@@ -70,9 +70,9 @@ class TestRunTrial:
         # N = 3: the zero report measures the pencil at tau, the sweep the rest
         calls = []
 
-        def counting(pencil, policy, seed):
+        def counting(pencil, *args):
             calls.append(pencil)
-            return normal_rank(pencil, policy, seed)
+            return normal_rank(pencil, *args)
 
         monkeypatch.setattr(harness, "normal_rank", counting)
         monkeypatch.setattr(zeros, "normal_rank", counting)
@@ -83,6 +83,16 @@ class TestRunTrial:
         assert rec.measured["normal_rank_by_tau"] == [
             normal_rank(system_pencil(block(sys, t)), TolerancePolicy(), 1)
             for t in range(1, 4)]
+
+    @pytest.mark.parametrize("tau", [1, 8])
+    def test_generic_trial_samples_one_point_per_delay(self, monkeypatch, tau):
+        # 53x45 pencils of generic normal rank 36: each of the N sweeps stops
+        # at its first point, where the sweep to min(rows, cols) took all 7
+        calls = []
+        monkeypatch.setattr(numerics, "rank_at", lambda *a: calls.append(a) or rank_at(*a))
+        rec = run_trial(LONG_HORIZON_DIMS, tau=tau, seed=0)
+        assert rec.agree_all and not rec.escalated
+        assert len(calls) == LONG_HORIZON_DIMS.N
 
     @pytest.mark.parametrize("tau", [1, 2, 3])
     def test_finite_zero_search_runs_once(self, monkeypatch, tau):

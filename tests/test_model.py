@@ -74,6 +74,7 @@ class TestTolerancePolicy:
         dict(condition_cap=float("inf")),
         dict(normal_rank_samples=7.5),
         dict(resample_limit=True),
+        dict(rel_rank_tol=1e-17),  # below machine epsilon
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):

@@ -1,17 +1,20 @@
 """SVD rank, pencil rank at a point, sampled normal rank, rank at infinity."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multirate_zeros import numerics
-from multirate_zeros.blocking import MatrixPencil, block, system_pencil
+from multirate_zeros.blocking import MatrixPencil, block, block_all, system_pencil
 from multirate_zeros.errors import ConvergenceFailure  # noqa: F401  (surfaced type)
 from multirate_zeros.model import Dimensions, TolerancePolicy, _rng, random_generic
 from multirate_zeros.numerics import (NORMAL_RANK_RADIUS, eigenvalues,
                                       normal_rank, numerical_rank, rank_at)
+from multirate_zeros.oracle import predict
 from multirate_zeros.zeros import multiplicities
 
 from conftest import EXAMPLE1_DIMS
@@ -130,6 +133,21 @@ def rank_at_every_sample(pencil, policy, seed):
     return max(rank_at(pencil, Z, policy) for Z in every_sample_point(policy, seed))
 
 
+def planted_pencil(rows, cols, inner, planted, at, draw, seed, policy):
+    """A pencil of normal rank min(rows, cols, inner) with zeros on a sample point.
+
+    E and F share an inner-dimensional factorization, so every
+    inner < min(rows, cols) gives a rank-deficient pencil; up to `planted`
+    zeros sit on sample point `at`, where the rank read falls short of the max.
+    """
+    rng = np.random.default_rng(draw)
+    U, V = rng.standard_normal((rows, inner)), rng.standard_normal((inner, cols))
+    E0 = rng.standard_normal((inner, inner))
+    eig = rng.standard_normal(inner).astype(complex)
+    eig[:planted] = every_sample_point(policy, seed)[at]
+    return MatrixPencil(E=U @ E0 @ V, F=U @ (E0 * eig) @ V)
+
+
 def counting(monkeypatch, module, name):
     calls = []
     func = getattr(module, name)
@@ -138,25 +156,50 @@ def counting(monkeypatch, module, name):
 
 
 class TestNormalRankEarlyExit:
-    """Stopping at min(rows, cols) leaves the max over the samples unchanged."""
+    """Stopping at min(bound, rows, cols) leaves the max over the samples unchanged."""
 
     @given(rows=st.integers(1, 7), cols=st.integers(1, 7), inner=st.integers(0, 7),
            planted=st.integers(0, 3), at=st.integers(0, 2),
            draw=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_equals_max_over_every_sample(self, rows, cols, inner, planted, at, draw, seed):
-        # E and F share an inner-dimensional factorization, so every
-        # inner < min(rows, cols) gives a rank-deficient pencil; up to
-        # `planted` zeros sit on sample point `at`, where the rank read falls
-        # short of the max
         policy = TolerancePolicy()
-        rng = np.random.default_rng(draw)
-        U, V = rng.standard_normal((rows, inner)), rng.standard_normal((inner, cols))
-        E0 = rng.standard_normal((inner, inner))
-        eig = rng.standard_normal(inner).astype(complex)
-        eig[:planted] = every_sample_point(policy, seed)[at]
-        pencil = MatrixPencil(E=U @ E0 @ V, F=U @ (E0 * eig) @ V)
+        pencil = planted_pencil(rows, cols, inner, planted, at, draw, seed, policy)
         assert normal_rank(pencil, policy, seed) == rank_at_every_sample(pencil, policy, seed)
+
+    @given(rows=st.integers(1, 7), cols=st.integers(1, 7), inner=st.integers(0, 7),
+           planted=st.integers(0, 3), at=st.integers(0, 2), slack=st.integers(0, 2),
+           draw=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_at_or_above_the_value_leaves_it_unchanged(
+            self, rows, cols, inner, planted, at, slack, draw, seed):
+        policy = TolerancePolicy()
+        pencil = planted_pencil(rows, cols, inner, planted, at, draw, seed, policy)
+        value = normal_rank(pencil, policy, seed)
+        bound = value + slack
+        first = rank_at(pencil, every_sample_point(policy, seed)[0], policy)
+        with mock.patch.object(numerics, "rank_at", wraps=rank_at) as spy:
+            assert normal_rank(pencil, policy, seed, bound) == value
+        if first == min(bound, rows, cols):
+            assert spy.call_count == 1
+
+    @given(data=st.data(), rows=st.integers(1, 7), cols=st.integers(1, 7),
+           inner=st.integers(1, 7), planted=st.integers(0, 3), at=st.integers(0, 2),
+           draw=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_below_the_value_reads_every_sample(
+            self, data, rows, cols, inner, planted, at, draw, seed):
+        # the sweep stops only on a reading equal to the bound, so a bound
+        # set too low that no sample reads cannot hide the excess
+        policy = TolerancePolicy()
+        pencil = planted_pencil(rows, cols, inner, planted, at, draw, seed, policy)
+        readings = [rank_at(pencil, Z, policy) for Z in every_sample_point(policy, seed)]
+        below = [b for b in range(max(readings)) if b not in readings]
+        assume(below)
+        bound = data.draw(st.sampled_from(below))
+        with mock.patch.object(numerics, "rank_at", wraps=rank_at) as spy:
+            assert normal_rank(pencil, policy, seed, bound) == max(readings)
+        assert spy.call_count == policy.normal_rank_samples
 
     @given(dims=st.builds(Dimensions, n=st.integers(1, 4), m=st.integers(1, 3),
                           p1=st.integers(1, 4), p2=st.integers(1, 4),
@@ -188,6 +231,22 @@ class TestNormalRankEarlyExit:
         for _ in range(3):
             normal_rank(pencil, policy, seed=12345)
         assert len(draws) == 1
+
+
+class TestToleranceFloor:
+    """At the smallest rel_rank_tol the policy accepts, no float rank over-reports."""
+
+    def test_no_reading_exceeds_its_generic_value(self):
+        # at 1e-17, below the floor, 8 of these 100 rank(D_tau) readings
+        # exceed the generic value; at 1e-20 all 100 do
+        policy = TolerancePolicy(rel_rank_tol=float(np.finfo(float).eps))
+        for seed in range(50):
+            for tau, blk in enumerate(block_all(random_generic(EXAMPLE1_DIMS, seed)), 1):
+                pred = predict(EXAMPLE1_DIMS, tau)
+                pencil = system_pencil(blk)
+                assert numerical_rank(blk.D_tau, policy) <= pred.rank_D
+                assert normal_rank(pencil, policy, seed) <= pred.normal_rank
+                assert rank_at(pencil, 0.0, policy) <= pred.normal_rank - pred.mult_at_zero
 
 
 class TestMultiplicities:
