@@ -1,4 +1,4 @@
-"""Exact rational rank measurements for borderline floating-point trials.
+"""Exact rank measurements for borderline floating-point trials.
 
 Every system entry is a float64 and therefore an exact dyadic rational, and
 every blocked matrix is a polynomial in the entries, so each rank question
@@ -9,23 +9,43 @@ N-1 power) that sink below any double-precision threshold. Those trials are
 undecidable in float arithmetic: the same reading is produced by a genuine
 rank drop and by an unlucky but full-rank draw.
 
-This module settles such trials. Matrices are rebuilt from the original
-entries with Fraction arithmetic, which is rounding-free, and a rank is
-computed in integers: each row, scaled by the lcm of its denominators,
-goes through fraction-free Bareiss elimination, whose divisions are exact.
+This module settles such trials in two stages. The verification harness
+calls in only for trials whose float measurement disagrees with the
+closed-form prediction, and re-reads only the ranks below their generic
+value, which no instance's exact rank exceeds.
+
+First, a screen over the prime field F_P, P = 33554393, the largest prime
+below 2**25. Each entry num * 2**e is mapped to its residue num * 2**e mod
+P (2 is invertible mod P), the blocked matrices are assembled with every
+product reduced mod P, and a rank is read by row echelon elimination on
+int64 arrays; residues stay below 2**25, so no product reaches 2**50.
+Reduction from the dyadic rationals, and from the sample points below with
+their denominators 5, 3 and 2, to F_P is a ring homomorphism: it maps every
+minor to that minor's residue. A minor that is nonzero mod P is therefore
+nonzero over the rationals, and a mod-P rank is a lower bound on the exact
+rank, for every P and every matrix. The generic value is an upper bound. A
+mod-P rank that meets it settles the reading exactly; no probability bound
+enters the argument, because the screen never decides a reading it cannot
+prove. An unlucky P, one that divides every nonzero minor of the largest
+size, only makes the screen fall short.
+
+Second, the fallback for a screen that falls short. Matrices are rebuilt
+from the original entries with Fraction arithmetic, which is rounding-free,
+and a rank is computed in integers: each row, scaled by the lcm of its
+denominators, goes through fraction-free Bareiss elimination, whose
+divisions are exact.
+
 The pencil is real, so its normal rank is sampled at real points. Only a
 nonreal point (a finite-zero candidate) is realified: the complex rank of
-X + iY is half the real rank of [[X, -Y], [Y, X]].
+X + iY is half the real rank of [[X, -Y], [Y, X]], and half the mod-P rank,
+rounded up, is again a lower bound on it.
 
-The verification harness calls in only for trials whose float measurement
-disagrees with the closed-form prediction, and re-reads only the ranks
-below their generic value. A float rank can only under-report the exact
-rank: rounding perturbs singular values by far less than the rank
-threshold, which holds because TolerancePolicy refuses a rel_rank_tol
-below machine epsilon (below it, rounding noise counts as rank). No
-instance's exact rank exceeds the generic value, so a float reading that
-meets it is exact. Predictions enter only as such upper
-bounds, which let a lower bound settle a reading: a float rank, or an exact
+A float rank can only under-report the exact rank: rounding perturbs
+singular values by far less than the rank threshold, which holds because
+TolerancePolicy refuses a rel_rank_tol below machine epsilon (below it,
+rounding noise counts as rank). So a float reading that meets the generic
+value is exact too. Predictions enter only as such upper bounds, which let
+a lower bound settle a reading: a float rank, a mod-P rank, or an exact
 rank at one sample point. They never supply a value.
 """
 from __future__ import annotations
@@ -39,6 +59,9 @@ from .blocking import BlockedSystem, MatrixPencil, _assemble
 from .model import MultirateSystem
 from .numerics import _max_rank
 
+# the modulus of the screen: the largest prime below 2**25
+P = 33554393
+
 # Fixed real sample points for the exact normal rank. Rank at any point is
 # a lower bound on the normal rank that is attained away from the finitely
 # many zeros, so the max over a few generic points decides it; none of these
@@ -49,6 +72,75 @@ _SAMPLE_POINTS = (Fraction(7, 5), Fraction(-4, 3), Fraction(1, 2))
 def fraction_matrix(M: np.ndarray) -> np.ndarray:
     """Entry-exact copy of a float matrix as an object array of Fractions."""
     return np.vectorize(Fraction, otypes=[object])(np.atleast_2d(np.asarray(M, dtype=float)))
+
+
+def residue_matrix(M: np.ndarray) -> np.ndarray:
+    """Residues mod P, as int64 in [0, P), of the dyadic rationals a float matrix holds.
+
+    frexp splits each finite x into a mantissa in [1/2, 1), whose 2**53
+    multiple is an integer num, and an exponent, so x = num * 2**e with
+    e = exp - 53; the residue is num * 2**e mod P, 2 being invertible mod P.
+    """
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if not np.isfinite(M).all():
+        raise ValueError("only finite floats have residues")
+    mantissa, exp = np.frexp(M)
+    num = (mantissa * 2.0**53).astype(np.int64) % P
+    return num * _pow2(exp.astype(np.int64) - 53) % P
+
+
+def _pow2(e: np.ndarray) -> np.ndarray:
+    # 2**e mod P elementwise, with one modular power per distinct exponent
+    # (a float64 has fewer than 2100) and a gather
+    distinct, at = np.unique(e, return_inverse=True)
+    return np.array([pow(2, int(k), P) for k in distinct], dtype=np.int64)[at].reshape(e.shape)
+
+
+def _residue(q: Fraction) -> int:
+    # the denominators that occur (the sample points' and powers of 2) are prime to P
+    return q.numerator * pow(q.denominator, -1, P) % P
+
+
+def _matmul_mod(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y mod P for int64 residues, refused where the int64 sum could wrap."""
+    k = X.shape[-1]
+    if k * (P - 1) ** 2 >= 2**63:
+        raise ValueError(f"inner dimension {k} could overflow int64 before reduction mod {P}")
+    return X @ Y % P
+
+
+def modp_block(sys: MultirateSystem) -> list[BlockedSystem]:
+    """`block_all` over F_P: every delay 1..N, each entry the residue of the exact one."""
+    return _assemble(
+        sys.dims, range(1, sys.dims.N + 1),
+        residue_matrix(sys.A), residue_matrix(sys.B),
+        residue_matrix(sys.Cf), residue_matrix(sys.Cs),
+        residue_matrix(sys.Df), residue_matrix(sys.Ds), matmul=_matmul_mod)
+
+
+def modp_rank(M: np.ndarray) -> int:
+    """Rank over F_P of an integer matrix, by row echelon elimination in int64.
+
+    Entries may be any int64; they are reduced first, after which no
+    product exceeds (P - 1)**2 < 2**50.
+    """
+    A = np.atleast_2d(np.asarray(M, dtype=np.int64)) % P
+    if A.shape[0] < A.shape[1]:   # the loop runs over columns: make them the fewer
+        A = A.T.copy()
+    rank = 0
+    for c in range(A.shape[1]):
+        nonzero = np.flatnonzero(A[rank:, c])
+        if nonzero.size == 0:
+            continue
+        at = rank + nonzero[0]
+        if at != rank:
+            A[[rank, at]] = A[[at, rank]]
+        pivot_row = A[rank, c + 1:] * pow(int(A[rank, c]), -1, P) % P
+        rank += 1
+        below = A[rank:, c + 1:]
+        below -= A[rank:, c, None] * pivot_row
+        below %= P
+    return rank
 
 
 def exact_block(sys: MultirateSystem) -> list[BlockedSystem]:
@@ -83,15 +175,33 @@ def exact_rank(M: np.ndarray) -> int:
     return rank
 
 
+def _at(pencil: MatrixPencil, re: Fraction, im: Fraction, scalar) -> np.ndarray:
+    # Z*E - F at Z = re + im*i, realified as [[X, -Y], [Y, X]] when im != 0;
+    # scalar maps a rational into the pencil's entries
+    X = scalar(re) * pencil.E - pencil.F
+    if im == 0:
+        return X
+    Y = scalar(im) * pencil.E
+    return np.vstack([np.hstack([X, -Y]), np.hstack([Y, X])])
+
+
 def exact_rank_at(pencil: MatrixPencil, re: Fraction, im: Fraction = Fraction(0)) -> int:
     """Exact rank of Z*E - F at the rational point Z = re + im*i."""
-    X = re * pencil.E - pencil.F
+    rank = exact_rank(_at(pencil, re, im, Fraction))
     if im == 0:
-        return exact_rank(X)
-    Y = im * pencil.E
-    doubled = exact_rank(np.vstack([np.hstack([X, -Y]), np.hstack([Y, X])]))
-    assert doubled % 2 == 0
-    return doubled // 2
+        return rank
+    assert rank % 2 == 0
+    return rank // 2
+
+
+def modp_rank_at(pencil: MatrixPencil, re: Fraction, im: Fraction = Fraction(0)) -> int:
+    """Lower bound on exact_rank_at from a pencil of residues (of modp_block's systems).
+
+    At a nonreal point the mod-P rank of the realified matrix may be odd;
+    half of it, rounded up, is still at most the complex rank.
+    """
+    rank = modp_rank(_at(pencil, re, im, _residue))
+    return rank if im == 0 else (rank + 1) // 2
 
 
 def exact_normal_rank(pencil: MatrixPencil, bound: int | None = None) -> int:
@@ -103,3 +213,9 @@ def exact_normal_rank(pencil: MatrixPencil, bound: int | None = None) -> int:
     bound set too low does not stop the sweep, so the excess still shows.
     """
     return _max_rank((exact_rank_at(pencil, z) for z in _SAMPLE_POINTS), pencil.shape, bound)
+
+
+def modp_normal_rank(pencil: MatrixPencil, bound: int | None = None) -> int:
+    """`exact_normal_rank` read mod P: a lower bound on it, and equal to it
+    when it meets a bound that is the generic value."""
+    return _max_rank((modp_rank_at(pencil, z) for z in _SAMPLE_POINTS), pencil.shape, bound)

@@ -9,6 +9,7 @@ off the pencil of the blocked one.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +54,11 @@ class MatrixPencil:
         return Z * self.E.astype(complex) - self.F
 
 
-def _powers(A: np.ndarray, k: int) -> list[np.ndarray]:
+def _powers(A: np.ndarray, k: int, matmul=operator.matmul) -> list[np.ndarray]:
     # A^0 .. A^k by repeated multiplication; keeps real data real
     out = [np.eye(A.shape[0], dtype=A.dtype)]
     for _ in range(k):
-        out.append(out[-1] @ A)
+        out.append(matmul(out[-1], A))
     return out
 
 
@@ -66,26 +67,29 @@ def _check_tau(tau: int, N: int) -> None:
         raise TauOutOfRange(tau, N)
 
 
-def _assemble(d: Dimensions, taus, A, B, Cf, Cs, Df, Ds) -> list[BlockedSystem]:
+def _assemble(d: Dimensions, taus, A, B, Cf, Cs, Df, Ds,
+              matmul=operator.matmul) -> list[BlockedSystem]:
     """Blocked systems at each delay in taus from raw state-space matrices.
 
     Only the p2 slow rows of C_tau and D_tau depend on tau, so A_tau, B_tau,
     the fast rows and the slow products Cs A^k B are built once, and the
     returned systems share their A_tau and B_tau arrays. dtype follows the
     inputs: float64 inputs assemble in float64; object inputs (e.g.
-    Fraction entries) assemble without any rounding at all.
+    Fraction entries) assemble without any rounding at all. Every
+    arithmetic operation is a product through matmul, so a matmul that
+    reduces its result (modulo a prime, say) assembles in that ring.
     """
     for tau in taus:
         _check_tau(tau, d.N)
     m, p1, p2, N = d.m, d.p1, d.p2, d.N
-    Ak = _powers(A, N)
+    Ak = _powers(A, N, matmul)
     A_tau = Ak[N]
-    B_tau = np.hstack([Ak[N - 1 - j] @ B for j in range(N)])
-    CfAk = [Cf @ Ak[i] for i in range(N)]
-    CsAk = [Cs @ Ak[i] for i in range(N)]
+    B_tau = np.hstack([matmul(Ak[N - 1 - j], B) for j in range(N)])
+    CfAk = [matmul(Cf, Ak[i]) for i in range(N)]
+    CsAk = [matmul(Cs, Ak[i]) for i in range(N)]
     # products associate as (C A^k) B, the order the entries were defined in
-    CfAkB = [CfAk[k] @ B for k in range(N - 1)]
-    CsAkB = [CsAk[k] @ B for k in range(N - 1)]
+    CfAkB = [matmul(CfAk[k], B) for k in range(N - 1)]
+    CsAkB = [matmul(CsAk[k], B) for k in range(N - 1)]
     C_fast = np.vstack(CfAk)
     D_fast = np.zeros((N * p1, N * m), dtype=A.dtype)
     for i in range(N):

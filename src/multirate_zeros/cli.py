@@ -17,8 +17,8 @@ from pathlib import Path
 from ._version import __version__
 from .blocking import block
 from .errors import MultirateError, NotTallClass
-from .harness import (_headline_agreement, _predicted_dict, _utc_now,
-                      emit_report, grid_spec_from_dict, run_fixture_suite,
+from .harness import (_delay_fields, _escalate, _headline_agreement, _predicted_dict,
+                      _utc_now, emit_report, grid_spec_from_dict, run_fixture_suite,
                       run_grid)
 from .model import (Dimensions, TolerancePolicy, classify, load_system,
                     policy_from_dict)
@@ -69,6 +69,17 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    """Zero structure of one system file at one or every delay.
+
+    The rank fields at each delay come from `_delay_fields`, applied to the
+    float readings of the normal rank, rank(D_tau) and the rank at Z = 0.
+    For a tall system one `_escalate` call settles every reading below its
+    generic value exactly, at all delays at once, the fields are derived
+    again, and measured["screen"] keeps the float value of each field that
+    changed. The finite nonzero zeros stay a float reading: their list and
+    multiplicities are those of the candidate search and its float rank
+    tests.
+    """
     policy = _load_policy(args.policy)
     sys_ = load_system(args.system)
     dims = sys_.dims
@@ -79,20 +90,29 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         predictions = {tau: predict(dims, tau) for tau in taus}
     except NotTallClass:
         predictions = {}
-    results = []
-    all_agree = True
+    reports, readings = {}, {}
     for tau in taus:
         pred = predictions.get(tau)
         # the generic normal rank bounds this system's too, so it stops the sweep
-        rep = zero_report(block(sys_, tau), policy, ANALYZE_SEED,
-                          None if pred is None else pred.normal_rank)
-        measured = zero_report_to_dict(rep)
-        measured["rank_at_zero"] = rep.normal_rank - rep.mult_at_zero
-        measured["rank_at_infinity"] = rep.normal_rank - rep.mult_at_infinity
+        rep = reports[tau] = zero_report(block(sys_, tau), policy, ANALYZE_SEED,
+                                         None if pred is None else pred.normal_rank)
+        readings.update({("normal_rank", tau): rep.normal_rank, ("rank_D", tau): rep.rank_D,
+                         ("rank_at_zero", tau): rep.rank_at_zero})
+    settled = _escalate(sys_, readings)[0] if predictions else readings
+    results = []
+    all_agree = True
+    for tau, rep in reports.items():
+        pred = predictions.get(tau)
+        measured = {**zero_report_to_dict(rep), **_delay_fields(readings, dims.n, tau)}
         if pred is None:
             predicted = None
             agreement = None
         else:
+            fields = _delay_fields(settled, dims.n, tau)
+            screen = {k: measured[k] for k, v in fields.items() if measured[k] != v}
+            measured.update(fields)
+            if screen:
+                measured["screen"] = screen
             predicted = _predicted_dict(pred)
             agreement = _headline_agreement(
                 dict(measured, n_finite_nonzero=len(rep.finite_nonzero_zeros)), pred)

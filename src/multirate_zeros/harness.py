@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._exact import exact_block, exact_normal_rank, exact_rank, exact_rank_at
+from ._exact import (exact_block, exact_normal_rank, exact_rank, exact_rank_at, modp_block,
+                     modp_normal_rank, modp_rank, modp_rank_at)
 from ._version import __version__
 from .blocking import block, block_all, lift_relation_residual, system_pencil
 from .errors import MultirateError
@@ -237,53 +238,94 @@ def _agreement_from(meas: dict, pred) -> dict:
     }
 
 
+def _delay_fields(rank: dict, n: int, t: int) -> dict:
+    """The rank fields at delay t of a system with n states, from its readings.
+
+    rank maps (quantity, delay) to a reading and holds "normal_rank",
+    "rank_D" and "rank_at_zero" at t. The multiplicities come from
+    `multiplicities`; the ranks at 0 and at infinity are the normal rank
+    less them.
+    """
+    rho, rank_D = rank["normal_rank", t], rank["rank_D", t]
+    mult0, multinf = multiplicities(rho, rank["rank_at_zero", t], rank_D, n)
+    return {"rank_D": rank_D, "normal_rank": rho,
+            "mult_at_zero": mult0, "mult_at_infinity": multinf,
+            "rank_at_zero": rho - mult0, "rank_at_infinity": rho - multinf}
+
+
 def _rank_fields(rank: dict, dims: Dimensions, tau: int) -> dict:
     """Every rank field of a trial's measured dict, from its rank readings.
 
     rank maps (quantity, delay) to a reading: "normal_rank" at every delay,
     "rank_D" and "rank_at_zero" at tau and at its dual delay.
     """
-    out = {"rank_D": rank["rank_D", tau], "normal_rank": rank["normal_rank", tau],
-           "normal_rank_by_tau": [rank["normal_rank", t] for t in range(1, dims.N + 1)]}
-    for t, prefix in ((tau, ""), (dual_index(tau, dims.N), "dual_")):
-        out[prefix + "mult_at_zero"], out[prefix + "mult_at_infinity"] = multiplicities(
-            rank["normal_rank", t], rank["rank_at_zero", t], rank["rank_D", t], dims.n)
-    out["rank_at_zero"] = out["normal_rank"] - out["mult_at_zero"]
-    out["rank_at_infinity"] = out["normal_rank"] - out["mult_at_infinity"]
-    return out
+    dual = _delay_fields(rank, dims.n, dual_index(tau, dims.N))
+    return {**_delay_fields(rank, dims.n, tau),
+            "normal_rank_by_tau": [rank["normal_rank", t] for t in range(1, dims.N + 1)],
+            "dual_mult_at_zero": dual["mult_at_zero"],
+            "dual_mult_at_infinity": dual["mult_at_infinity"]}
 
 
-def _escalate(sys: MultirateSystem, dims: Dimensions, tau: int,
-              rank: dict, finite_zeros) -> tuple[dict, int]:
+def _escalate(sys: MultirateSystem, rank: dict, tau: int | None = None,
+              finite_zeros=()) -> tuple[dict, int]:
     """The rank readings, those below their generic value re-read exactly,
-    and the number of finite zeros that survive exact arithmetic.
+    and the number of float finite zeros at delay tau that survive exact
+    arithmetic.
 
-    A float reading at the generic value is already exact (see _exact).
+    rank maps (quantity, delay) to a reading of "normal_rank", "rank_D" or
+    "rank_at_zero", at any delays; all of them share one assembly per
+    stage. A float reading at the generic value is already exact (see
+    _exact). Every other reading is first read over F_P from one
+    `modp_block` assembly: a mod-P rank is a lower bound on the exact rank,
+    so one that meets the generic value is the exact value. Only a reading
+    the screen leaves short is read by Bareiss, and the Fraction assembly
+    `exact_block` is built on the first such reading. A finite zero is
+    refuted when the mod-P rank at its location, realified and halved
+    rounding up, meets the normal rank; otherwise Bareiss decides it. So
+    every value returned is the one a full Bareiss re-read gives.
     """
     generic = {}
-    for t in {tau, dual_index(tau, dims.N)}:
-        pred = predict(dims, t)
+    for t in {t for _, t in rank}:
+        pred = predict(sys.dims, t)
+        generic["normal_rank", t] = pred.normal_rank
         generic["rank_D", t] = pred.rank_D
         generic["rank_at_zero", t] = pred.normal_rank - pred.mult_at_zero
-    # the generic normal rank is the same at every delay
-    generic.update((("normal_rank", t), pred.normal_rank) for t in range(1, dims.N + 1))
-    blocks = exact_block(sys)
+    # the readers of each stage: the screen (False), then Bareiss (True)
+    stages = {False: (modp_block, modp_rank, modp_rank_at, modp_normal_rank),
+              True: (exact_block, exact_rank, exact_rank_at, exact_normal_rank)}
 
     @cache
-    def pencil(t):
-        return system_pencil(blocks[t - 1])
+    def blocks(exact):
+        return stages[exact][0](sys)
 
-    read = {
-        "normal_rank": lambda t: exact_normal_rank(pencil(t), generic["normal_rank", t]),
-        "rank_D": lambda t: exact_rank(blocks[t - 1].D_tau),
-        "rank_at_zero": lambda t: exact_rank_at(pencil(t), Fraction(0)),
-    }
-    rank = {(q, t): read[q](t) if value < generic[q, t] else value
-            for (q, t), value in rank.items()}
+    @cache
+    def pencil(t, exact):
+        return system_pencil(blocks(exact)[t - 1])
+
+    def read(q, t, exact):
+        _, rank_of, rank_at_point, normal_rank_of = stages[exact]
+        if q == "rank_D":
+            return rank_of(blocks(exact)[t - 1].D_tau)
+        if q == "rank_at_zero":
+            return rank_at_point(pencil(t, exact), Fraction(0))
+        return normal_rank_of(pencil(t, exact), generic[q, t])
+
+    def settle(q, t, value):
+        if value >= generic[q, t]:
+            return value
+        value = read(q, t, False)
+        return value if value == generic[q, t] else read(q, t, True)
+
+    rank = {(q, t): settle(q, t, value) for (q, t), value in rank.items()}
+
     # the float location is itself an exact rational point; a genuine drop
     # there survives exact arithmetic, a tolerance artifact does not
-    confirmed = sum(exact_rank_at(pencil(tau), Fraction(z.real), Fraction(z.imag))
-                    < rank["normal_rank", tau] for z, _ in finite_zeros)
+    def drops_at(z, exact):
+        rank_at_point = stages[exact][2]
+        return (rank_at_point(pencil(tau, exact), Fraction(z.real), Fraction(z.imag))
+                < rank["normal_rank", tau])
+
+    confirmed = sum(drops_at(z, False) and drops_at(z, True) for z, _ in finite_zeros)
     return rank, confirmed
 
 
@@ -306,9 +348,10 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
 
     When a check other than the lifting residual (a float identity with no
     rank content) disagrees, the trial escalates: every reading below its
-    generic value, and every finite zero, is re-read in exact rational
-    arithmetic, and the record is derived again. The exact value either
-    clears the flag (a tolerance collision) or stands as a disagreement.
+    generic value, and every finite zero, is re-read exactly by `_escalate`
+    (a mod-P screen, with Bareiss for what it leaves short), and the record
+    is derived again. The exact value either clears the flag (a tolerance
+    collision) or stands as a disagreement.
     """
     policy = policy or TolerancePolicy()
     pred = predict(dims, tau)
@@ -350,7 +393,7 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
         escalated = tuple(sorted(k for k in AGREEMENT_KEYS
                                  if k != "lift_residual" and not agreement[k]))
         if escalated:
-            rank, confirmed = _escalate(sys, dims, tau, rank, rep.finite_nonzero_zeros)
+            rank, confirmed = _escalate(sys, rank, tau, rep.finite_nonzero_zeros)
             screen = measured
             measured = {**screen, **_rank_fields(rank, dims, tau),
                         "n_finite_nonzero": confirmed}

@@ -118,13 +118,15 @@ def verify_zero(pencil: MatrixPencil, Z0: complex, policy: TolerancePolicy,
     zero. Against an outward reference that shared shadow cancels, while
     an isolated zero keeps its full drop relative to both sides. A
     high-order zero at the origin shadows inward the same way, which the
-    inward reference cancels.
+    inward reference cancels. A reference can only lower the drop, so when
+    the rank at Z0 does not drop below normal_rank, the result is 0 and
+    neither reference is read.
     """
     Z0 = complex(Z0)
     r0 = rank_at(pencil, Z0, policy)
-    if Z0 == 0:
-        return max(0, normal_rank - r0)
     drop = normal_rank - r0
+    if Z0 == 0 or drop <= 0:
+        return max(0, drop)
     for c in _REFERENCE_MULTIPLIERS:
         ref = min(normal_rank, rank_at(pencil, c * Z0, policy))
         drop = min(drop, ref - r0)

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from multirate_zeros import cli
+from multirate_zeros import cli, harness
+from multirate_zeros._exact import modp_block
 from multirate_zeros.cli import main
 from multirate_zeros.harness import CSV_COLUMNS
 from multirate_zeros.model import (Dimensions, fixture, random_generic,
@@ -107,17 +109,72 @@ class TestAnalyze:
         assert next(iter(bad)) in capsys.readouterr().err
 
     def test_blunt_tolerance_reports_disagreement(self, example1_file, tmp_path):
-        # a rank threshold of 0.5 swallows genuine singular values, so the
-        # measured ranks drop below the generic predictions and the exit
-        # code reports the mismatch rather than hiding it
+        # a rank threshold of 0.5 swallows genuine singular values, so every
+        # float rank reads 0, below the generic predictions; exact
+        # arbitration settles each reading, and the report keeps the float
+        # disagreement under "screen" rather than hiding it
         pol = tmp_path / "policy.json"
         pol.write_text(json.dumps({"rel_rank_tol": 0.5}))
         out = tmp_path / "report.json"
         code = main(["analyze", "--system", str(example1_file),
                      "--policy", str(pol), "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["all_agree"] is True
+        for result in payload["results"]:
+            measured = result["measured"]
+            assert measured["screen"]["normal_rank"] == 0
+            assert measured["screen"]["rank_D"] == 0
+            assert measured["normal_rank"] == result["predicted"]["normal_rank"] == 6
+            assert measured["rank_D"] == result["predicted"]["rank_D"]
+
+    def test_every_delay_is_settled_from_one_assembly(self, example1_file, tmp_path,
+                                                      monkeypatch):
+        # every float reading at both delays falls short; one mod-P
+        # assembly of all N delays serves every re-read
+        pol = tmp_path / "policy.json"
+        pol.write_text(json.dumps({"rel_rank_tol": 0.5}))
+        assembled = []
+
+        def counting(sys_):
+            assembled.append(sys_)
+            return modp_block(sys_)
+
+        monkeypatch.setattr(harness, "modp_block", counting)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--system", str(example1_file), "--policy", str(pol),
+                     "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["results"]) == EXAMPLE1_DIMS.N == 2
+        assert len(assembled) == 1
+
+    def test_genuine_rank_drop_reports_disagreement(self, example1_sys, tmp_path):
+        # with no feedthrough, rank(D_tau) is exactly below its generic
+        # value: arbitration confirms the drop and the exit code reports it
+        sys_path = tmp_path / "no_feedthrough.json"
+        save_system(replace(example1_sys, Df=0 * example1_sys.Df,
+                            Ds=0 * example1_sys.Ds), sys_path)
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--system", str(sys_path), "--tau", "1", "--out", str(out)])
         assert code == 1
         payload = json.loads(out.read_text())
         assert payload["all_agree"] is False
+        result = payload["results"][0]
+        assert result["agreement"]["rank_D"] is False
+        assert "screen" not in result["measured"]  # every float reading stood
+
+    def test_replay_trial_is_settled_exactly(self, tmp_path):
+        # the float normal rank reads 35 against a generic 36 on this draw;
+        # run_trial settles the same readings to 36 and 3 (see test_exact)
+        sys_path = tmp_path / "replay.json"
+        save_system(random_generic(LONG_HORIZON_DIMS, 106065), sys_path)
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--system", str(sys_path), "--tau", "7", "--out", str(out)])
+        assert code == 0
+        measured = json.loads(out.read_text())["results"][0]["measured"]
+        assert measured["normal_rank"] == 36
+        assert measured["mult_at_infinity"] == 3
+        assert measured["screen"] == {"normal_rank": 35, "mult_at_infinity": 2,
+                                      "rank_at_zero": 35}
 
     def test_bounded_sweep_leaves_the_report_unchanged(self, example1_file, tmp_path,
                                                        monkeypatch):

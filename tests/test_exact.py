@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from multirate_zeros import _exact, harness
-from multirate_zeros._exact import (exact_block, exact_normal_rank,
-                                    exact_rank, exact_rank_at,
-                                    fraction_matrix)
+from multirate_zeros._exact import (P, _matmul_mod, exact_block,
+                                    exact_normal_rank, exact_rank,
+                                    exact_rank_at, fraction_matrix,
+                                    modp_block, modp_rank, modp_rank_at,
+                                    residue_matrix)
 from multirate_zeros.blocking import MatrixPencil, block, system_pencil
 from multirate_zeros.harness import _fixture_rank_rows, run_trial
 from multirate_zeros.model import (Dimensions, TolerancePolicy, fixture,
@@ -267,6 +269,112 @@ class TestExactNormalRankEarlyExit:
         assert len(calls) == 1
 
 
+def residue(q) -> int:
+    """The reference reduction of a rational mod P."""
+    q = Fraction(q)
+    return q.numerator * pow(q.denominator, -1, P) % P
+
+
+class TestResidueMatrix:
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300)
+    def test_each_float_maps_to_its_rational_mod_p(self, x):
+        assert residue_matrix(np.array([[x]])).tolist() == [[residue(x)]]
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                   np.finfo(float).max, -np.finfo(float).max, 2.0**-1022,
+                                   2.0**1023, -1.5 * 2.0**-1074, 0.1, float(P), -float(P)])
+    def test_edge_floats(self, x):
+        assert residue_matrix(np.array([[x]])).tolist() == [[residue(x)]]
+
+    @given(M=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=60)
+    def test_whole_matrices(self, M):
+        got = residue_matrix(M)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[residue(x) for x in row] for row in M.tolist()]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            residue_matrix(np.array([[1.0, bad]]))
+
+
+# integers that reduce to 0 or to small residues mod P
+NEAR_MULTIPLES = st.one_of(st.integers(-4, 4), st.sampled_from([P, -P, 2 * P, P + 1, P - 1]))
+
+
+class TestModpRank:
+    """A mod-P rank is a lower bound on the exact rank, whatever the matrix."""
+
+    @given(data=st.data(), rows=st.integers(0, 6), cols=st.integers(0, 6),
+           inner=st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_never_exceeds_exact_rank_on_integer_products(self, data, rows, cols, inner):
+        X = data.draw(arrays(np.int64, (rows, inner), elements=NEAR_MULTIPLES))
+        Y = data.draw(arrays(np.int64, (inner, cols), elements=NEAR_MULTIPLES))
+        M = X @ Y
+        exact = exact_rank(np.vectorize(Fraction, otypes=[object])(M).reshape(M.shape))
+        assert modp_rank(M) <= exact
+
+    @given(M=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                    elements=st.one_of(st.floats(-4, 4, width=16),
+                                       st.sampled_from([float(P), 2.0**-60, 3.0 * 2.0**70]))))
+    @settings(max_examples=100, deadline=None)
+    def test_never_exceeds_exact_rank_on_dyadic_matrices(self, M):
+        assert modp_rank(residue_matrix(M)) <= exact_rank(fraction_matrix(M))
+
+    @pytest.mark.parametrize("M", [[[1, 0], [0, P]], [[2, 1], [1, (P + 1) // 2]],
+                                   [[P, 2 * P], [1, 1]]], ids=["diagonal", "minor", "row"])
+    def test_determinant_divisible_by_p_falls_short(self, M):
+        # full rank over Q, rank 1 mod P: the screen falls short, never over
+        M = np.array(M, dtype=np.int64)
+        assert modp_rank(M) == 1
+        assert exact_rank(fraction_matrix(M.astype(float))) == 2
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, shape):
+        assert modp_rank(np.zeros(shape, dtype=np.int64)) == 0
+
+    @given(dims=st.builds(Dimensions, n=st.integers(1, 3), m=st.integers(1, 2),
+                          p1=st.integers(1, 2), p2=st.integers(1, 3),
+                          N=st.integers(2, 3)),
+           seed=st.integers(0, 2**32 - 1), re=st.floats(-2, 2, width=32),
+           im=st.floats(-2, 2, width=32))
+    @settings(max_examples=25, deadline=None)
+    def test_rank_at_a_point_never_exceeds_exact(self, dims, seed, re, im):
+        # at a nonreal point the realified mod-P rank is halved rounding up
+        sys = random_generic(dims, seed)
+        modp, exact = (system_pencil(b[0]) for b in (modp_block(sys), exact_block(sys)))
+        at = Fraction(re), Fraction(im)
+        assert modp_rank_at(modp, *at) <= exact_rank_at(exact, *at)
+
+
+class TestModpBlock:
+    @pytest.mark.parametrize("dims,seed", [(Dimensions(2, 2, 1, 3, 3), 5),
+                                           (Dimensions(3, 1, 1, 1, 4), 2),
+                                           (Dimensions(1, 4, 4, 1, 4), 1707)])
+    def test_every_delay_is_the_exact_assembly_mod_p(self, dims, seed):
+        sys = random_generic(dims, seed)
+        modp, exact = modp_block(sys), exact_block(sys)
+        assert [b.tau for b in modp] == list(range(1, dims.N + 1))
+        for mb, eb in zip(modp, exact):
+            assert (mb.dims, mb.tau, mb.slow_rows) == (eb.dims, eb.tau, eb.slow_rows)
+            for name in ("A_tau", "B_tau", "C_tau", "D_tau"):
+                reduced = [[residue(x) for x in row] for row in getattr(eb, name).tolist()]
+                assert getattr(mb, name).dtype == np.int64
+                assert getattr(mb, name).tolist() == reduced
+
+    def test_inner_dimension_that_could_wrap_is_refused(self):
+        # 8192 * (P - 1)**2 < 2**63 <= 8193 * (P - 1)**2
+        top = np.full((1, 8192), P - 1, dtype=np.int64)
+        assert _matmul_mod(top, top.T).tolist() == [[8192 * (P - 1) ** 2 % P]]
+        for k in (8193, 2**14):
+            with pytest.raises(ValueError, match="overflow"):
+                _matmul_mod(np.ones((1, k), dtype=np.int64), np.ones((k, 1), dtype=np.int64))
+
+
 class TestEscalation:
     """The float screen is settled in exact arithmetic when it disagrees."""
 
@@ -312,8 +420,13 @@ class TestEscalation:
 
     def test_each_exact_rank_is_computed_once(self, monkeypatch):
         # only the rank at Z = 0 at delay 1 reads below its generic value;
-        # every other reading already meets it and is not re-read
-        ranked, assembled = [], []
+        # every other reading already meets it and is not re-read, and the
+        # one that is re-read is settled by the mod-P screen alone
+        screened, ranked, assembled = [], [], []
+
+        def screening(M):
+            screened.append(np.atleast_2d(M).tolist())
+            return modp_rank(M)
 
         def recording(M):
             ranked.append(np.atleast_2d(M).tolist())
@@ -323,14 +436,62 @@ class TestEscalation:
             assembled.append(sys)
             return exact_block(sys)
 
+        monkeypatch.setattr(_exact, "modp_rank", screening)
+        monkeypatch.setattr(harness, "modp_rank", screening)
         monkeypatch.setattr(_exact, "exact_rank", recording)
         monkeypatch.setattr(harness, "exact_rank", recording)
         monkeypatch.setattr(harness, "exact_block", assembling)
         rec = run_trial(Dimensions(3, 2, 2, 1, 4), tau=1, seed=4016)
         assert rec.escalated == ("duality", "mult_at_zero")
         assert rec.measured["screen"] == {"mult_at_zero": 1, "rank_at_zero": 10}
-        assert len(ranked) == 1
-        assert len(assembled) == 1
+        assert len(screened) == 1
+        assert len(ranked) == 0
+        assert len(assembled) == 0
+
+    def test_screen_settles_every_escalation_case(self, monkeypatch):
+        # each reading the acceptance grid escalates meets its generic value
+        # mod P, so no case reaches Bareiss or builds the Fraction assembly
+        bareiss = []
+        monkeypatch.setattr(_exact, "exact_rank", lambda M: bareiss.append("rank"))
+        monkeypatch.setattr(harness, "exact_rank", lambda M: bareiss.append("rank"))
+        monkeypatch.setattr(harness, "exact_block", lambda sys: bareiss.append("block"))
+        for case in ESCALATION_CASES:
+            dims = Dimensions(case["n"], case["m"], case["p1"], case["p2"], case["N"])
+            rec = run_trial(dims, tau=case["tau"], seed=case["seed"])
+            assert list(rec.escalated) == case["escalated"]
+            assert rec.agree_all
+        assert bareiss == []
+
+    def test_finite_zero_is_refuted_by_the_screen_first(self, monkeypatch):
+        # a float candidate where the pencil keeps its normal rank is
+        # refuted mod P; Bareiss decides only when the screen falls short
+        dims, tau = Dimensions(3, 2, 2, 1, 4), 1
+        rank = {("normal_rank", tau): predict(dims, tau).normal_rank}
+        candidate = [(complex(0.3, 0.2), 1)]
+        sys = random_generic(dims, 4016)
+        with mock.patch.object(harness, "exact_rank_at", wraps=exact_rank_at) as bareiss:
+            assert harness._escalate(sys, rank, tau, candidate) == (rank, 0)
+            assert bareiss.call_count == 0
+            monkeypatch.setattr(harness, "modp_rank_at", lambda *a: 0)
+            assert harness._escalate(sys, rank, tau, candidate) == (rank, 0)
+            assert bareiss.call_count == 1
+
+    def test_screen_that_falls_short_defers_to_bareiss(self, monkeypatch):
+        # an unlucky prime only lowers a mod-P rank; every screened reading
+        # made to fall one short must be re-read by Bareiss to the same record
+        expected = {}
+        for case in ESCALATION_CASES:
+            dims = Dimensions(case["n"], case["m"], case["p1"], case["p2"], case["N"])
+            expected[case["seed"]] = dims, case["tau"], run_trial(dims, case["tau"], case["seed"])
+        short = lambda M: max(0, modp_rank(M) - 1)  # noqa: E731
+        monkeypatch.setattr(_exact, "modp_rank", short)
+        monkeypatch.setattr(harness, "modp_rank", short)
+        with mock.patch.object(harness, "exact_block", wraps=exact_block) as assembled:
+            for seed, (dims, tau, ref) in expected.items():
+                rec = run_trial(dims, tau, seed)
+                assert (rec.measured, rec.agreement, rec.escalated) == \
+                    (ref.measured, ref.agreement, ref.escalated)
+        assert assembled.call_count == len(ESCALATION_CASES)
 
     @pytest.mark.parametrize("case", ESCALATION_CASES, ids=lambda c: str(c["seed"]))
     def test_record_matches_a_full_exact_remeasure(self, case):

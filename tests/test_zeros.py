@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multirate_zeros import zeros
 from multirate_zeros.blocking import (MatrixPencil, block, fast_subsystem,
                                       system_pencil)
 from multirate_zeros.errors import SingularD
@@ -70,6 +71,34 @@ class TestVerifyZero:
     def test_worked_instance_origin(self, example1_sys, policy):
         pencil = system_pencil(block(example1_sys, 1))
         assert verify_zero(pencil, 0.0, policy, normal_rank=6) == 1
+
+    def test_no_drop_reads_no_reference(self, policy, monkeypatch):
+        points = []
+        monkeypatch.setattr(zeros, "rank_at", lambda p, Z, pol: points.append(Z)
+                            or rank_at(p, Z, pol))
+        assert verify_zero(scalar_pencil(1, 2), 3.0, policy, normal_rank=1) == 0
+        assert points == [3.0]
+
+    @pytest.mark.parametrize("dims,seed", [(Dimensions(2, 1, 1, 1, 2), 0),
+                                           (Dimensions(3, 2, 1, 3, 3), 1),
+                                           (Dimensions(5, 5, 3, 24, 8), 2)])
+    def test_equals_the_drop_against_both_references(self, dims, seed, policy):
+        # the reference reads the rank at both reference points for every
+        # candidate; the early return must not change any multiplicity
+        def every_reference(pencil, Z0, rho):
+            r0 = rank_at(pencil, Z0, policy)
+            if Z0 == 0:
+                return max(0, rho - r0)
+            return max(0, min(rho - r0, *(min(rho, rank_at(pencil, c * Z0, policy)) - r0
+                                          for c in zeros._REFERENCE_MULTIPLIERS)))
+
+        sys = random_generic(dims, seed=seed)
+        for tau in (1, dims.N):
+            pencil = system_pencil(block(sys, tau))
+            rho = normal_rank(pencil, policy, seed=seed)
+            cands = finite_zero_candidates(pencil, policy, seed=seed, normal_rank=rho)
+            for z in cands + [0j]:
+                assert verify_zero(pencil, z, policy, rho) == every_reference(pencil, z, rho)
 
 
 class TestZeroReport:
