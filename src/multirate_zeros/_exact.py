@@ -11,8 +11,8 @@ rank drop and by an unlucky but full-rank draw.
 
 This module settles such trials in two stages. The verification harness
 calls in only for trials whose float measurement disagrees with the
-closed-form prediction, and re-reads only the ranks below their generic
-value, which no instance's exact rank exceeds.
+closed-form prediction, and re-reads only the ranks that differ from
+their generic value, which no instance's exact rank exceeds.
 
 First, a screen over the prime field F_P, P = 33554393, the largest prime
 below 2**25. Each entry num * 2**e is mapped to its residue num * 2**e mod
@@ -44,9 +44,11 @@ A float rank can only under-report the exact rank: rounding perturbs
 singular values by far less than the rank threshold, which holds because
 TolerancePolicy refuses a rel_rank_tol below machine epsilon (below it,
 rounding noise counts as rank). So a float reading that meets the generic
-value is exact too. Predictions enter only as such upper bounds, which let
-a lower bound settle a reading: a float rank, a mod-P rank, or an exact
-rank at one sample point. They never supply a value.
+value is exact too. A float reading above the generic value contradicts
+that premise, so it is not trusted either: it is re-read like one below.
+Predictions enter only as such upper bounds, which let a lower bound
+settle a reading: a float rank, a mod-P rank, or an exact rank at one
+sample point. They never supply a value.
 """
 from __future__ import annotations
 

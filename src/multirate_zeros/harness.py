@@ -30,7 +30,10 @@ from .blocking import block, block_all, lift_relation_residual, system_pencil
 from .errors import MultirateError
 from .model import (Dimensions, MultirateSystem, TolerancePolicy, _is_int, classify,
                     fixture, policy_from_dict, random_generic)
-from .numerics import _sample_angles, normal_rank, numerical_rank, rank_at
+# normal_rank is not called here (run_trial reads through normal_ranks), but
+# perfbench's tracer reads and wraps harness.normal_rank, so it stays bound
+from .numerics import (_sample_uniforms, normal_rank,  # noqa: F401
+                       normal_ranks, numerical_rank, rank_at)
 from .oracle import dual_index, predict, predict_controllability_rank
 from .zeros import multiplicities, zero_report
 
@@ -268,14 +271,16 @@ def _rank_fields(rank: dict, dims: Dimensions, tau: int) -> dict:
 
 def _escalate(sys: MultirateSystem, rank: dict, tau: int | None = None,
               finite_zeros=()) -> tuple[dict, int]:
-    """The rank readings, those below their generic value re-read exactly,
+    """The rank readings, those not at their generic value re-read exactly,
     and the number of float finite zeros at delay tau that survive exact
     arithmetic.
 
     rank maps (quantity, delay) to a reading of "normal_rank", "rank_D" or
     "rank_at_zero", at any delays; all of them share one assembly per
     stage. A float reading at the generic value is already exact (see
-    _exact). Every other reading is first read over F_P from one
+    _exact). Every other reading, below the generic value or above it
+    (which would break the premise that a float rank only under-reports),
+    is first read over F_P from one
     `modp_block` assembly: a mod-P rank is a lower bound on the exact rank,
     so one that meets the generic value is the exact value. Only a reading
     the screen leaves short is read by Bareiss, and the Fraction assembly
@@ -311,7 +316,7 @@ def _escalate(sys: MultirateSystem, rank: dict, tau: int | None = None,
         return normal_rank_of(pencil(t, exact), generic[q, t])
 
     def settle(q, t, value):
-        if value >= generic[q, t]:
+        if value == generic[q, t]:
             return value
         value = read(q, t, False)
         return value if value == generic[q, t] else read(q, t, True)
@@ -337,17 +342,21 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     same instance: the origin/infinity multiplicity swap at the dual delay
     N - tau + 1, the delay independence of the measured normal rank, and
     the one-step lifting relation between every pair of consecutive
-    delays, at LIFT_SAMPLES unit-circle points at the first angles of the
-    normal-rank sample draw. The finite-zero search runs at tau only. Every
-    rank field is derived by `_rank_fields` from rank readings: the normal
-    rank at every delay, and the ranks of D_tau and at Z = 0 at tau and at
-    the dual delay. Each normal-rank sweep stops at the predicted normal
-    rank, which no instance exceeds, so a reading that meets it costs one
-    sample point. Numerical failures (e.g. every compression attempt ill
-    conditioned) are captured in the record, not raised.
+    delays, at LIFT_SAMPLES random real points of either sign with |Z| in
+    [2**-0.5, 2**0.5], drawn from the first uniforms behind the normal-rank
+    sample points; there X, the transfer functions and the residuals are
+    real. The finite-zero search runs at tau only. Every rank field is
+    derived by `_rank_fields` from rank readings: the normal rank at every
+    delay, and the ranks of D_tau and at Z = 0 at tau and at the dual
+    delay, all read at real points in real arithmetic. One stacked sweep
+    (`normal_ranks`) reads the normal rank at every delay, one svd call per
+    sample point; each delay's sweep stops at the predicted normal rank,
+    which no instance exceeds, so a generic trial costs one call. Numerical
+    failures (e.g. every compression attempt ill conditioned) are captured
+    in the record, not raised.
 
     When a check other than the lifting residual (a float identity with no
-    rank content) disagrees, the trial escalates: every reading below its
+    rank content) disagrees, the trial escalates: every reading not at its
     generic value, and every finite zero, is re-read exactly by `_escalate`
     (a mod-P screen, with Bareiss for what it leaves short), and the record
     is derived again. The exact value either clears the flag (a tolerance
@@ -363,23 +372,22 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     agreement = dict.fromkeys(AGREEMENT_KEYS, False)
     try:
         # every check below reads the same N blocked systems, blocks[t - 1]
-        # being the one at delay t
+        # being the one at delay t; one stacked sweep reads their normal ranks
         blocks = block_all(sys)
-        rep = zero_report(blocks[tau - 1], policy, seed, pred.normal_rank)
+        pencils = [system_pencil(b) for b in blocks]
+        rho = normal_ranks(pencils, policy, seed, pred.normal_rank)
+        rep = zero_report(blocks[tau - 1], policy, seed, rho=rho[tau - 1])
+        rank = {("normal_rank", t): r for t, r in enumerate(rho, 1)}
+        rank["rank_D", tau], rank["rank_at_zero", tau] = rep.rank_D, rep.rank_at_zero
         dual = dual_index(tau, dims.N)
-        rank = {("rank_D", tau): rep.rank_D, ("rank_at_zero", tau): rep.rank_at_zero}
-        for t, b in enumerate(blocks, 1):
-            if t == tau:
-                rank["normal_rank", t] = rep.normal_rank
-                continue
-            pencil = system_pencil(b)
-            rank["normal_rank", t] = normal_rank(pencil, policy, seed, pred.normal_rank)
-            if t == dual:
-                rank["rank_D", t] = numerical_rank(b.D_tau, policy)
-                rank["rank_at_zero", t] = rank_at(pencil, 0.0, policy)
+        if dual != tau:
+            rank["rank_D", dual] = numerical_rank(blocks[dual - 1].D_tau, policy)
+            rank["rank_at_zero", dual] = rank_at(pencils[dual - 1], 0.0, policy)
 
-        points = [complex(np.cos(theta), np.sin(theta))
-                  for theta in _sample_angles(seed, policy.normal_rank_samples)[:LIFT_SAMPLES]]
+        # real points of either sign with |Z| in [2**-0.5, 2**0.5], from the
+        # first uniforms behind the normal-rank points
+        points = [float(np.copysign(2.0 ** (abs(u) - 0.5), u))
+                  for u in _sample_uniforms(seed, policy.normal_rank_samples)[:LIFT_SAMPLES]]
         worst = max(lift_relation_residual(blocks, Z, policy) for Z in points)
 
         measured = {

@@ -1,9 +1,12 @@
 """Numerical rank machinery for pencils: SVD ranks, sampled normal rank.
 
-The normal rank of a pencil (its rank for all but finitely many Z) is
-approximated by the maximum rank over a handful of random sample points on
-a fixed circle. Sampling can in principle under-report; the verification
-harness cross-checks every value against closed-form predictions.
+The pencils are real, so their normal rank (the rank for all but finitely
+many Z) is attained at all but finitely many real points too. It is
+approximated by the maximum rank over a handful of random real sample
+points of either sign, with modulus in a fixed band away from 0 and 1, and
+every reading is taken in real arithmetic. Sampling can in principle
+under-report; the verification harness cross-checks every value against
+closed-form predictions.
 """
 from __future__ import annotations
 
@@ -15,39 +18,42 @@ from .blocking import MatrixPencil
 from .errors import ConvergenceFailure
 from .model import TolerancePolicy, _rng
 
-# fixed sampling radius, bounded away from 0, 1, and the eigenvalue
-# magnitudes of typically scaled systems, so rank drops at sampled points
-# are vanishingly unlikely
+# inner edge of the sampling band NORMAL_RANK_RADIUS * [1, 2]: bounded away
+# from 0, 1, and the eigenvalue magnitudes of typically scaled systems, so
+# rank drops at sampled points are vanishingly unlikely
 NORMAL_RANK_RADIUS = 1.372000091
+
+
+def _ranks(M: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
+    # the rank of each matrix in a stack (..., rows, cols), from one svd call
+    s = np.linalg.svd(M, compute_uv=False)
+    return np.sum(s > policy.rel_rank_tol * s[..., :1] * max(M.shape[-2:]), axis=-1)
 
 
 def numerical_rank(M: np.ndarray, policy: TolerancePolicy | None = None) -> int:
     """Count singular values above rel_rank_tol * sigma_1 * max(rows, cols)."""
-    policy = policy or TolerancePolicy()
-    M = np.atleast_2d(M)
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > policy.rel_rank_tol * s[0] * max(M.shape)))
+    return int(_ranks(np.atleast_2d(M), policy or TolerancePolicy()))
+
+
+def _evaluate(E: np.ndarray, F: np.ndarray, Z: complex) -> np.ndarray:
+    # Z*E - F inside the unit circle and E - F/Z outside it (see rank_at);
+    # a real Z keeps real data real
+    return Z * E - F if abs(Z) <= 1.0 else E - F / Z
 
 
 def rank_at(pencil: MatrixPencil, Z: complex, policy: TolerancePolicy | None = None) -> int:
     """Numerical rank of the pencil evaluated at the point Z.
 
-    Outside the unit circle the same rank is read off E - F/Z instead of
-    Z*E - F. The two differ by a nonzero scalar factor, but the largest
-    singular value of Z*E - F grows with |Z| and would drag the relative
-    rank threshold past genuine small singular values, declaring spurious
-    rank drops at distant points.
+    A real Z, including a complex one with zero imaginary part, is read in
+    real arithmetic: the rank at 0 reads -F as a real matrix. Outside the
+    unit circle the same rank is read off E - F/Z instead of Z*E - F. The
+    two differ by a nonzero scalar factor, but the largest singular value
+    of Z*E - F grows with |Z| and would drag the relative rank threshold
+    past genuine small singular values, declaring spurious rank drops at
+    distant points.
     """
     Z = complex(Z)
-    if abs(Z) <= 1.0:
-        M = pencil.at(Z)
-    else:
-        M = pencil.E - pencil.F.astype(complex) / Z
-    return numerical_rank(M, policy)
+    return numerical_rank(_evaluate(pencil.E, pencil.F, Z.real if Z.imag == 0 else Z), policy)
 
 
 def _max_rank(ranks, shape: tuple[int, int], bound: int | None = None) -> int:
@@ -72,35 +78,62 @@ def _max_rank(ranks, shape: tuple[int, int], bound: int | None = None) -> int:
 
 
 @lru_cache(maxsize=1)
-def _sample_angles(seed: int, count: int) -> tuple[float, ...]:
-    # one entry serves every pencil of a trial and its lift check; a tuple,
-    # so no caller can change it
-    return tuple(_rng(seed).uniform(0.0, 2.0 * np.pi, count))
+def _sample_uniforms(seed: int, count: int) -> tuple[float, ...]:
+    # uniforms on [-1, 1) behind the sample points and the lift check's
+    # points, from their own Philox key: keys below 2**64 draw the systems
+    # and the compressions. One entry serves every pencil of a trial and its
+    # lift check; a tuple, so no caller can change it
+    return tuple(_rng(seed + (1 << 64)).uniform(-1.0, 1.0, count))
 
 
 @lru_cache(maxsize=1)
-def _sample_points(seed: int, count: int) -> tuple[complex, ...]:
-    return tuple(NORMAL_RANK_RADIUS * np.exp(1j * t) for t in _sample_angles(seed, count))
+def _sample_points(seed: int, count: int) -> tuple[float, ...]:
+    # each uniform u gives a real point of u's sign with |Z| = NORMAL_RANK_RADIUS * (1 + |u|)
+    return tuple(NORMAL_RANK_RADIUS * float(np.copysign(1.0 + abs(u), u))
+                 for u in _sample_uniforms(seed, count))
+
+
+def normal_ranks(pencils: list[MatrixPencil], policy: TolerancePolicy | None = None,
+                 seed: int = 0, bound: int | None = None) -> list[int]:
+    """`normal_rank` of each of several pencils of one shape, one svd call a point.
+
+    At each sample point one stacked svd reads every pencil whose sweep is
+    still open; a pencil's sweep closes as `_max_rank`'s does, on the first
+    reading that brings its max to min(bound, rows, cols). So each value is
+    the one `normal_rank` gives for that pencil alone.
+    """
+    policy = policy or TolerancePolicy()
+    shape = pencils[0].shape
+    limit = min(shape) if bound is None else min(bound, *shape)
+    best = np.full(len(pencils), -1)   # -1: no point read yet
+    for Z in _sample_points(seed, policy.normal_rank_samples):
+        open_ = np.flatnonzero(best != limit)
+        if open_.size == 0:
+            break
+        M = np.stack([_evaluate(pencils[i].E, pencils[i].F, Z) for i in open_])
+        best[open_] = np.maximum(best[open_], _ranks(M, policy))
+    return best.tolist()
 
 
 def normal_rank(pencil: MatrixPencil, policy: TolerancePolicy | None = None,
                 seed: int = 0, bound: int | None = None) -> int:
-    """Maximum rank over sampled points Z = radius * exp(i*theta).
+    """Maximum rank over sampled real points Z of either sign.
 
-    The angles come from a Philox stream keyed by seed, so the result is
-    deterministic in (pencil, policy, seed). The rank at a random point
-    equals the normal rank with probability 1; the max over several points
-    guards against an unlucky draw near a zero. Sampling stops at the first
-    point whose rank reaches min(bound, rows, cols), where bound, when
-    given, is the generic normal rank, which no instance's normal rank
-    exceeds. A float rank at a point does not exceed the exact normal rank
-    at any rel_rank_tol the policy accepts, so the remaining points cannot
-    raise the max and the result is the same as over all of them (see
-    `_max_rank`).
+    The points come from a Philox stream keyed by seed (offset into a key
+    range of their own), so the result is deterministic in (pencil, policy,
+    seed); their modulus lies in NORMAL_RANK_RADIUS * [1, 2]. The rank at
+    a random real point equals the normal rank with probability 1, since
+    the real pencil loses rank at finitely many real points only; the max
+    over several points guards against an unlucky draw near a zero.
+    Sampling stops at the first point whose rank reaches min(bound, rows,
+    cols), where bound, when given, is the generic normal rank, which no
+    instance's normal rank exceeds. A float rank at a point does not exceed
+    the exact normal rank at any rel_rank_tol the policy accepts, so the
+    remaining points cannot raise the max and the result is the same as
+    over all of them (see `_max_rank`). This is the one-pencil case of
+    `normal_ranks`.
     """
-    policy = policy or TolerancePolicy()
-    points = _sample_points(seed, policy.normal_rank_samples)
-    return _max_rank((rank_at(pencil, Z, policy) for Z in points), pencil.shape, bound)
+    return normal_ranks([pencil], policy, seed, bound)[0]
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -112,4 +145,3 @@ def eigenvalues(M: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from None
-

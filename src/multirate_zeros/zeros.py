@@ -69,35 +69,43 @@ def finite_zero_candidates(pencil: MatrixPencil, policy: TolerancePolicy,
     in that common case); G is ill-conditioned only if s lands near a zero,
     and a fresh draw fixes that.
 
-    G^-1 H carries a large cluster of structurally zero eigenvalues (its
-    rank is at most n, and each zero at infinity of the pencil adds one
-    more); those correspond to Z at infinity. Rounding lifts the cluster
-    to about sqrt(eps * norm(G^-1 H)) because of its Jordan structure, so
-    eigenvalues are discarded as infinite below a floor at the larger of
-    that noise scale and cluster_tol (a point beyond 1/cluster_tol is not
-    separable from infinity at the working tolerance anyway). The
-    survivors, clustered at cluster_tol, contain every finite rank-drop
-    point with probability 1. Spurious candidates are expected and
-    removed by verify_zero.
+    Only the nonzero eigenvalues of G^-1 H give candidates. With J the
+    nonzero columns of E, H = (U E[:, J]) V[J, :], and since
+    det(I - XY) = det(I - YX) the nonzero eigenvalues of G^-1 H are those
+    of the |J| x |J| matrix V[J, :] G^-1 U E[:, J]; for a system pencil
+    |J| = n, so the eigenproblem is n x n rather than rho x rho, and it
+    sheds the rho - |J| structural zero eigenvalues of G^-1 H. Each zero at
+    infinity of the pencil still adds a zero eigenvalue. Rounding lifts
+    such a cluster to about sqrt(eps * norm(G^-1 H)) because of its Jordan
+    structure, so eigenvalues are discarded as infinite below a floor at
+    the larger of that noise scale and cluster_tol (a point beyond
+    1/cluster_tol is not separable from infinity at the working tolerance
+    anyway). norm(G^-1 H) is the norm of G^-1 U E[:, J] R^T, where
+    V[J, :]^T = Q R is a thin QR factorization, Q having orthonormal
+    columns. The survivors, clustered at cluster_tol, contain every finite
+    rank-drop point with probability 1. Spurious candidates are expected
+    and removed by verify_zero.
     """
     if normal_rank == 0:
         return []
     rows, cols = pencil.shape
+    J = np.flatnonzero(pencil.E.any(axis=0))
     rng = _rng(seed)
     last_cond = None
     for _ in range(policy.resample_limit):
         U = rng.standard_normal((normal_rank, rows))
         V = rng.standard_normal((cols, normal_rank))
         s = complex(*rng.standard_normal(2))
-        G = U @ (pencil.F - s * pencil.E) @ V
-        H = U @ pencil.E @ V
+        UE, VJ = U @ pencil.E[:, J], V[J]
+        G = U @ pencil.F @ V - s * (UE @ VJ)
         last_cond = np.linalg.cond(G)
         if not np.isfinite(last_cond) or last_cond > _COMPRESSION_COND_CAP:
             continue
-        M = np.linalg.solve(G, H)
-        lam = eigenvalues(M)
+        X = np.linalg.solve(G, UE)
+        lam = eigenvalues(VJ @ X)
+        R = np.linalg.qr(VJ.T, mode="r")
         floor = max(policy.cluster_tol,
-                    _EIG_NOISE_SAFETY * np.sqrt(np.finfo(float).eps * np.linalg.norm(M, 2)))
+                    _EIG_NOISE_SAFETY * np.sqrt(np.finfo(float).eps * np.linalg.norm(X @ R.T, 2)))
         finite = lam[np.abs(lam) > floor]
         return _cluster(s + 1.0 / finite, policy.cluster_tol)
     raise CompressionFailure(
@@ -143,7 +151,7 @@ def multiplicities(rho: int, rank_at_zero: int, rank_D: int, n: int) -> tuple[in
 
 
 def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
-                seed: int = 0, bound: int | None = None) -> ZeroReport:
+                seed: int = 0, bound: int | None = None, rho: int | None = None) -> ZeroReport:
     """Full zero structure: multiplicities at 0 and infinity, verified finite nonzero zeros.
 
     The multiplicities come from `multiplicities`, applied to the ranks at
@@ -159,11 +167,14 @@ def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
     infinite-eigenvalue filter) and are skipped the same way.
     bound, the generic normal rank of the blocked dimensions when given,
     stops the normal-rank sweep early without changing its value (see
-    `normal_rank`).
+    `normal_rank`). rho, when given, is the pencil's normal rank as
+    `normal_rank(pencil, policy, seed, bound)` reads it, and no sweep runs
+    (the harness reads every delay's normal rank in one stacked sweep).
     """
     policy = policy or TolerancePolicy()
     pencil = system_pencil(blk)
-    rho = normal_rank(pencil, policy, seed, bound)
+    if rho is None:
+        rho = normal_rank(pencil, policy, seed, bound)
     rank_D = numerical_rank(blk.D_tau, policy)
     rank0 = rank_at(pencil, 0.0, policy)
     mult0, multinf = multiplicities(rho, rank0, rank_D, blk.A_tau.shape[0])

@@ -313,6 +313,20 @@ class TestLiftRelation:
             assert lift_relation_residual(blocks, complex(np.cos(theta), np.sin(theta))) < 1e-9
 
 
+    @given(dims=st.sampled_from([Dimensions(1, 3, 1, 5, 2), Dimensions(3, 2, 1, 3, 4),
+                                 Dimensions(2, 1, 3, 1, 4), Dimensions(5, 5, 3, 24, 8)]),
+           seed=st.integers(0, 10**6),
+           u=st.lists(st.floats(-1.0, 1.0).filter(bool), min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_residual_at_real_points(self, dims, seed, u):
+        # the harness's points: real, either sign, |Z| in [2**-0.5, 2**0.5];
+        # the whole computation stays real there
+        blocks = block_all(random_generic(dims, seed))
+        for x in u:
+            Z = float(np.copysign(2.0 ** (abs(x) - 0.5), x))
+            assert transfer_eval(blocks[0], Z).dtype == np.float64
+            assert lift_relation_residual(blocks, Z) < 1e-9
+
 class TestFastSubsystem:
     def test_row_count(self):
         blk = block(random_generic(Dimensions(2, 2, 1, 3, 3), seed=2), 1)

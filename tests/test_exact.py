@@ -1,6 +1,7 @@
 """Rational-arithmetic rank measurements used to settle borderline trials."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -390,6 +391,27 @@ class TestEscalation:
             assert key in rec.measured  # final value replaces the screen one
         assert rec.measured["mult_at_zero"] == rec.predicted["mult_at_zero"]
 
+    @pytest.mark.parametrize("tau", [1, 2])
+    def test_reading_above_its_generic_value_is_reread(self, monkeypatch, tau):
+        # a float rank above the generic value breaks the under-report
+        # premise; it is re-read like one below it, and the exact value stands
+        dims = EXAMPLE1_DIMS
+        zero_report = harness.zero_report
+        monkeypatch.setattr(
+            harness, "zero_report",
+            lambda *a, **k: dataclasses.replace(zero_report(*a, **k),
+                                                rank_D=zero_report(*a, **k).rank_D + 1))
+        screened = []
+        monkeypatch.setattr(harness, "modp_rank",
+                            lambda M: screened.append(M.shape) or modp_rank(M))
+        rec = run_trial(dims, tau=tau, seed=0)
+        generic = predict(dims, tau).rank_D
+        assert "rank_D" in rec.escalated
+        assert rec.measured["screen"]["rank_D"] == generic + 1
+        assert rec.measured["rank_D"] == generic
+        assert screened
+        assert rec.agree_all
+
     def test_clean_trial_does_not_escalate(self):
         rec = run_trial(Dimensions(3, 2, 2, 1, 4), tau=1, seed=0)
         assert rec.escalated == ()
@@ -404,18 +426,19 @@ class TestEscalation:
         assert a.agreement == b.agreement
 
     def test_duality_is_settled_with_the_multiplicities(self):
-        # the float normal rank reads 35 at all 8 delays against a generic
-        # 36; each of the 8 readings is re-read exactly, so the dual
-        # multiplicities and the delay sweep are exact along with tau's
+        # the float normal rank reads 35 against a generic 36 at 7 of the 8
+        # delays (36 at delay 2); each short reading is re-read exactly, so
+        # the dual multiplicities and the delay sweep are exact along with
+        # tau's, and the flags the float readings raised are all cleared
         dims = Dimensions(5, 5, 3, 24, 8)
         rec = run_trial(dims, tau=7, seed=106065)
         assert rec.error is None
-        assert rec.measured["screen"]["normal_rank_by_tau"] == [35] * 8
+        assert rec.measured["screen"]["normal_rank_by_tau"] == [35, 36] + [35] * 6
         assert rec.measured["normal_rank_by_tau"] == [36] * 8
         dual = predict(dims, dual_index(7, dims.N))
         assert rec.measured["dual_mult_at_zero"] == dual.mult_at_zero
         assert rec.measured["dual_mult_at_infinity"] == dual.mult_at_infinity
-        assert "duality" not in rec.escalated
+        assert {"duality", "normal_rank", "tau_independent"} <= set(rec.escalated)
         assert rec.agree_all
 
     def test_each_exact_rank_is_computed_once(self, monkeypatch):

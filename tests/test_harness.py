@@ -15,7 +15,7 @@ from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, LIFT_SAMPLES, 
                                      grid_spec_to_dict, run_fixture_suite,
                                      run_grid, run_trial)
 from multirate_zeros.model import Dimensions, TolerancePolicy, _rng, random_generic
-from multirate_zeros.numerics import normal_rank, rank_at
+from multirate_zeros.numerics import normal_rank, normal_ranks
 from multirate_zeros.oracle import dual_index
 from multirate_zeros.zeros import finite_zero_candidates, zero_report
 
@@ -67,18 +67,19 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("tau", [1, 2, 3])
     def test_each_delays_normal_rank_is_measured_once(self, monkeypatch, tau):
-        # N = 3: the zero report measures the pencil at tau, the sweep the rest
-        calls = []
+        # N = 3: one stacked sweep reads every delay, the zero report at tau none
+        sweeps, singles = [], []
 
-        def counting(pencil, *args):
-            calls.append(pencil)
-            return normal_rank(pencil, *args)
+        def stacked(pencils, *args):
+            sweeps.append(len(pencils))
+            return normal_ranks(pencils, *args)
 
-        monkeypatch.setattr(harness, "normal_rank", counting)
-        monkeypatch.setattr(zeros, "normal_rank", counting)
+        monkeypatch.setattr(harness, "normal_ranks", stacked)
+        monkeypatch.setattr(zeros, "normal_rank", lambda *a: singles.append(a) or normal_rank(*a))
         dims = Dimensions(2, 2, 1, 4, 3)
         rec = run_trial(dims, tau=tau, seed=1)
-        assert len(calls) == dims.N
+        assert sweeps == [dims.N]
+        assert singles == []
         sys = random_generic(dims, 1)
         assert rec.measured["normal_rank_by_tau"] == [
             normal_rank(system_pencil(block(sys, t)), TolerancePolicy(), 1)
@@ -86,13 +87,15 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("tau", [1, 8])
     def test_generic_trial_samples_one_point_per_delay(self, monkeypatch, tau):
-        # 53x45 pencils of generic normal rank 36: each of the N sweeps stops
-        # at its first point, where the sweep to min(rows, cols) took all 7
-        calls = []
-        monkeypatch.setattr(numerics, "rank_at", lambda *a: calls.append(a) or rank_at(*a))
+        # 53x45 pencils of generic normal rank 36: every delay's sweep stops
+        # at the first point, so the sweep is one svd call on a stack of N
+        stacks = []
+        ranks = numerics._ranks
+        monkeypatch.setattr(numerics, "_ranks",
+                            lambda M, policy: stacks.append(M.shape) or ranks(M, policy))
         rec = run_trial(LONG_HORIZON_DIMS, tau=tau, seed=0)
         assert rec.agree_all and not rec.escalated
-        assert len(calls) == LONG_HORIZON_DIMS.N
+        assert [shape for shape in stacks if len(shape) == 3] == [(LONG_HORIZON_DIMS.N, 53, 45)]
 
     @pytest.mark.parametrize("tau", [1, 2, 3])
     def test_finite_zero_search_runs_once(self, monkeypatch, tau):
@@ -108,7 +111,8 @@ class TestRunTrial:
         assert len(calls) == 1
 
     def test_lift_check_takes_every_delay_at_each_sample_point(self, monkeypatch):
-        # the points are the first LIFT_SAMPLES draws of the trial's stream
+        # the points are real, from the first LIFT_SAMPLES uniforms behind the
+        # normal-rank points, with |Z| in [2**-0.5, 2**0.5]
         calls, residuals = [], []
 
         def counting(blocks, Z, policy):
@@ -118,15 +122,23 @@ class TestRunTrial:
 
         monkeypatch.setattr(harness, "lift_relation_residual", counting)
         rec = run_trial(Dimensions(2, 2, 1, 4, 3), tau=2, seed=1)
-        thetas = _rng(1).uniform(0.0, 2.0 * np.pi, LIFT_SAMPLES)
-        assert calls == [([1, 2, 3], complex(np.cos(t), np.sin(t))) for t in thetas]
+        u = _rng(1 + (1 << 64)).uniform(-1.0, 1.0, LIFT_SAMPLES)
+        assert calls == [([1, 2, 3], float(np.copysign(2.0 ** (abs(x) - 0.5), x))) for x in u]
+        assert all(type(Z) is float and 2**-0.5 <= abs(Z) <= 2**0.5 for _, Z in calls)
         assert rec.measured["lift_residual_max"] == max(residuals)
 
+    @pytest.mark.parametrize("dims", [EXAMPLE1_DIMS, Dimensions(3, 2, 1, 5, 4),
+                                      Dimensions(2, 1, 3, 1, 4), LONG_HORIZON_DIMS])
+    def test_lift_residual_is_small_at_the_real_points(self, dims):
+        for seed in range(5):
+            for tau in (1, dims.N):
+                assert run_trial(dims, tau=tau, seed=seed).measured["lift_residual_max"] < 1e-9
+
     def test_trial_builds_three_philox_generators(self, monkeypatch):
-        # the system draw, the normal-rank angles (whose first LIFT_SAMPLES
-        # the lift check reuses) and the compression
+        # the system draw and the compression (both keyed by the seed), and the
+        # uniforms behind the normal-rank and lift points (keyed by seed + 2**64)
         numerics._sample_points.cache_clear()
-        numerics._sample_angles.cache_clear()
+        numerics._sample_uniforms.cache_clear()
         built = []
         philox = np.random.Philox
         monkeypatch.setattr(np.random, "Philox",
@@ -134,6 +146,7 @@ class TestRunTrial:
         rec = run_trial(Dimensions(2, 2, 1, 4, 3), tau=2, seed=1)
         assert rec.escalated == ()
         assert len(built) == 3
+        assert sorted(k["key"] for k in built) == [1, 1, 1 + (1 << 64)]
 
     @pytest.mark.parametrize("dims,tau", [
         (Dimensions(2, 2, 1, 4, 3), 1), (Dimensions(2, 2, 1, 4, 3), 2),

@@ -124,8 +124,10 @@ class TestNormalRank:
 
 
 def every_sample_point(policy, seed):
-    thetas = _rng(seed).uniform(0.0, 2.0 * np.pi, policy.normal_rank_samples)
-    return [NORMAL_RANK_RADIUS * np.exp(1j * t) for t in thetas]
+    # real points of either sign, |Z| in NORMAL_RANK_RADIUS * [1, 2], from
+    # the key range above 2**64, which no system or compression draws from
+    u = _rng(seed + (1 << 64)).uniform(-1.0, 1.0, policy.normal_rank_samples)
+    return [NORMAL_RANK_RADIUS * float(np.copysign(1.0 + abs(x), x)) for x in u]
 
 
 def rank_at_every_sample(pencil, policy, seed):
@@ -134,7 +136,7 @@ def rank_at_every_sample(pencil, policy, seed):
 
 
 def planted_pencil(rows, cols, inner, planted, at, draw, seed, policy):
-    """A pencil of normal rank min(rows, cols, inner) with zeros on a sample point.
+    """A real pencil of normal rank min(rows, cols, inner) with zeros on a sample point.
 
     E and F share an inner-dimensional factorization, so every
     inner < min(rows, cols) gives a rank-deficient pencil; up to `planted`
@@ -143,7 +145,7 @@ def planted_pencil(rows, cols, inner, planted, at, draw, seed, policy):
     rng = np.random.default_rng(draw)
     U, V = rng.standard_normal((rows, inner)), rng.standard_normal((inner, cols))
     E0 = rng.standard_normal((inner, inner))
-    eig = rng.standard_normal(inner).astype(complex)
+    eig = rng.standard_normal(inner)
     eig[:planted] = every_sample_point(policy, seed)[at]
     return MatrixPencil(E=U @ E0 @ V, F=U @ (E0 * eig) @ V)
 
@@ -178,7 +180,8 @@ class TestNormalRankEarlyExit:
         value = normal_rank(pencil, policy, seed)
         bound = value + slack
         first = rank_at(pencil, every_sample_point(policy, seed)[0], policy)
-        with mock.patch.object(numerics, "rank_at", wraps=rank_at) as spy:
+        # one stacked rank reading per sample point
+        with mock.patch.object(numerics, "_ranks", wraps=numerics._ranks) as spy:
             assert normal_rank(pencil, policy, seed, bound) == value
         if first == min(bound, rows, cols):
             assert spy.call_count == 1
@@ -197,7 +200,7 @@ class TestNormalRankEarlyExit:
         below = [b for b in range(max(readings)) if b not in readings]
         assume(below)
         bound = data.draw(st.sampled_from(below))
-        with mock.patch.object(numerics, "rank_at", wraps=rank_at) as spy:
+        with mock.patch.object(numerics, "_ranks", wraps=numerics._ranks) as spy:
             assert normal_rank(pencil, policy, seed, bound) == max(readings)
         assert spy.call_count == policy.normal_rank_samples
 
@@ -214,23 +217,106 @@ class TestNormalRankEarlyExit:
     def test_full_column_pencil_costs_one_rank(self, monkeypatch, policy):
         dims = Dimensions(2, 1, 2, 1, 3)
         pencil = system_pencil(block(random_generic(dims, seed=3), 2))
-        calls = counting(monkeypatch, numerics, "rank_at")
+        calls = counting(monkeypatch, numerics, "_ranks")
         assert normal_rank(pencil, policy, seed=0) == min(pencil.shape)
         assert len(calls) == 1
 
     def test_deficient_pencil_takes_every_sample(self, monkeypatch, example1_sys, policy):
         pencil = system_pencil(block(example1_sys, 1))
-        calls = counting(monkeypatch, numerics, "rank_at")
+        calls = counting(monkeypatch, numerics, "_ranks")
         assert normal_rank(pencil, policy, seed=0) < min(pencil.shape)
         assert len(calls) == policy.normal_rank_samples
 
     def test_angles_drawn_once_per_seed(self, monkeypatch, policy):
         pencil = system_pencil(block(random_generic(Dimensions(2, 2, 1, 3, 3), seed=5), 1))
         numerics._sample_points.cache_clear()
+        numerics._sample_uniforms.cache_clear()
         draws = counting(monkeypatch, numerics, "_rng")
         for _ in range(3):
             normal_rank(pencil, policy, seed=12345)
         assert len(draws) == 1
+
+
+class TestRealSampling:
+    """Every float reading is taken at a real point, in real arithmetic."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40 + 7])
+    def test_sample_points_are_real_and_inside_the_band(self, seed, policy):
+        points = numerics._sample_points(seed, policy.normal_rank_samples)
+        assert len(points) == policy.normal_rank_samples
+        for Z in points:
+            assert type(Z) is float
+            assert NORMAL_RANK_RADIUS <= abs(Z) <= 2 * NORMAL_RANK_RADIUS
+
+    def test_sample_points_are_deterministic_per_seed(self, policy):
+        first = numerics._sample_points(5, policy.normal_rank_samples)
+        numerics._sample_points(6, policy.normal_rank_samples)
+        numerics._sample_points.cache_clear()
+        numerics._sample_uniforms.cache_clear()
+        assert numerics._sample_points(5, policy.normal_rank_samples) == first
+        assert first == tuple(every_sample_point(policy, 5))
+        assert first != numerics._sample_points(6, policy.normal_rank_samples)
+
+    def test_sample_points_take_both_signs(self, policy):
+        points = [Z for seed in range(20)
+                  for Z in numerics._sample_points(seed, policy.normal_rank_samples)]
+        assert min(points) < 0 < max(points)
+        # the sign and the modulus are not tied together
+        assert {Z > 0 for Z in points if abs(Z) > 1.5 * NORMAL_RANK_RADIUS} == {True, False}
+
+    def test_points_do_not_reuse_the_system_stream(self, policy):
+        # the system is drawn from key seed; the points from key seed + 2**64
+        seed = 3
+        system_uniforms = _rng(seed).uniform(-1.0, 1.0, policy.normal_rank_samples)
+        assert numerics._sample_uniforms(seed, policy.normal_rank_samples) != tuple(
+            system_uniforms)
+
+    @pytest.mark.parametrize("Z", [0.0, 0.5, -0.9, 1.7, -3.0, complex(2.5, 0.0)])
+    def test_rank_at_a_real_point_reads_a_float_matrix(self, monkeypatch, example1_sys,
+                                                       policy, Z):
+        pencil = system_pencil(block(example1_sys, 1))
+        seen = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda M, **k: seen.append(M.dtype) or svd(M, **k))
+        rank_at(pencil, Z, policy)
+        assert seen == [np.float64]
+
+    def test_pencil_at_a_real_point_stays_real(self, example1_sys):
+        pencil = system_pencil(block(example1_sys, 1))
+        assert pencil.at(0.7).dtype == np.float64
+        assert np.array_equal(pencil.at(0.0), -pencil.F)
+
+
+class TestNormalRanks:
+    """One stacked sweep over several pencils gives each one's own normal rank."""
+
+    @given(rows=st.integers(1, 7), cols=st.integers(1, 7),
+           inners=st.lists(st.integers(0, 7), min_size=1, max_size=5),
+           planted=st.integers(0, 3), at=st.integers(0, 2),
+           bound=st.one_of(st.none(), st.integers(0, 8)),
+           draw=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_each_value_matches_a_point_by_point_sweep(self, rows, cols, inners, planted,
+                                                       at, bound, draw, seed):
+        # the reference reads one pencil at one point at a time, stopping as
+        # _max_rank does; bounds below a pencil's value are included, where
+        # its sweep reads every point
+        policy = TolerancePolicy()
+        pencils = [planted_pencil(rows, cols, inner, planted, at, draw + i, seed, policy)
+                   for i, inner in enumerate(inners)]
+        assert numerics.normal_ranks(pencils, policy, seed, bound) == [
+            numerics._max_rank((rank_at(p, Z, policy) for Z in every_sample_point(policy, seed)),
+                               p.shape, bound)
+            for p in pencils]
+
+    def test_one_svd_call_per_sample_point(self, monkeypatch, policy):
+        # every delay of a generic system meets its bound at the first point
+        dims = Dimensions(5, 5, 3, 24, 8)
+        pencils = [system_pencil(b) for b in block_all(random_generic(dims, 0))]
+        calls = counting(monkeypatch, numerics, "_ranks")
+        assert numerics.normal_ranks(pencils, policy, 0, predict(dims, 1).normal_rank) \
+            == [predict(dims, 1).normal_rank] * dims.N
+        assert len(calls) == 1
 
 
 class TestToleranceFloor:

@@ -13,7 +13,7 @@ from multirate_zeros.blocking import (MatrixPencil, block, fast_subsystem,
                                       system_pencil)
 from multirate_zeros.errors import SingularD
 from multirate_zeros.model import (Dimensions, MultirateSystem,
-                                   TolerancePolicy, random_generic)
+                                   TolerancePolicy, _rng, random_generic)
 from multirate_zeros.numerics import eigenvalues, normal_rank, numerical_rank, rank_at
 from multirate_zeros.zeros import (ZeroReport, finite_zero_candidates,
                                    multiplicities, square_blocked_zeros,
@@ -59,6 +59,94 @@ class TestFiniteZeroCandidates:
         a = finite_zero_candidates(pencil, policy, seed=5, normal_rank=6)
         b = finite_zero_candidates(pencil, policy, seed=5, normal_rank=6)
         assert a == b
+
+
+def full_size_candidates(pencil, policy, seed, rho):
+    """The rho x rho candidate search: eigvals(solve(G, U E V)), same draws, same floor."""
+    rows, cols = pencil.shape
+    rng = _rng(seed)
+    U, V = rng.standard_normal((rho, rows)), rng.standard_normal((cols, rho))
+    s = complex(*rng.standard_normal(2))
+    G = U @ (pencil.F - s * pencil.E) @ V
+    M = np.linalg.solve(G, U @ pencil.E @ V)
+    lam = np.linalg.eigvals(M)
+    floor = max(policy.cluster_tol,
+                zeros._EIG_NOISE_SAFETY * np.sqrt(np.finfo(float).eps * np.linalg.norm(M, 2)))
+    return zeros._cluster(s + 1.0 / lam[np.abs(lam) > floor], policy.cluster_tol)
+
+
+def chordal(a, b):
+    # distance on the Riemann sphere, so copies of the point at infinity compare too
+    return abs(a - b) / (np.sqrt(1 + abs(a) ** 2) * np.sqrt(1 + abs(b) ** 2))
+
+
+def same_points(a, b, tol=1e-6):
+    return len(a) == len(b) and all(min(chordal(x, y) for y in b) < tol for x in a) \
+        and all(min(chordal(x, y) for x in a) < tol for y in b)
+
+
+class TestReducedEigenproblem:
+    """The |J| x |J| eigenproblem gives the candidates of the rho x rho one."""
+
+    @given(dims=st.sampled_from([Dimensions(1, 3, 1, 5, 2), Dimensions(2, 2, 1, 3, 3),
+                                 Dimensions(3, 2, 2, 1, 4), Dimensions(2, 1, 3, 1, 4),
+                                 Dimensions(5, 5, 3, 24, 8)]),
+           seed=st.integers(0, 10**6), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_system_pencils(self, dims, seed, data, policy):
+        tau = data.draw(st.integers(1, dims.N))
+        pencil = system_pencil(block(random_generic(dims, seed), tau))
+        rho = normal_rank(pencil, policy, seed)
+        assert same_points(finite_zero_candidates(pencil, policy, seed, rho),
+                           full_size_candidates(pencil, policy, seed, rho))
+
+    def test_eigenproblem_is_n_by_n_on_a_system_pencil(self, monkeypatch, policy):
+        dims = Dimensions(5, 5, 3, 24, 8)
+        pencil = system_pencil(block(random_generic(dims, 0), 3))
+        shapes = []
+        monkeypatch.setattr(zeros, "eigenvalues",
+                            lambda M: shapes.append(M.shape) or eigenvalues(M))
+        finite_zero_candidates(pencil, policy, 0, normal_rank(pencil, policy, 0))
+        assert shapes == [(dims.n, dims.n)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_noise_floor_reads_the_norm_of_the_full_product(self, monkeypatch, seed, policy):
+        # the floor's norm(G^-1 H, 2) comes from the thin factors, and equals
+        # the norm of the rho x rho product
+        pencil = system_pencil(block(random_generic(Dimensions(3, 2, 1, 4, 3), seed), 2))
+        rho = normal_rank(pencil, policy, seed)
+        norms = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda M, *a, **k: norms.append(
+            (a, k, norm(M, *a, **k))) or norms[-1][2])
+        finite_zero_candidates(pencil, policy, seed, rho)
+        monkeypatch.undo()
+        rng = _rng(seed)
+        rows, cols = pencil.shape
+        U, V = rng.standard_normal((rho, rows)), rng.standard_normal((cols, rho))
+        s = complex(*rng.standard_normal(2))
+        full = np.linalg.solve(U @ (pencil.F - s * pencil.E) @ V, U @ pencil.E @ V)
+        [got] = [value for a, k, value in norms if a == (2,)]
+        assert got == pytest.approx(np.linalg.norm(full, 2), rel=1e-10)
+
+    @pytest.mark.parametrize("draw", range(12))
+    def test_planted_pencil_with_a_full_E(self, draw, policy):
+        # E and F share an inner factorization, so the pencil loses rank
+        # exactly at the planted nonzero points; E has no zero column
+        rng = np.random.default_rng(draw)
+        rows, cols = rng.integers(3, 8, 2)
+        inner = int(rng.integers(2, min(rows, cols) + 1))
+        U, V = rng.standard_normal((rows, inner)), rng.standard_normal((inner, cols))
+        E0 = rng.standard_normal((inner, inner))
+        planted = rng.uniform(0.5, 3.0, inner) * rng.choice([-1.0, 1.0], inner)
+        pencil = MatrixPencil(E=U @ E0 @ V, F=U @ (E0 * planted) @ V)
+        assert np.all(np.any(pencil.E != 0, axis=0))
+        rho = normal_rank(pencil, policy, draw)
+        assert rho == inner
+        cands = finite_zero_candidates(pencil, policy, draw, rho)
+        assert same_points(cands, full_size_candidates(pencil, policy, draw, rho))
+        for z in planted:
+            assert min(abs(z - c) for c in cands) < 1e-6
 
 
 class TestVerifyZero:
