@@ -9,10 +9,12 @@ N-1 power) that sink below any double-precision threshold. Those trials are
 undecidable in float arithmetic: the same reading is produced by a genuine
 rank drop and by an unlucky but full-rank draw.
 
-This module settles such trials in two stages. The verification harness
-calls in only for trials whose float measurement disagrees with the
-closed-form prediction, and re-reads only the ranks that differ from
-their generic value, which no instance's exact rank exceeds.
+This module settles such rank readings in two stages. The verification
+harness calls in only for trials whose float rank measurement disagrees
+with the closed-form prediction, and re-reads only the ranks that differ
+from their generic value, which no instance's exact rank exceeds. It reads
+ranks only, at real rational points: a genuine finite zero almost never
+sits exactly at its float location, so a rank read there settles nothing.
 
 First, a screen over the prime field F_P, P = 33554393, the largest prime
 below 2**25. Each entry num * 2**e is mapped to its residue num * 2**e mod
@@ -34,11 +36,6 @@ from the original entries with Fraction arithmetic, which is rounding-free,
 and a rank is computed in integers: each row, scaled by the lcm of its
 denominators, goes through fraction-free Bareiss elimination, whose
 divisions are exact.
-
-The pencil is real, so its normal rank is sampled at real points. Only a
-nonreal point (a finite-zero candidate) is realified: the complex rank of
-X + iY is half the real rank of [[X, -Y], [Y, X]], and half the mod-P rank,
-rounded up, is again a lower bound on it.
 
 A float rank can only under-report the exact rank: rounding perturbs
 singular values by far less than the rank threshold, which holds because
@@ -98,8 +95,9 @@ def _pow2(e: np.ndarray) -> np.ndarray:
     return np.array([pow(2, int(k), P) for k in distinct], dtype=np.int64)[at].reshape(e.shape)
 
 
-def _residue(q: Fraction) -> int:
+def _residue(q) -> int:
     # the denominators that occur (the sample points' and powers of 2) are prime to P
+    q = Fraction(q)
     return q.numerator * pow(q.denominator, -1, P) % P
 
 
@@ -177,33 +175,14 @@ def exact_rank(M: np.ndarray) -> int:
     return rank
 
 
-def _at(pencil: MatrixPencil, re: Fraction, im: Fraction, scalar) -> np.ndarray:
-    # Z*E - F at Z = re + im*i, realified as [[X, -Y], [Y, X]] when im != 0;
-    # scalar maps a rational into the pencil's entries
-    X = scalar(re) * pencil.E - pencil.F
-    if im == 0:
-        return X
-    Y = scalar(im) * pencil.E
-    return np.vstack([np.hstack([X, -Y]), np.hstack([Y, X])])
+def exact_rank_at(pencil: MatrixPencil, z) -> int:
+    """Exact rank of Z*E - F at the real rational point Z = z."""
+    return exact_rank(pencil.at(Fraction(z)))
 
 
-def exact_rank_at(pencil: MatrixPencil, re: Fraction, im: Fraction = Fraction(0)) -> int:
-    """Exact rank of Z*E - F at the rational point Z = re + im*i."""
-    rank = exact_rank(_at(pencil, re, im, Fraction))
-    if im == 0:
-        return rank
-    assert rank % 2 == 0
-    return rank // 2
-
-
-def modp_rank_at(pencil: MatrixPencil, re: Fraction, im: Fraction = Fraction(0)) -> int:
-    """Lower bound on exact_rank_at from a pencil of residues (of modp_block's systems).
-
-    At a nonreal point the mod-P rank of the realified matrix may be odd;
-    half of it, rounded up, is still at most the complex rank.
-    """
-    rank = modp_rank(_at(pencil, re, im, _residue))
-    return rank if im == 0 else (rank + 1) // 2
+def modp_rank_at(pencil: MatrixPencil, z) -> int:
+    """Lower bound on exact_rank_at from a pencil of residues (of modp_block's systems)."""
+    return modp_rank(pencil.at(_residue(z)))
 
 
 def exact_normal_rank(pencil: MatrixPencil, bound: int | None = None) -> int:

@@ -50,8 +50,11 @@ class MatrixPencil:
     def shape(self) -> tuple[int, int]:
         return self.E.shape
 
-    def at(self, Z: complex) -> np.ndarray:
-        # dtype follows Z: float64 at a real Z, complex at a nonreal one
+    def at(self, Z) -> np.ndarray:
+        # dtype follows Z and the entries: on a float pencil float64 at a real Z,
+        # complex at a nonreal one; a Fraction Z on a Fraction pencil stays
+        # exact, and an int residue on a residue pencil stays int64 (the
+        # caller reduces mod P)
         return Z * self.E - self.F
 
 

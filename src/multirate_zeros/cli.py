@@ -73,12 +73,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     The rank fields at each delay come from `_delay_fields`, applied to the
     float readings of the normal rank, rank(D_tau) and the rank at Z = 0.
-    For a tall system one `_escalate` call settles every reading below its
+    For a tall system one `_escalate` call settles every reading not at its
     generic value exactly, at all delays at once, the fields are derived
     again, and measured["screen"] keeps the float value of each field that
-    changed. The finite nonzero zeros stay a float reading: their list and
-    multiplicities are those of the candidate search and its float rank
-    tests.
+    changed. The finite nonzero zeros stay a float reading, as in trials:
+    their list and multiplicities are those of the candidate search and its
+    float rank tests, and no_finite_nonzero compares their float count.
     """
     policy = _load_policy(args.policy)
     sys_ = load_system(args.system)
@@ -98,7 +98,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                                          None if pred is None else pred.normal_rank)
         readings.update({("normal_rank", tau): rep.normal_rank, ("rank_D", tau): rep.rank_D,
                          ("rank_at_zero", tau): rep.rank_at_zero})
-    settled = _escalate(sys_, readings)[0] if predictions else readings
+    settled = _escalate(sys_, readings) if predictions else readings
     results = []
     all_agree = True
     for tau, rep in reports.items():

@@ -17,7 +17,6 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -50,6 +49,11 @@ AGREEMENT_KEYS = (
     "tau_independent",
     "lift_residual",
 )
+
+# the checks with no rank content, which exact arbitration leaves as read:
+# the lifting residual is a float identity, and the finite nonzero zeros a
+# float count
+FLOAT_ONLY_KEYS = ("lift_residual", "no_finite_nonzero")
 
 CSV_COLUMNS = (
     "n", "m", "p1", "p2", "N", "tau", "seed", "class",
@@ -192,9 +196,10 @@ def cells(spec: GridSpec):
 class TrialRecord:
     """One measured-vs-predicted comparison, with the extra structural checks.
 
-    escalated lists the agreement keys that disagreed on the float readings
-    (see run_trial); measured["screen"] keeps the float value of each field
-    that the exact readings changed.
+    escalated lists the agreement keys with rank content that disagreed on
+    the float readings (see run_trial); measured["screen"] keeps the float
+    value of each field that the exact readings changed. n_finite_nonzero
+    and lift_residual_max are float readings, never re-read.
     """
 
     dims: Dimensions
@@ -269,11 +274,8 @@ def _rank_fields(rank: dict, dims: Dimensions, tau: int) -> dict:
             "dual_mult_at_infinity": dual["mult_at_infinity"]}
 
 
-def _escalate(sys: MultirateSystem, rank: dict, tau: int | None = None,
-              finite_zeros=()) -> tuple[dict, int]:
-    """The rank readings, those not at their generic value re-read exactly,
-    and the number of float finite zeros at delay tau that survive exact
-    arithmetic.
+def _escalate(sys: MultirateSystem, rank: dict) -> dict:
+    """The rank readings, those not at their generic value re-read exactly.
 
     rank maps (quantity, delay) to a reading of "normal_rank", "rank_D" or
     "rank_at_zero", at any delays; all of them share one assembly per
@@ -284,10 +286,10 @@ def _escalate(sys: MultirateSystem, rank: dict, tau: int | None = None,
     `modp_block` assembly: a mod-P rank is a lower bound on the exact rank,
     so one that meets the generic value is the exact value. Only a reading
     the screen leaves short is read by Bareiss, and the Fraction assembly
-    `exact_block` is built on the first such reading. A finite zero is
-    refuted when the mod-P rank at its location, realified and halved
-    rounding up, meets the normal rank; otherwise Bareiss decides it. So
-    every value returned is the one a full Bareiss re-read gives.
+    `exact_block` is built on the first such reading. So every value
+    returned is the one a full Bareiss re-read gives. Finite zeros are not
+    re-read: a rank at a zero's float location settles nothing, since a
+    genuine zero almost never sits exactly at a float value.
     """
     generic = {}
     for t in {t for _, t in rank}:
@@ -312,7 +314,7 @@ def _escalate(sys: MultirateSystem, rank: dict, tau: int | None = None,
         if q == "rank_D":
             return rank_of(blocks(exact)[t - 1].D_tau)
         if q == "rank_at_zero":
-            return rank_at_point(pencil(t, exact), Fraction(0))
+            return rank_at_point(pencil(t, exact), 0)
         return normal_rank_of(pencil(t, exact), generic[q, t])
 
     def settle(q, t, value):
@@ -321,17 +323,7 @@ def _escalate(sys: MultirateSystem, rank: dict, tau: int | None = None,
         value = read(q, t, False)
         return value if value == generic[q, t] else read(q, t, True)
 
-    rank = {(q, t): settle(q, t, value) for (q, t), value in rank.items()}
-
-    # the float location is itself an exact rational point; a genuine drop
-    # there survives exact arithmetic, a tolerance artifact does not
-    def drops_at(z, exact):
-        rank_at_point = stages[exact][2]
-        return (rank_at_point(pencil(tau, exact), Fraction(z.real), Fraction(z.imag))
-                < rank["normal_rank", tau])
-
-    confirmed = sum(drops_at(z, False) and drops_at(z, True) for z, _ in finite_zeros)
-    return rank, confirmed
+    return {(q, t): settle(q, t, value) for (q, t), value in rank.items()}
 
 
 def run_trial(dims: Dimensions, tau: int, seed: int,
@@ -355,12 +347,14 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     failures (e.g. every compression attempt ill conditioned) are captured
     in the record, not raised.
 
-    When a check other than the lifting residual (a float identity with no
-    rank content) disagrees, the trial escalates: every reading not at its
-    generic value, and every finite zero, is re-read exactly by `_escalate`
-    (a mod-P screen, with Bareiss for what it leaves short), and the record
-    is derived again. The exact value either clears the flag (a tolerance
-    collision) or stands as a disagreement.
+    When a check with rank content disagrees (any but FLOAT_ONLY_KEYS), the
+    trial escalates: every reading not at its generic value is re-read
+    exactly by `_escalate` (a mod-P screen, with Bareiss for what it leaves
+    short), and the record is derived again. The exact value either clears
+    the flag (a tolerance collision) or stands as a disagreement.
+    n_finite_nonzero stays the float count of verified finite nonzero
+    zeros: a no_finite_nonzero disagreement neither escalates nor is
+    cleared by an escalation.
     """
     policy = policy or TolerancePolicy()
     pred = predict(dims, tau)
@@ -399,12 +393,10 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
         }
         agreement = _agreement_from(measured, pred)
         escalated = tuple(sorted(k for k in AGREEMENT_KEYS
-                                 if k != "lift_residual" and not agreement[k]))
+                                 if k not in FLOAT_ONLY_KEYS and not agreement[k]))
         if escalated:
-            rank, confirmed = _escalate(sys, rank, tau, rep.finite_nonzero_zeros)
             screen = measured
-            measured = {**screen, **_rank_fields(rank, dims, tau),
-                        "n_finite_nonzero": confirmed}
+            measured = {**screen, **_rank_fields(_escalate(sys, rank), dims, tau)}
             measured["screen"] = {k: v for k, v in screen.items() if measured[k] != v}
             agreement = _agreement_from(measured, pred)
     except MultirateError as exc:

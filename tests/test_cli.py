@@ -14,7 +14,7 @@ from multirate_zeros.model import (Dimensions, fixture, random_generic,
                                    save_system)
 from multirate_zeros.zeros import zero_report
 
-from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS
+from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, planted_zero_system
 
 
 @pytest.fixture()
@@ -175,6 +175,26 @@ class TestAnalyze:
         assert measured["mult_at_infinity"] == 3
         assert measured["screen"] == {"normal_rank": 35, "mult_at_infinity": 2,
                                       "rank_at_zero": 35}
+
+    def test_planted_finite_zero_agrees_with_run_trial(self, tmp_path, monkeypatch):
+        # the genuine zero at 1/9 is listed at every delay as a float
+        # reading, and no_finite_nonzero reads as run_trial reads it
+        sys_ = planted_zero_system(6)
+        sys_path = tmp_path / "planted.json"
+        save_system(sys_, sys_path)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--system", str(sys_path), "--tau", "all",
+                     "--out", str(out)]) == 1
+        results = json.loads(out.read_text())["results"]
+        assert [r["tau"] for r in results] == [1, 2]
+        monkeypatch.setattr(harness, "random_generic", lambda dims, seed: sys_)
+        for result in results:
+            (zero,) = result["measured"]["finite_nonzero_zeros"]
+            assert zero["multiplicity"] == 1
+            assert zero["location"] == pytest.approx({"re": 1 / 9, "im": 0.0}, abs=1e-9)
+            rec = harness.run_trial(sys_.dims, result["tau"], seed=0)
+            assert result["agreement"]["no_finite_nonzero"] is False
+            assert result["agreement"] == {k: rec.agreement[k] for k in result["agreement"]}
 
     def test_bounded_sweep_leaves_the_report_unchanged(self, example1_file, tmp_path,
                                                        monkeypatch):
