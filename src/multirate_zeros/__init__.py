@@ -13,9 +13,9 @@ from .blocking import (BlockedSystem, MatrixPencil, block, fast_subsystem,
 from .errors import (CompressionFailure, ConvergenceFailure, MultirateError,
                      NotTallClass, ResolventSingular, SingularA, SingularD,
                      TauOutOfRange, UnsupportedDims, ZeroZ)
-from .harness import (GridSpec, TrialRecord, VerificationReport, emit_report,
-                      grid_spec_from_dict, run_fixture_suite, run_grid,
-                      run_trial)
+from .harness import (GridSpec, TrialRecord, VerificationReport, analyze,
+                      emit_report, grid_spec_from_dict, run_fixture_suite,
+                      run_grid, run_trial)
 from .model import (Dimensions, MultirateSystem, SystemClass, TolerancePolicy,
                     ValidationResult, classify, fixture, load_system,
                     random_generic, reverse_time, save_system,
@@ -35,7 +35,7 @@ __all__ = [
     "CompressionFailure", "ConvergenceFailure", "MultirateError",
     "NotTallClass", "ResolventSingular", "SingularA", "SingularD",
     "TauOutOfRange", "UnsupportedDims", "ZeroZ",
-    "GridSpec", "TrialRecord", "VerificationReport", "emit_report",
+    "GridSpec", "TrialRecord", "VerificationReport", "analyze", "emit_report",
     "grid_spec_from_dict", "run_fixture_suite", "run_grid", "run_trial",
     "Dimensions", "MultirateSystem", "SystemClass",
     "TolerancePolicy", "ValidationResult", "classify", "fixture",

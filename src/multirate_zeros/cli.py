@@ -11,21 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from ._version import __version__
-from .blocking import block
-from .errors import MultirateError, NotTallClass
-from .harness import (_delay_fields, _escalate, _headline_agreement, _predicted_dict,
-                      _utc_now, emit_report, grid_spec_from_dict, run_fixture_suite,
-                      run_grid)
-from .model import (Dimensions, TolerancePolicy, classify, load_system,
-                    policy_from_dict)
-from .oracle import predict, summary_table
-from .zeros import zero_report, zero_report_to_dict
-
-ANALYZE_SEED = 0
+from .errors import MultirateError
+from .harness import analyze, emit_report, grid_spec_from_dict, run_fixture_suite, run_grid
+from .model import Dimensions, TolerancePolicy, load_system, policy_from_dict
+from .oracle import summary_table
 
 
 def _load_policy(path: str | None) -> TolerancePolicy:
@@ -69,68 +62,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Zero structure of one system file at one or every delay.
-
-    The rank fields at each delay come from `_delay_fields`, applied to the
-    float readings of the normal rank, rank(D_tau) and the rank at Z = 0.
-    For a tall system one `_escalate` call settles every reading not at its
-    generic value exactly, at all delays at once, the fields are derived
-    again, and measured["screen"] keeps the float value of each field that
-    changed. The finite nonzero zeros stay a float reading, as in trials:
-    their list and multiplicities are those of the candidate search and its
-    float rank tests, and no_finite_nonzero compares their float count.
-    """
-    policy = _load_policy(args.policy)
-    sys_ = load_system(args.system)
-    dims = sys_.dims
-    taus = range(1, dims.N + 1) if args.tau == "all" else [args.tau]
-
-    system_class = classify(dims).value
-    try:
-        predictions = {tau: predict(dims, tau) for tau in taus}
-    except NotTallClass:
-        predictions = {}
-    reports, readings = {}, {}
-    for tau in taus:
-        pred = predictions.get(tau)
-        # the generic normal rank bounds this system's too, so it stops the sweep
-        rep = reports[tau] = zero_report(block(sys_, tau), policy, ANALYZE_SEED,
-                                         None if pred is None else pred.normal_rank)
-        readings.update({("normal_rank", tau): rep.normal_rank, ("rank_D", tau): rep.rank_D,
-                         ("rank_at_zero", tau): rep.rank_at_zero})
-    settled = _escalate(sys_, readings) if predictions else readings
-    results = []
-    all_agree = True
-    for tau, rep in reports.items():
-        pred = predictions.get(tau)
-        measured = {**zero_report_to_dict(rep), **_delay_fields(readings, dims.n, tau)}
-        if pred is None:
-            predicted = None
-            agreement = None
-        else:
-            fields = _delay_fields(settled, dims.n, tau)
-            screen = {k: measured[k] for k, v in fields.items() if measured[k] != v}
-            measured.update(fields)
-            if screen:
-                measured["screen"] = screen
-            predicted = _predicted_dict(pred)
-            agreement = _headline_agreement(
-                dict(measured, n_finite_nonzero=len(rep.finite_nonzero_zeros)), pred)
-            all_agree = all_agree and all(agreement.values())
-        results.append({"tau": tau, "measured": measured,
-                        "predicted": predicted, "agreement": agreement})
-
-    payload = {
-        "system": {"n": dims.n, "m": dims.m, "p1": dims.p1,
-                   "p2": dims.p2, "N": dims.N, "class": system_class},
-        "policy": asdict(policy),
-        "results": results,
-        "all_agree": all_agree,
-        "tool_version": __version__,
-        "timestamp": _utc_now(),
-    }
+    payload = analyze(load_system(args.system), args.tau, _load_policy(args.policy))
     _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0 if all_agree else 1
+    return 0 if payload["all_agree"] else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -25,8 +25,8 @@ import numpy as np
 from ._exact import (exact_block, exact_normal_rank, exact_rank, exact_rank_at, modp_block,
                      modp_normal_rank, modp_rank, modp_rank_at)
 from ._version import __version__
-from .blocking import block, block_all, lift_relation_residual, system_pencil
-from .errors import MultirateError
+from .blocking import _check_tau, block, block_all, lift_relation_residual, system_pencil
+from .errors import MultirateError, NotTallClass
 from .model import (Dimensions, MultirateSystem, TolerancePolicy, _is_int, classify,
                     fixture, policy_from_dict, random_generic)
 # normal_rank is not called here (run_trial reads through normal_ranks), but
@@ -34,10 +34,12 @@ from .model import (Dimensions, MultirateSystem, TolerancePolicy, _is_int, class
 from .numerics import (_sample_uniforms, normal_rank,  # noqa: F401
                        normal_ranks, numerical_rank, rank_at)
 from .oracle import dual_index, predict, predict_controllability_rank
-from .zeros import multiplicities, zero_report
+from .zeros import multiplicities, zero_report, zero_report_to_dict
 
 LIFT_RESIDUAL_TOL = 1e-9
 LIFT_SAMPLES = 3
+# seed of analyze's sample points and compressions
+ANALYZE_SEED = 0
 
 AGREEMENT_KEYS = (
     "rank_D",
@@ -326,6 +328,30 @@ def _escalate(sys: MultirateSystem, rank: dict) -> dict:
     return {(q, t): settle(q, t, value) for (q, t), value in rank.items()}
 
 
+def _read(sys: MultirateSystem, taus, policy: TolerancePolicy, seed: int,
+          bound: int | None) -> tuple[list, dict]:
+    """The blocked systems of sys at every delay, and their float rank readings.
+
+    One `block_all` assembly gives the N blocked systems, blocks[t - 1]
+    being the one at delay t, and one stacked `normal_ranks` sweep over
+    their pencils, stopped at bound, reads the normal rank at every delay.
+    rank(D_tau) and the rank at Z = 0 are read at each delay in taus, every
+    reading at a real point in real arithmetic. rank maps (quantity, delay)
+    to a reading, as `_delay_fields` and `_escalate` take it.
+    """
+    taus = dict.fromkeys(taus)      # in order, each delay once
+    for t in taus:
+        _check_tau(t, sys.dims.N)
+    blocks = block_all(sys)
+    pencils = [system_pencil(b) for b in blocks]
+    rho = normal_ranks(pencils, policy, seed, bound)
+    rank = {("normal_rank", t): r for t, r in enumerate(rho, 1)}
+    for t in taus:
+        rank["rank_D", t] = numerical_rank(blocks[t - 1].D_tau, policy)
+        rank["rank_at_zero", t] = rank_at(pencils[t - 1], 0.0, policy)
+    return blocks, rank
+
+
 def run_trial(dims: Dimensions, tau: int, seed: int,
               policy: TolerancePolicy | None = None) -> TrialRecord:
     """Generate, block, measure and compare one random system.
@@ -338,12 +364,11 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     [2**-0.5, 2**0.5], drawn from the first uniforms behind the normal-rank
     sample points; there X, the transfer functions and the residuals are
     real. The finite-zero search runs at tau only. Every rank field is
-    derived by `_rank_fields` from rank readings: the normal rank at every
-    delay, and the ranks of D_tau and at Z = 0 at tau and at the dual
-    delay, all read at real points in real arithmetic. One stacked sweep
-    (`normal_ranks`) reads the normal rank at every delay, one svd call per
-    sample point; each delay's sweep stops at the predicted normal rank,
-    which no instance exceeds, so a generic trial costs one call. Numerical
+    derived by `_rank_fields` from the readings `_read` takes: the normal
+    rank at every delay, and the ranks of D_tau and at Z = 0 at tau and at
+    the dual delay. Its stacked sweep costs one svd call per sample point,
+    and each delay's sweep stops at the predicted normal rank, which no
+    instance exceeds, so a generic trial costs one call. Numerical
     failures (e.g. every compression attempt ill conditioned) are captured
     in the record, not raised.
 
@@ -365,19 +390,9 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     escalated = ()
     agreement = dict.fromkeys(AGREEMENT_KEYS, False)
     try:
-        # every check below reads the same N blocked systems, blocks[t - 1]
-        # being the one at delay t; one stacked sweep reads their normal ranks
-        blocks = block_all(sys)
-        pencils = [system_pencil(b) for b in blocks]
-        rho = normal_ranks(pencils, policy, seed, pred.normal_rank)
-        rep = zero_report(blocks[tau - 1], policy, seed, rho=rho[tau - 1])
-        rank = {("normal_rank", t): r for t, r in enumerate(rho, 1)}
-        rank["rank_D", tau], rank["rank_at_zero", tau] = rep.rank_D, rep.rank_at_zero
-        dual = dual_index(tau, dims.N)
-        if dual != tau:
-            rank["rank_D", dual] = numerical_rank(blocks[dual - 1].D_tau, policy)
-            rank["rank_at_zero", dual] = rank_at(pencils[dual - 1], 0.0, policy)
-
+        blocks, rank = _read(sys, (tau, dual_index(tau, dims.N)), policy, seed,
+                             pred.normal_rank)
+        rep = zero_report(blocks[tau - 1], policy, seed, rho=rank["normal_rank", tau])
         # real points of either sign with |Z| in [2**-0.5, 2**0.5], from the
         # first uniforms behind the normal-rank points
         points = [float(np.copysign(2.0 ** (abs(u) - 0.5), u))
@@ -414,13 +429,74 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     )
 
 
+def analyze(sys: MultirateSystem, tau: int | str = "all",
+            policy: TolerancePolicy | None = None) -> dict:
+    """Zero structure of one system at delay tau, or at every delay for "all".
+
+    Returns the payload `analyze --out` writes, timestamp included. The
+    readings come from `_read`, as in a trial, with ANALYZE_SEED for the
+    sample points and the compressions, and every rank field at a delay
+    from `_delay_fields`. For a tall system the normal-rank sweep stops at
+    the generic normal rank, one `_escalate` call settles every reading at
+    the requested delays that is not at its generic value, the fields are
+    derived again, and measured["screen"] keeps the float value of each
+    field that changed. A system that is not tall has no predictions: its
+    float readings stand, and predicted and agreement are None. The finite
+    nonzero zeros stay a float reading, as in trials: their list and
+    multiplicities are those of `zero_report`, and no_finite_nonzero
+    compares their float count.
+    """
+    if tau != "all" and not _is_int(tau):
+        raise ValueError(f'tau must be an integer or "all", got {tau!r}')
+    policy = policy or TolerancePolicy()
+    dims = sys.dims
+    taus = range(1, dims.N + 1) if tau == "all" else [tau]
+    try:
+        predictions = {t: predict(dims, t) for t in taus}
+    except NotTallClass:
+        predictions = {}
+    # the generic normal rank, the same at every delay, bounds this system's
+    bound = predictions[taus[0]].normal_rank if predictions else None
+    blocks, rank = _read(sys, taus, policy, ANALYZE_SEED, bound)
+    readings = {(q, t): v for (q, t), v in rank.items() if t in taus}
+    settled = _escalate(sys, readings) if predictions else readings
+    results = []
+    for t in taus:
+        rep = zero_report(blocks[t - 1], policy, ANALYZE_SEED, rho=rank["normal_rank", t])
+        measured = {**zero_report_to_dict(rep), **_delay_fields(readings, dims.n, t)}
+        pred = predictions.get(t)
+        predicted = agreement = None
+        if pred is not None:
+            fields = _delay_fields(settled, dims.n, t)
+            screen = {k: measured[k] for k, v in fields.items() if measured[k] != v}
+            measured.update(fields)
+            if screen:
+                measured["screen"] = screen
+            predicted = _predicted_dict(pred)
+            agreement = _headline_agreement(
+                dict(measured, n_finite_nonzero=len(rep.finite_nonzero_zeros)), pred)
+        results.append({"tau": t, "measured": measured,
+                        "predicted": predicted, "agreement": agreement})
+    return {
+        "system": {**asdict(dims), "class": classify(dims).value},
+        "policy": asdict(policy),
+        "results": results,
+        "all_agree": all(r["agreement"] is None or all(r["agreement"].values())
+                         for r in results),
+        "tool_version": __version__,
+        "timestamp": _utc_now(),
+    }
+
+
+def _trial_header(rec: TrialRecord) -> dict:
+    return {**asdict(rec.dims), "tau": rec.tau, "seed": rec.seed, "class": rec.system_class}
+
+
 def trial_row(rec: TrialRecord) -> dict:
     """Compact per-trial row matching the CSV column contract."""
     meas = rec.measured or {}
     return {
-        "n": rec.dims.n, "m": rec.dims.m, "p1": rec.dims.p1,
-        "p2": rec.dims.p2, "N": rec.dims.N,
-        "tau": rec.tau, "seed": rec.seed, "class": rec.system_class,
+        **_trial_header(rec),
         "rank_D_meas": meas.get("rank_D"),
         "rank_D_pred": rec.predicted["rank_D"],
         "nrank_meas": meas.get("normal_rank"),
@@ -437,9 +513,7 @@ def trial_row(rec: TrialRecord) -> dict:
 def trial_detail(rec: TrialRecord, policy: TolerancePolicy) -> dict:
     """Full payload for a disagreeing trial: everything needed to replay it."""
     return {
-        "n": rec.dims.n, "m": rec.dims.m, "p1": rec.dims.p1,
-        "p2": rec.dims.p2, "N": rec.dims.N,
-        "tau": rec.tau, "seed": rec.seed, "class": rec.system_class,
+        **_trial_header(rec),
         "measured": rec.measured,
         "predicted": rec.predicted,
         "agreement": rec.agreement,
@@ -504,8 +578,7 @@ def run_grid(spec: GridSpec) -> VerificationReport:
             records.append(rec)
             agree += rec.agree_all
         cell_rows.append({
-            "n": dims.n, "m": dims.m, "p1": dims.p1, "p2": dims.p2,
-            "N": dims.N, "tau": tau,
+            **asdict(dims), "tau": tau,
             "trials": spec.trials_per_cell, "agree": agree,
         })
 

@@ -222,6 +222,26 @@ def _fixture_example1(dims: Dimensions, tau: int, seed: int) -> MultirateSystem:
     return random_generic(dims, seed)
 
 
+def _shift_system(dims: Dimensions, T: int) -> MultirateSystem:
+    # the first T states cycle through m - p1 positions a step, fed by the
+    # first m - p1 inputs, and the slow outputs read them; the other n - T
+    # states are unreachable. Df passes the last p1 inputs, Ds the first m - p1
+    n, m, p1, p2 = dims.n, dims.m, dims.p1, dims.p2
+    w = m - p1
+    A = np.zeros((n, n))
+    A[:T, :T] = _shift_matrix(T, w)
+    B = np.zeros((n, m))
+    B[:w, :w] = np.eye(w)
+    Df = np.zeros((p1, m))
+    Df[:, w:] = np.eye(p1)
+    Cs = np.zeros((p2, n))
+    Cs[:T, :T] = np.eye(T)
+    Ds = np.zeros((p2, m))
+    Ds[T:T + w, :w] = np.eye(w)
+    return MultirateSystem(dims=dims, A=A, B=B, Cf=np.zeros((p1, n)),
+                           Cs=Cs, Df=Df, Ds=Ds)
+
+
 def _fixture_shift_small_n(dims: Dimensions, tau: int, seed: int) -> MultirateSystem:
     n, m, p1, p2, N = dims.n, dims.m, dims.p1, dims.p2, dims.N
     w = m - p1
@@ -235,17 +255,7 @@ def _fixture_shift_small_n(dims: Dimensions, tau: int, seed: int) -> MultirateSy
     if p2 < n or p2 + p1 - n - m < 0:
         raise UnsupportedDims(
             f"shift_small_n needs p2 >= n and p2+p1 >= n+m, got p2={p2}")
-    A = _shift_matrix(n, w)
-    B = np.zeros((n, m))
-    B[:w, :w] = np.eye(w)
-    Df = np.zeros((p1, m))
-    Df[:, w:] = np.eye(p1)
-    Cs = np.zeros((p2, n))
-    Cs[:n, :n] = np.eye(n)
-    Ds = np.zeros((p2, m))
-    Ds[n:n + w, :w] = np.eye(w)
-    return MultirateSystem(dims=dims, A=A, B=B, Cf=np.zeros((p1, n)),
-                           Cs=Cs, Df=Df, Ds=Ds)
+    return _shift_system(dims, n)    # every state is cycled
 
 
 def _fixture_shift_large_n(dims: Dimensions, tau: int, seed: int) -> MultirateSystem:
@@ -254,8 +264,7 @@ def _fixture_shift_large_n(dims: Dimensions, tau: int, seed: int) -> MultirateSy
     if w < 1:
         raise UnsupportedDims(f"shift_large_n needs p1 < m, got p1={p1}, m={m}")
     T = (N - tau) * w       # size of the cycled part of the state
-    q = n - T               # extra unreachable states
-    if q < 1:
+    if n - T < 1:
         raise UnsupportedDims(
             f"shift_large_n needs n > (N-tau)(m-p1) = {T}, got n={n}")
     if N - tau - 1 < 0:
@@ -263,18 +272,7 @@ def _fixture_shift_large_n(dims: Dimensions, tau: int, seed: int) -> MultirateSy
     if p2 < T or p2 + p1 - m - T < 0:
         raise UnsupportedDims(
             f"shift_large_n needs p2 >= (N-tau)(m-p1) and p2+p1 >= m+(N-tau)(m-p1), got p2={p2}")
-    A = np.zeros((n, n))
-    A[:T, :T] = _shift_matrix(T, w)
-    B = np.zeros((n, m))
-    B[:w, :w] = np.eye(w)
-    Df = np.zeros((p1, m))
-    Df[:, w:] = np.eye(p1)
-    Cs = np.zeros((p2, n))
-    Cs[:T, :T] = np.eye(T)
-    Ds = np.zeros((p2, m))
-    Ds[T:T + w, :w] = np.eye(w)
-    return MultirateSystem(dims=dims, A=A, B=B, Cf=np.zeros((p1, n)),
-                           Cs=Cs, Df=Df, Ds=Ds)
+    return _shift_system(dims, T)
 
 
 def _fixture_shift_controllability(dims: Dimensions, tau: int, seed: int) -> MultirateSystem:

@@ -56,19 +56,24 @@ def rank_at(pencil: MatrixPencil, Z: complex, policy: TolerancePolicy | None = N
     return numerical_rank(_evaluate(pencil.E, pencil.F, Z.real if Z.imag == 0 else Z), policy)
 
 
+def _rank_limit(shape: tuple[int, int], bound: int | None) -> int:
+    # where a normal-rank sweep of a pencil of this shape stops (see _max_rank)
+    return min(shape) if bound is None else min(bound, *shape)
+
+
 def _max_rank(ranks, shape: tuple[int, int], bound: int | None = None) -> int:
     """Max of a lazy sequence of ranks of a pencil of this shape at sample points.
 
-    Reading stops at the first rank that reaches min(bound, rows, cols), or
-    min(rows, cols) when bound is None. That gives the max of the whole
-    sequence when no rank in it can exceed the limit: no rank exceeds
-    min(rows, cols), and a rank at a point does not exceed the normal rank,
-    which is at most bound when bound is the generic normal rank of the
-    pencil's dimensions. Reading stops only on a rank equal to the limit,
-    so once a rank exceeds a bound set too low, every rank is read and the
-    excess shows.
+    Reading stops at the first rank that reaches `_rank_limit`: min(bound,
+    rows, cols), or min(rows, cols) when bound is None. That gives the max
+    of the whole sequence when no rank in it can exceed the limit: no rank
+    exceeds min(rows, cols), and a rank at a point does not exceed the
+    normal rank, which is at most bound when bound is the generic normal
+    rank of the pencil's dimensions. Reading stops only on a rank equal to
+    the limit, so once a rank exceeds a bound set too low, every rank is
+    read and the excess shows.
     """
-    limit = min(shape) if bound is None else min(bound, *shape)
+    limit = _rank_limit(shape, bound)
     best = 0
     for r in ranks:
         best = max(best, r)
@@ -104,7 +109,7 @@ def normal_ranks(pencils: list[MatrixPencil], policy: TolerancePolicy | None = N
     """
     policy = policy or TolerancePolicy()
     shape = pencils[0].shape
-    limit = min(shape) if bound is None else min(bound, *shape)
+    limit = _rank_limit(shape, bound)
     best = np.full(len(pencils), -1)   # -1: no point read yet
     for Z in _sample_points(seed, policy.normal_rank_samples):
         open_ = np.flatnonzero(best != limit)

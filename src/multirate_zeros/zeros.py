@@ -1,4 +1,4 @@
-"""Finite-zero search and the full zero report for a blocked system.
+"""Finite-zero search for a blocked system, and the multiplicity rule.
 
 Zeros are the points where the system pencil loses rank relative to its
 normal rank. Candidates come from a randomized square compression of the
@@ -6,7 +6,9 @@ pencil solved as a standard eigenproblem; every candidate is then
 re-verified by rank tests on the full pencil at and around the point, so
 reported zeros are sound up to the rank tolerance. Multiplicities are
 geometric: the rank deficiency at the point, with the point at infinity
-measured through n + rank(D_tau).
+measured through n + rank(D_tau). The multiplicities at 0 and infinity need
+no search: `multiplicities` derives them from rank readings, which the
+harness takes once per system (`harness._read`) for trials and `analyze`.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 from .blocking import BlockedSystem, MatrixPencil, system_pencil
 from .errors import CompressionFailure, SingularD
 from .model import TolerancePolicy, _rng
-from .numerics import eigenvalues, normal_rank, numerical_rank, rank_at
+from .numerics import eigenvalues, normal_rank, rank_at
 
 # gate for accepting a compressed eigenproblem, and the safety factor on the
 # noise floor below which an eigenvalue of it is treated as infinite
@@ -32,14 +34,9 @@ _REFERENCE_MULTIPLIERS = (2.0 * np.exp(0.7j), 0.5 * np.exp(-0.9j))
 
 @dataclass(frozen=True)
 class ZeroReport:
-    """Measured zero structure of one blocked system."""
+    """Verified finite nonzero zeros of one blocked system."""
 
     tau: int
-    normal_rank: int
-    rank_D: int
-    rank_at_zero: int
-    mult_at_zero: int
-    mult_at_infinity: int
     finite_nonzero_zeros: tuple[tuple[complex, int], ...]
     boundary_candidates: tuple[tuple[complex, int], ...]  # between zero_radius and cluster_tol
     candidates_examined: int
@@ -151,33 +148,24 @@ def multiplicities(rho: int, rank_at_zero: int, rank_D: int, n: int) -> tuple[in
 
 
 def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
-                seed: int = 0, bound: int | None = None, rho: int | None = None) -> ZeroReport:
-    """Full zero structure: multiplicities at 0 and infinity, verified finite nonzero zeros.
+                seed: int = 0, rho: int | None = None) -> ZeroReport:
+    """The finite-zero search: verified finite nonzero zeros of a blocked system.
 
-    The multiplicities come from `multiplicities`, applied to the ranks at
-    Z = 0 and of D_tau, independent of the candidate search. This is the
-    only caller of the finite-zero search, and a verification trial calls
-    it at tau alone. Candidates farther from
-    the origin than cluster_tol are listed as finite nonzero zeros when the
-    rank test confirms them; those in the band between zero_radius and
-    cluster_tol are reported separately instead of being silently
-    attributed to the origin.
-    Candidates beyond 1/zero_radius are copies of the point at infinity
-    (they come from compressed eigenvalues at the noise floor of the
-    infinite-eigenvalue filter) and are skipped the same way.
-    bound, the generic normal rank of the blocked dimensions when given,
-    stops the normal-rank sweep early without changing its value (see
-    `normal_rank`). rho, when given, is the pencil's normal rank as
-    `normal_rank(pencil, policy, seed, bound)` reads it, and no sweep runs
-    (the harness reads every delay's normal rank in one stacked sweep).
+    This is the only caller of the finite-zero search, and a verification
+    trial calls it at tau alone. Candidates farther from the origin than
+    cluster_tol are listed as finite nonzero zeros when the rank test
+    confirms them; those in the band between zero_radius and cluster_tol
+    are reported separately instead of being silently attributed to the
+    origin. Candidates beyond 1/zero_radius are copies of the point at
+    infinity (they come from compressed eigenvalues at the noise floor of
+    the infinite-eigenvalue filter) and are skipped the same way. rho is
+    the pencil's normal rank; when it is None, `normal_rank` reads it (the
+    harness passes the reading of its stacked sweep instead).
     """
     policy = policy or TolerancePolicy()
     pencil = system_pencil(blk)
     if rho is None:
-        rho = normal_rank(pencil, policy, seed, bound)
-    rank_D = numerical_rank(blk.D_tau, policy)
-    rank0 = rank_at(pencil, 0.0, policy)
-    mult0, multinf = multiplicities(rho, rank0, rank_D, blk.A_tau.shape[0])
+        rho = normal_rank(pencil, policy, seed)
     candidates = finite_zero_candidates(pencil, policy, seed, rho)
     finite: list[tuple[complex, int]] = []
     boundary: list[tuple[complex, int]] = []
@@ -193,11 +181,6 @@ def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
             finite.append((z, mult))
     return ZeroReport(
         tau=blk.tau,
-        normal_rank=rho,
-        rank_D=rank_D,
-        rank_at_zero=rank0,
-        mult_at_zero=mult0,
-        mult_at_infinity=multinf,
         finite_nonzero_zeros=tuple(finite),
         boundary_candidates=tuple(boundary),
         candidates_examined=len(candidates),
@@ -228,10 +211,6 @@ def _complex_to_dict(z: complex) -> dict:
 def zero_report_to_dict(rep: ZeroReport) -> dict:
     return {
         "tau": rep.tau,
-        "normal_rank": rep.normal_rank,
-        "rank_D": rep.rank_D,
-        "mult_at_zero": rep.mult_at_zero,
-        "mult_at_infinity": rep.mult_at_infinity,
         "finite_nonzero_zeros": [
             {"location": _complex_to_dict(z), "multiplicity": k}
             for z, k in rep.finite_nonzero_zeros],

@@ -6,13 +6,13 @@ from dataclasses import replace
 
 import pytest
 
-from multirate_zeros import cli, harness
+from multirate_zeros import blocking, harness, numerics
 from multirate_zeros._exact import modp_block
 from multirate_zeros.cli import main
 from multirate_zeros.harness import CSV_COLUMNS
 from multirate_zeros.model import (Dimensions, fixture, random_generic,
                                    save_system)
-from multirate_zeros.zeros import zero_report
+from multirate_zeros.numerics import normal_ranks
 
 from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, planted_zero_system
 
@@ -198,23 +198,51 @@ class TestAnalyze:
 
     def test_bounded_sweep_leaves_the_report_unchanged(self, example1_file, tmp_path,
                                                        monkeypatch):
-        # the predicted normal rank stops each normal-rank sweep early; the
+        # the predicted normal rank stops the normal-rank sweep early; the
         # payload must be the one the unbounded sweep gives
         bounds = []
 
-        def bounded(blk, policy, seed, bound):
+        def bounded(pencils, policy, seed, bound):
             bounds.append(bound)
-            return zero_report(blk, policy, seed, bound)
+            return normal_ranks(pencils, policy, seed, bound)
 
         payloads = []
-        for report in (bounded, lambda blk, policy, seed, bound: zero_report(blk, policy, seed)):
-            monkeypatch.setattr(cli, "zero_report", report)
+        for sweep in (bounded, lambda pencils, policy, seed, bound: normal_ranks(
+                pencils, policy, seed)):
+            monkeypatch.setattr(harness, "normal_ranks", sweep)
             out = tmp_path / f"report{len(payloads)}.json"
             assert main(["analyze", "--system", str(example1_file), "--out", str(out)]) == 0
             payloads.append(json.loads(out.read_text()))
             del payloads[-1]["timestamp"]
-        assert bounds == [6, 6]
+        assert bounds == [6]
         assert payloads[0] == payloads[1]
+
+    def test_every_delay_is_read_from_one_assembly_and_one_sweep(self, tmp_path,
+                                                                 monkeypatch):
+        # --tau all at N = 8: one assembly of all N blocked systems, none of
+        # a single delay, and one stacked normal-rank sweep over the N pencils
+        assembled, sweeps = [], []
+        assemble, stacked = blocking._assemble, numerics.normal_ranks
+
+        def counting_assembly(d, taus, *args, **kwargs):
+            assembled.append(list(taus))
+            return assemble(d, assembled[-1], *args, **kwargs)
+
+        def counting_sweep(pencils, *args):
+            sweeps.append(len(pencils))
+            return stacked(pencils, *args)
+
+        monkeypatch.setattr(blocking, "_assemble", counting_assembly)
+        for module in (numerics, harness):     # normal_rank sweeps through numerics'
+            monkeypatch.setattr(module, "normal_ranks", counting_sweep)
+        sys_path = tmp_path / "long.json"
+        save_system(random_generic(LONG_HORIZON_DIMS, 3), sys_path)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--system", str(sys_path), "--tau", "all",
+                     "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["results"]) == LONG_HORIZON_DIMS.N
+        assert assembled == [list(range(1, LONG_HORIZON_DIMS.N + 1))]
+        assert sweeps == [LONG_HORIZON_DIMS.N]
 
     def test_not_tall_system_measures_without_predictions(self, tmp_path):
         sys_path = tmp_path / "square.json"

@@ -1,7 +1,6 @@
 """Rational-arithmetic rank measurements used to settle borderline trials."""
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -382,11 +381,7 @@ class TestEscalation:
         # a float rank above the generic value breaks the under-report
         # premise; it is re-read like one below it, and the exact value stands
         dims = EXAMPLE1_DIMS
-        zero_report = harness.zero_report
-        monkeypatch.setattr(
-            harness, "zero_report",
-            lambda *a, **k: dataclasses.replace(zero_report(*a, **k),
-                                                rank_D=zero_report(*a, **k).rank_D + 1))
+        monkeypatch.setattr(harness, "numerical_rank", lambda *a: numerical_rank(*a) + 1)
         screened = []
         monkeypatch.setattr(harness, "modp_rank",
                             lambda M: screened.append(M.shape) or modp_rank(M))
@@ -397,6 +392,17 @@ class TestEscalation:
         assert rec.measured["rank_D"] == generic
         assert screened
         assert rec.agree_all
+
+    @pytest.mark.parametrize("case", ESCALATION_CASES, ids=lambda c: str(c["seed"]))
+    def test_analyze_settles_what_run_trial_settles(self, case):
+        # each of these trials escalates; analyze reads the same system at its
+        # own seed and settles the same rank fields to the same values
+        dims = Dimensions(*(case[k] for k in ("n", "m", "p1", "p2", "N")))
+        rec = run_trial(dims, case["tau"], case["seed"])
+        assert rec.escalated
+        (result,) = harness.analyze(random_generic(dims, case["seed"]), case["tau"])["results"]
+        for key in ("rank_D", "normal_rank", "mult_at_zero", "mult_at_infinity"):
+            assert result["measured"][key] == rec.measured[key], key
 
     def test_clean_trial_does_not_escalate(self):
         rec = run_trial(Dimensions(3, 2, 2, 1, 4), tau=1, seed=0)

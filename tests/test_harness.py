@@ -9,15 +9,17 @@ import pytest
 
 from multirate_zeros import harness, numerics, zeros
 from multirate_zeros.blocking import block, lift_relation_residual, system_pencil
-from multirate_zeros.errors import NotTallClass
+from multirate_zeros.cli import main
+from multirate_zeros.errors import NotTallClass, TauOutOfRange
 from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, LIFT_SAMPLES, GridSpec,
                                      cells, emit_report, grid_spec_from_dict,
                                      grid_spec_to_dict, run_fixture_suite,
                                      run_grid, run_trial)
-from multirate_zeros.model import Dimensions, TolerancePolicy, _rng, random_generic
-from multirate_zeros.numerics import normal_rank, normal_ranks
+from multirate_zeros.model import (Dimensions, TolerancePolicy, _rng, random_generic,
+                                   save_system)
+from multirate_zeros.numerics import normal_rank, normal_ranks, numerical_rank, rank_at
 from multirate_zeros.oracle import dual_index
-from multirate_zeros.zeros import finite_zero_candidates, zero_report
+from multirate_zeros.zeros import finite_zero_candidates, multiplicities
 
 from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS
 
@@ -153,13 +155,16 @@ class TestRunTrial:
         (Dimensions(2, 2, 1, 4, 3), 3), (LONG_HORIZON_DIMS, 1), (LONG_HORIZON_DIMS, 8)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_dual_multiplicities_match_a_full_zero_report(self, dims, tau, seed):
-        # a full zero report at the dual delay is the reference reading
+        # the reference reads the dual delay's pencil alone: its unbounded
+        # one-pencil normal rank, rank(D_tau) and rank at 0
         rec = run_trial(dims, tau=tau, seed=seed)
         assert rec.escalated == ()
-        dual = dual_index(tau, dims.N)
-        ref = zero_report(block(random_generic(dims, seed), dual), TolerancePolicy(), seed)
-        assert rec.measured["dual_mult_at_zero"] == ref.mult_at_zero
-        assert rec.measured["dual_mult_at_infinity"] == ref.mult_at_infinity
+        policy = TolerancePolicy()
+        blk = block(random_generic(dims, seed), dual_index(tau, dims.N))
+        pencil = system_pencil(blk)
+        ref = multiplicities(normal_rank(pencil, policy, seed), rank_at(pencil, 0.0, policy),
+                             numerical_rank(blk.D_tau, policy), dims.n)
+        assert (rec.measured["dual_mult_at_zero"], rec.measured["dual_mult_at_infinity"]) == ref
 
     def test_deterministic_except_elapsed(self):
         a = run_trial(Dimensions(2, 3, 1, 5, 2), tau=2, seed=7)
@@ -172,6 +177,30 @@ class TestRunTrial:
     def test_not_tall_dims_rejected(self):
         with pytest.raises(NotTallClass):
             run_trial(Dimensions(1, 2, 1, 2, 2), tau=1, seed=0)
+
+
+class TestAnalyze:
+    def test_payload_is_what_the_cli_writes(self, example1_sys, tmp_path):
+        sys_path, out = tmp_path / "example1.json", tmp_path / "report.json"
+        save_system(example1_sys, sys_path)
+        assert main(["analyze", "--system", str(sys_path), "--out", str(out)]) == 0
+        written = json.loads(out.read_text())
+        payload = harness.analyze(example1_sys)
+        assert "timestamp" in payload
+        del written["timestamp"], payload["timestamp"]
+        assert payload == written
+
+    @pytest.mark.parametrize("tau", ["1", 1.0, True, None])
+    def test_tau_must_be_an_int_or_all(self, example1_sys, tau):
+        with pytest.raises(ValueError, match="tau must be an integer"):
+            harness.analyze(example1_sys, tau)
+
+    @pytest.mark.parametrize("tau", [0, 3])
+    def test_delay_out_of_range_on_a_not_tall_system(self, tau):
+        # with no prediction to refuse it, the reader does
+        sys_ = random_generic(Dimensions(1, 2, 1, 2, 2), seed=0)
+        with pytest.raises(TauOutOfRange):
+            harness.analyze(sys_, tau)
 
 
 class TestGridSpecValidation:

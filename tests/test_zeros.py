@@ -1,4 +1,4 @@
-"""Finite-zero search, candidate verification, full zero reports."""
+"""Finite-zero search, candidate verification, zero reports, multiplicities."""
 from __future__ import annotations
 
 import json
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multirate_zeros import zeros
+from multirate_zeros import harness, zeros
 from multirate_zeros.blocking import (MatrixPencil, block, fast_subsystem,
                                       system_pencil)
 from multirate_zeros.errors import SingularD
@@ -21,6 +21,12 @@ from multirate_zeros.zeros import (ZeroReport, finite_zero_candidates,
                                    zero_report_to_dict)
 
 from conftest import LONG_HORIZON_DIMS
+
+
+def delay_fields(sys, tau, policy, seed=0):
+    # the rank fields at tau as trials and analyze derive them, unbounded
+    _, rank = harness._read(sys, (tau,), policy, seed, None)
+    return harness._delay_fields(rank, sys.dims.n, tau)
 
 
 def scalar_pencil(e, f):
@@ -190,45 +196,47 @@ class TestVerifyZero:
 
 
 class TestZeroReport:
+    # the multiplicities at 0 and infinity come from the rank readings, the
+    # finite nonzero zeros from zero_report, both at seed 0
+
     def test_wide_rate_instance_zero_free_delay(self, policy):
         sys = random_generic(LONG_HORIZON_DIMS, seed=0)
-        rep = zero_report(block(sys, 4), policy, seed=0)
-        assert rep.mult_at_zero == 0
-        assert rep.mult_at_infinity == 0
-        assert rep.finite_nonzero_zeros == ()
+        fields = delay_fields(sys, 4, policy)
+        assert fields["mult_at_zero"] == 0
+        assert fields["mult_at_infinity"] == 0
+        assert zero_report(block(sys, 4), policy, seed=0).finite_nonzero_zeros == ()
 
     def test_wide_rate_instance_origin_heavy_delay(self, policy):
         sys = random_generic(LONG_HORIZON_DIMS, seed=0)
-        rep = zero_report(block(sys, 1), policy, seed=0)
-        assert rep.mult_at_zero == 5
-        assert rep.mult_at_infinity == 0
-        assert rep.finite_nonzero_zeros == ()
+        fields = delay_fields(sys, 1, policy)
+        assert fields["mult_at_zero"] == 5
+        assert fields["mult_at_infinity"] == 0
+        assert zero_report(block(sys, 1), policy, seed=0).finite_nonzero_zeros == ()
 
     @pytest.mark.parametrize("tau", [1, 2, 3])
     def test_fast_tall_all_clear(self, tau, policy):
         sys = random_generic(Dimensions(2, 1, 2, 1, 3), seed=2)
-        rep = zero_report(block(sys, tau), policy, seed=0)
-        assert rep.mult_at_zero == 0
-        assert rep.mult_at_infinity == 0
-        assert rep.finite_nonzero_zeros == ()
+        fields = delay_fields(sys, tau, policy)
+        assert fields["mult_at_zero"] == 0
+        assert fields["mult_at_infinity"] == 0
+        assert zero_report(block(sys, tau), policy, seed=0).finite_nonzero_zeros == ()
 
     @pytest.mark.parametrize("tau", [1, 2])
     def test_square_fast_rate_all_clear(self, tau, policy):
         # p1 = m keeps the blocked system zero-free at both special points
         sys = random_generic(Dimensions(3, 2, 2, 1, 2), seed=6)
-        rep = zero_report(block(sys, tau), policy, seed=0)
-        assert rep.mult_at_zero == 0
-        assert rep.mult_at_infinity == 0
-        assert rep.finite_nonzero_zeros == ()
+        fields = delay_fields(sys, tau, policy)
+        assert fields["mult_at_zero"] == 0
+        assert fields["mult_at_infinity"] == 0
+        assert zero_report(block(sys, tau), policy, seed=0).finite_nonzero_zeros == ()
 
     def test_multiplicity_identities(self, example1_sys, policy):
-        from multirate_zeros.numerics import rank_at
         blk = block(example1_sys, 1)
-        rep = zero_report(blk, policy, seed=0)
+        fields = delay_fields(example1_sys, 1, policy)
         pencil = system_pencil(blk)
-        assert rep.mult_at_zero == rep.normal_rank - rank_at(pencil, 0.0, policy)
+        assert fields["mult_at_zero"] == fields["normal_rank"] - rank_at(pencil, 0.0, policy)
         rank_at_infinity = blk.A_tau.shape[0] + numerical_rank(blk.D_tau, policy)
-        assert rep.mult_at_infinity == max(0, rep.normal_rank - rank_at_infinity)
+        assert fields["mult_at_infinity"] == max(0, fields["normal_rank"] - rank_at_infinity)
 
     def test_deterministic(self, example1_sys, policy):
         blk = block(example1_sys, 1)
@@ -248,15 +256,22 @@ class TestMultiplicities:
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
     def test_zero_report_reads_them_at_every_delay(self, dims, seed):
+        # one reading per system serves every delay: the stacked normal rank
+        # is the one-pencil reading zero_report falls back on, and the
+        # multiplicities follow from the readings by `multiplicities`
         policy = TolerancePolicy()
         sys = random_generic(dims, seed)
-        for tau in range(1, dims.N + 1):
-            blk = block(sys, tau)
-            rep = zero_report(blk, policy, seed)
-            got = multiplicities(rep.normal_rank, rep.rank_at_zero, rep.rank_D, dims.n)
-            assert got == (rep.mult_at_zero, rep.mult_at_infinity)
-            assert rep.rank_D == numerical_rank(blk.D_tau, policy)
-            assert rep.rank_at_zero == rank_at(system_pencil(blk), 0.0, policy)
+        taus = range(1, dims.N + 1)
+        blocks, rank = harness._read(sys, taus, policy, seed, None)
+        for tau in taus:
+            blk = blocks[tau - 1]
+            fields = harness._delay_fields(rank, dims.n, tau)
+            got = multiplicities(rank["normal_rank", tau], rank["rank_at_zero", tau],
+                                 rank["rank_D", tau], dims.n)
+            assert got == (fields["mult_at_zero"], fields["mult_at_infinity"])
+            assert rank["normal_rank", tau] == normal_rank(system_pencil(blk), policy, seed)
+            assert rank["rank_D", tau] == numerical_rank(blk.D_tau, policy)
+            assert rank["rank_at_zero", tau] == rank_at(system_pencil(blk), 0.0, policy)
 
 
 class TestSquareBlockedZeros:
@@ -298,16 +313,18 @@ class TestSerialization:
         text = json.dumps(data)  # must be JSON-serializable as-is
         back = json.loads(text)
         assert back["tau"] == 1
-        assert back["normal_rank"] == 6
-        assert back["mult_at_zero"] == 1
-        assert back["mult_at_infinity"] == 0
+        assert back["finite_nonzero_zeros"] == []
+        assert set(back) == {"tau", "finite_nonzero_zeros", "boundary_candidates",
+                             "candidates_examined", "seed"}
+        # the rank fields analyze sets beside these keys
+        fields = delay_fields(example1_sys, 1, policy)
+        assert (fields["normal_rank"], fields["mult_at_zero"], fields["mult_at_infinity"]) \
+            == (6, 1, 0)
         for entry in back["finite_nonzero_zeros"] + back["boundary_candidates"]:
             assert set(entry["location"]) == {"re", "im"}
 
     def test_populated_zero_list_round_trips(self, policy):
-        rep = ZeroReport(tau=1, normal_rank=3, rank_D=2, rank_at_zero=3, mult_at_zero=0,
-                         mult_at_infinity=0,
-                         finite_nonzero_zeros=((1.5 + 0.5j, 2),),
+        rep = ZeroReport(tau=1, finite_nonzero_zeros=((1.5 + 0.5j, 2),),
                          boundary_candidates=((1e-7 + 0j, 1),),
                          candidates_examined=4, seed=0)
         data = zero_report_to_dict(rep)
