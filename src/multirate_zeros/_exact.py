@@ -50,6 +50,7 @@ sample point. They never supply a value.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -109,13 +110,21 @@ def _matmul_mod(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y % P
 
 
-def modp_block(sys: MultirateSystem) -> list[BlockedSystem]:
-    """`block_all` over F_P: every delay 1..N, each entry the residue of the exact one."""
-    return _assemble(
-        sys.dims, range(1, sys.dims.N + 1),
-        residue_matrix(sys.A), residue_matrix(sys.B),
-        residue_matrix(sys.Cf), residue_matrix(sys.Cs),
-        residue_matrix(sys.Df), residue_matrix(sys.Ds), matmul=_matmul_mod)
+def _block_from(sys: MultirateSystem, taus, entries,
+                matmul=operator.matmul) -> list[BlockedSystem]:
+    # `_assemble` at the delays in taus, in order (every delay 1..N when
+    # None), on the entries of the six system matrices, taken in one pass
+    mats = (sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
+    flat = entries(np.concatenate([M.ravel() for M in mats]))[0]
+    parts = np.split(flat, np.cumsum([M.size for M in mats])[:-1])
+    return _assemble(sys.dims, range(1, sys.dims.N + 1) if taus is None else taus,
+                     *(x.reshape(M.shape) for x, M in zip(parts, mats)), matmul=matmul)
+
+
+def modp_block(sys: MultirateSystem, taus=None) -> list[BlockedSystem]:
+    """`block_all` over F_P at the delays in taus (every delay when None),
+    each entry the residue of the exact one."""
+    return _block_from(sys, taus, residue_matrix, _matmul_mod)
 
 
 def modp_rank(M: np.ndarray) -> int:
@@ -143,13 +152,10 @@ def modp_rank(M: np.ndarray) -> int:
     return rank
 
 
-def exact_block(sys: MultirateSystem) -> list[BlockedSystem]:
-    """`block_all` in Fraction arithmetic: every delay 1..N, free of rounding."""
-    return _assemble(
-        sys.dims, range(1, sys.dims.N + 1),
-        fraction_matrix(sys.A), fraction_matrix(sys.B),
-        fraction_matrix(sys.Cf), fraction_matrix(sys.Cs),
-        fraction_matrix(sys.Df), fraction_matrix(sys.Ds))
+def exact_block(sys: MultirateSystem, taus=None) -> list[BlockedSystem]:
+    """`block_all` in Fraction arithmetic, free of rounding, at the delays
+    in taus (every delay when None)."""
+    return _block_from(sys, taus, fraction_matrix)
 
 
 def exact_rank(M: np.ndarray) -> int:

@@ -37,13 +37,13 @@ class BlockedSystem:
 
 @dataclass(frozen=True)
 class MatrixPencil:
-    """First-order pencil P(Z) = Z*E - F."""
+    """First-order pencil P(Z) = Z*E - F, or a stack of them, F (k, rows, cols), sharing E."""
 
     E: np.ndarray
     F: np.ndarray
 
     def __post_init__(self):
-        if self.E.shape != self.F.shape:
+        if self.E.shape != self.F.shape[-2:] or self.F.ndim > 3:
             raise ValueError(f"E and F must share shape, got {self.E.shape} vs {self.F.shape}")
 
     @property
@@ -134,40 +134,48 @@ def block_all(sys: MultirateSystem) -> list[BlockedSystem]:
                      sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
 
 
-def system_pencil(blk: BlockedSystem) -> MatrixPencil:
-    """System matrix as a pencil: P(Z) = [[Z*I - A_tau, -B_tau], [C_tau, D_tau]]."""
-    n = blk.A_tau.shape[0]
-    rows = n + blk.C_tau.shape[0]
-    cols = n + blk.B_tau.shape[1]
-    dtype = blk.A_tau.dtype
+def system_pencil(blk: BlockedSystem | list[BlockedSystem]) -> MatrixPencil:
+    """System matrix as a pencil: P(Z) = [[Z*I - A_tau, -B_tau], [C_tau, D_tau]].
+
+    Given a list of blocked systems of one shape, as block_all returns
+    them, F stacks their pencils' F over the E they share.
+    """
+    blocks = [blk] if isinstance(blk, BlockedSystem) else blk
+    first = blocks[0]
+    n = first.A_tau.shape[0]
+    rows = n + first.C_tau.shape[0]
+    cols = n + first.B_tau.shape[1]
+    dtype = first.A_tau.dtype
     E = np.zeros((rows, cols), dtype=dtype)
     E[:n, :n] = np.eye(n, dtype=dtype)
-    F = np.zeros((rows, cols), dtype=dtype)
-    F[:n, :n] = blk.A_tau
-    F[:n, n:] = blk.B_tau
-    F[n:, :n] = -blk.C_tau
-    F[n:, n:] = -blk.D_tau
-    return MatrixPencil(E=E, F=F)
+    F = np.zeros((len(blocks), rows, cols), dtype=dtype)
+    for Fk, b in zip(F, blocks):
+        Fk[:n, :n] = b.A_tau
+        Fk[:n, n:] = b.B_tau
+        Fk[n:, :n] = -b.C_tau
+        Fk[n:, n:] = -b.D_tau
+    return MatrixPencil(E=E, F=F if blocks is blk else F[0])
 
 
-def _solve_resolvent(blk: BlockedSystem, Z: complex, policy: TolerancePolicy) -> np.ndarray:
-    """X = (Z*I - A_tau)^-1 B_tau, refused when the resolvent is ill conditioned."""
+def _solve_resolvent(blk: BlockedSystem, points, policy: TolerancePolicy) -> np.ndarray:
+    """X_i = (Z_i*I - A_tau)^-1 B_tau at each point Z_i, from one stacked cond
+    and one stacked solve; the first ill-conditioned resolvent is refused."""
     n = blk.A_tau.shape[0]
-    resolvent = Z * np.eye(n) - blk.A_tau
-    cond = np.linalg.cond(resolvent)
-    if not np.isfinite(cond) or cond > policy.condition_cap:
-        raise ResolventSingular(
-            f"Z*I - A_tau at Z={Z} has condition {cond:.3e}, cap {policy.condition_cap:.1e}")
-    return np.linalg.solve(resolvent, blk.B_tau)
+    resolvents = np.multiply.outer(points, np.eye(n)) - blk.A_tau
+    for Z, cond in zip(points, np.linalg.cond(resolvents)):
+        if not np.isfinite(cond) or cond > policy.condition_cap:
+            raise ResolventSingular(
+                f"Z*I - A_tau at Z={Z} has condition {cond:.3e}, cap {policy.condition_cap:.1e}")
+    return np.linalg.solve(resolvents, blk.B_tau)
 
 
 def transfer_eval(blk: BlockedSystem, Z: complex,
                   policy: TolerancePolicy | None = None) -> np.ndarray:
     """Blocked transfer function V_tau(Z) = C_tau (Z*I - A_tau)^-1 B_tau + D_tau."""
-    return blk.C_tau @ _solve_resolvent(blk, Z, policy or TolerancePolicy()) + blk.D_tau
+    return blk.C_tau @ _solve_resolvent(blk, [Z], policy or TolerancePolicy())[0] + blk.D_tau
 
 
-def lift_relation_residual(blocks: list[BlockedSystem], Z: complex,
+def lift_relation_residual(blocks: list[BlockedSystem], Z,
                            policy: TolerancePolicy | None = None) -> float:
     """Largest relative residual of the one-step lifting identity over delays 1..N.
 
@@ -177,11 +185,13 @@ def lift_relation_residual(blocks: list[BlockedSystem], Z: complex,
     Z, and leaves the slow rows alone; R rotates the input blocks left by
     one, the first picking up a factor 1/Z. Both are applied as block
     rotations, and the Frobenius-norm residual is zero in exact arithmetic
-    for every Z != 0. A_tau and B_tau do not depend on the delay, so one
-    resolvent solve serves all N transfer functions, which are formed in one
-    stacked product; the N - 1 residuals come from one rotation of that
-    stack. The harness reads it at real points, where X, V and the
-    residuals are all real.
+    for every Z != 0. Z is one point or a nonempty sequence of them, whose
+    result is the max of the one-point values. A_tau and B_tau do not
+    depend on the delay, so one stacked resolvent solve serves every point
+    and all N transfer functions, formed at each point in one stacked
+    product; the N - 1 residuals come from one rotation of that stack. The
+    harness reads it at real points, where X, V and the residuals are all
+    real.
     """
     def same(a, b):
         # block_all shares A_tau and B_tau between delays, so `is` usually settles it
@@ -195,16 +205,22 @@ def lift_relation_residual(blocks: list[BlockedSystem], Z: complex,
                        for b in blocks):
         raise ValueError("the lifting relation needs one system blocked at every "
                          "delay 1..N, in order, as block_all returns it")
-    if Z == 0:
+    points = [Z] if np.ndim(Z) == 0 else list(Z)
+    if any(z == 0 for z in points):
         raise ZeroZ("the lifting relation involves 1/Z and is undefined at Z=0")
     m, p1, N = first.dims.m, first.dims.p1, first.dims.N
-    X = _solve_resolvent(first, Z, policy or TolerancePolicy())
-    V = np.stack([b.C_tau for b in blocks]) @ X + np.stack([b.D_tau for b in blocks])
-    lo, hi = V[:-1], V[1:]
-    rows = np.concatenate([lo[:, p1:N * p1], Z * lo[:, :p1], lo[:, N * p1:]], axis=1)
-    rotated = np.concatenate([rows[:, :, m:], rows[:, :, :m] / Z], axis=2)
-    return float(np.sqrt(np.max(_squared_norms(hi - rotated) / _squared_norms(hi),
-                                initial=0.0)))
+    C, D = (np.stack([getattr(b, name) for b in blocks]) for name in ("C_tau", "D_tau"))
+
+    def residual(Z, X):
+        V = C @ X + D
+        lo, hi = V[:-1], V[1:]
+        rows = np.concatenate([lo[:, p1:N * p1], Z * lo[:, :p1], lo[:, N * p1:]], axis=1)
+        rotated = np.concatenate([rows[:, :, m:], rows[:, :, :m] / Z], axis=2)
+        return float(np.sqrt(np.max(_squared_norms(hi - rotated) / _squared_norms(hi),
+                                    initial=0.0)))
+
+    Xs = _solve_resolvent(first, points, policy or TolerancePolicy())
+    return max(residual(Z, X) for Z, X in zip(points, Xs))
 
 
 def _squared_norms(V: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -32,7 +33,7 @@ from .model import (Dimensions, MultirateSystem, TolerancePolicy, _is_int, class
 # normal_rank is not called here (run_trial reads through normal_ranks), but
 # perfbench's tracer reads and wraps harness.normal_rank, so it stays bound
 from .numerics import (_sample_uniforms, normal_rank,  # noqa: F401
-                       normal_ranks, numerical_rank, rank_at)
+                       normal_ranks, numerical_rank)
 from .oracle import dual_index, predict, predict_controllability_rank
 from .zeros import multiplicities, zero_report, zero_report_to_dict
 
@@ -281,10 +282,10 @@ def _escalate(sys: MultirateSystem, rank: dict) -> dict:
 
     rank maps (quantity, delay) to a reading of "normal_rank", "rank_D" or
     "rank_at_zero", at any delays; all of them share one assembly per
-    stage. A float reading at the generic value is already exact (see
-    _exact). Every other reading, below the generic value or above it
-    (which would break the premise that a float rank only under-reports),
-    is first read over F_P from one
+    stage, of just the delays with a reading to re-read. A float reading at
+    the generic value is already exact (see _exact). Every other reading,
+    below the generic value or above it (which would break the premise that
+    a float rank only under-reports), is first read over F_P from one
     `modp_block` assembly: a mod-P rank is a lower bound on the exact rank,
     so one that meets the generic value is the exact value. Only a reading
     the screen leaves short is read by Bareiss, and the Fraction assembly
@@ -302,19 +303,21 @@ def _escalate(sys: MultirateSystem, rank: dict) -> dict:
     # the readers of each stage: the screen (False), then Bareiss (True)
     stages = {False: (modp_block, modp_rank, modp_rank_at, modp_normal_rank),
               True: (exact_block, exact_rank, exact_rank_at, exact_normal_rank)}
+    # the delays with a reading to re-read, each stage assembling only those
+    taus = sorted({t for (q, t), value in rank.items() if value != generic[q, t]})
 
     @cache
     def blocks(exact):
-        return stages[exact][0](sys)
+        return dict(zip(taus, stages[exact][0](sys, taus)))
 
     @cache
     def pencil(t, exact):
-        return system_pencil(blocks(exact)[t - 1])
+        return system_pencil(blocks(exact)[t])
 
     def read(q, t, exact):
         _, rank_of, rank_at_point, normal_rank_of = stages[exact]
         if q == "rank_D":
-            return rank_of(blocks(exact)[t - 1].D_tau)
+            return rank_of(blocks(exact)[t].D_tau)
         if q == "rank_at_zero":
             return rank_at_point(pencil(t, exact), 0)
         return normal_rank_of(pencil(t, exact), generic[q, t])
@@ -333,22 +336,26 @@ def _read(sys: MultirateSystem, taus, policy: TolerancePolicy, seed: int,
     """The blocked systems of sys at every delay, and their float rank readings.
 
     One `block_all` assembly gives the N blocked systems, blocks[t - 1]
-    being the one at delay t, and one stacked `normal_ranks` sweep over
-    their pencils, stopped at bound, reads the normal rank at every delay.
-    rank(D_tau) and the rank at Z = 0 are read at each delay in taus, every
-    reading at a real point in real arithmetic. rank maps (quantity, delay)
-    to a reading, as `_delay_fields` and `_escalate` take it.
+    being the one at delay t, and their pencils are one stack sharing E.
+    One stacked `normal_ranks` sweep of it, stopped at bound, reads the
+    normal rank at every delay. rank(D_t) at the delays t in taus is one
+    stacked `numerical_rank` call, and the rank at Z = 0 (0.0 * E - F, as
+    `rank_at` reads it) one more: all real points in real arithmetic. rank
+    maps (quantity, delay) to a reading, as `_delay_fields` and `_escalate`
+    take it.
     """
-    taus = dict.fromkeys(taus)      # in order, each delay once
+    taus = list(dict.fromkeys(taus))      # in order, each delay once
     for t in taus:
         _check_tau(t, sys.dims.N)
     blocks = block_all(sys)
-    pencils = [system_pencil(b) for b in blocks]
+    pencils = system_pencil(blocks)
     rho = normal_ranks(pencils, policy, seed, bound)
     rank = {("normal_rank", t): r for t, r in enumerate(rho, 1)}
-    for t in taus:
-        rank["rank_D", t] = numerical_rank(blocks[t - 1].D_tau, policy)
-        rank["rank_at_zero", t] = rank_at(pencils[t - 1], 0.0, policy)
+    at = [t - 1 for t in taus]
+    rank_D = numerical_rank(np.stack([blocks[i].D_tau for i in at]), policy)
+    rank_0 = numerical_rank(0.0 * pencils.E - pencils.F[at], policy)
+    for t, r_D, r_0 in zip(taus, rank_D, rank_0):
+        rank["rank_D", t], rank["rank_at_zero", t] = r_D, r_0
     return blocks, rank
 
 
@@ -363,14 +370,16 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     delays, at LIFT_SAMPLES random real points of either sign with |Z| in
     [2**-0.5, 2**0.5], drawn from the first uniforms behind the normal-rank
     sample points; there X, the transfer functions and the residuals are
-    real. The finite-zero search runs at tau only. Every rank field is
-    derived by `_rank_fields` from the readings `_read` takes: the normal
-    rank at every delay, and the ranks of D_tau and at Z = 0 at tau and at
-    the dual delay. Its stacked sweep costs one svd call per sample point,
-    and each delay's sweep stops at the predicted normal rank, which no
-    instance exceeds, so a generic trial costs one call. Numerical
-    failures (e.g. every compression attempt ill conditioned) are captured
-    in the record, not raised.
+    real. One `lift_relation_residual` call takes every point, with one
+    stacked solve for all their resolvents. The finite-zero search runs at
+    tau only. Every rank field is derived by `_rank_fields` from the
+    readings `_read` takes: the normal rank at every delay, and the ranks
+    of D_tau and at Z = 0 at tau and at the dual delay, one stacked svd
+    call for each kind. Its stacked normal-rank sweep costs one svd call
+    per sample point, and each delay's sweep stops at the predicted normal
+    rank, which no instance exceeds, so a generic trial costs one call.
+    Numerical failures (e.g. every compression attempt ill conditioned) are
+    captured in the record, not raised.
 
     When a check with rank content disagrees (any but FLOAT_ONLY_KEYS), the
     trial escalates: every reading not at its generic value is re-read
@@ -394,10 +403,11 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
                              pred.normal_rank)
         rep = zero_report(blocks[tau - 1], policy, seed, rho=rank["normal_rank", tau])
         # real points of either sign with |Z| in [2**-0.5, 2**0.5], from the
-        # first uniforms behind the normal-rank points
-        points = [float(np.copysign(2.0 ** (abs(u) - 0.5), u))
+        # first uniforms behind the normal-rank points; a scalar 2.0 ** x,
+        # since numpy's vectorized power can differ from it in the last bit
+        points = [math.copysign(2.0 ** (abs(u) - 0.5), u)
                   for u in _sample_uniforms(seed, policy.normal_rank_samples)[:LIFT_SAMPLES]]
-        worst = max(lift_relation_residual(blocks, Z, policy) for Z in points)
+        worst = lift_relation_residual(blocks, points, policy)
 
         measured = {
             **_rank_fields(rank, dims, tau),

@@ -10,6 +10,7 @@ closed-form predictions.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -30,9 +31,13 @@ def _ranks(M: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
     return np.sum(s > policy.rel_rank_tol * s[..., :1] * max(M.shape[-2:]), axis=-1)
 
 
-def numerical_rank(M: np.ndarray, policy: TolerancePolicy | None = None) -> int:
-    """Count singular values above rel_rank_tol * sigma_1 * max(rows, cols)."""
-    return int(_ranks(np.atleast_2d(M), policy or TolerancePolicy()))
+def numerical_rank(M: np.ndarray, policy: TolerancePolicy | None = None) -> int | list[int]:
+    """Count singular values above rel_rank_tol * sigma_1 * max(rows, cols).
+
+    Given a stack (k, rows, cols), the list of the k ranks, from one svd call.
+    """
+    ranks = _ranks(np.atleast_2d(M), policy or TolerancePolicy())
+    return ranks.tolist() if ranks.ndim else int(ranks)
 
 
 def _evaluate(E: np.ndarray, F: np.ndarray, Z: complex) -> np.ndarray:
@@ -87,35 +92,42 @@ def _sample_uniforms(seed: int, count: int) -> tuple[float, ...]:
     # uniforms on [-1, 1) behind the sample points and the lift check's
     # points, from their own Philox key: keys below 2**64 draw the systems
     # and the compressions. One entry serves every pencil of a trial and its
-    # lift check; a tuple, so no caller can change it
-    return tuple(_rng(seed + (1 << 64)).uniform(-1.0, 1.0, count))
+    # lift check; a tuple of Python floats, so no caller can change it and
+    # the points are scalar arithmetic (see run_trial)
+    return tuple(_rng(seed + (1 << 64)).uniform(-1.0, 1.0, count).tolist())
 
 
 @lru_cache(maxsize=1)
 def _sample_points(seed: int, count: int) -> tuple[float, ...]:
     # each uniform u gives a real point of u's sign with |Z| = NORMAL_RANK_RADIUS * (1 + |u|)
-    return tuple(NORMAL_RANK_RADIUS * float(np.copysign(1.0 + abs(u), u))
+    return tuple(NORMAL_RANK_RADIUS * math.copysign(1.0 + abs(u), u)
                  for u in _sample_uniforms(seed, count))
 
 
-def normal_ranks(pencils: list[MatrixPencil], policy: TolerancePolicy | None = None,
+def normal_ranks(pencils: MatrixPencil | list[MatrixPencil],
+                 policy: TolerancePolicy | None = None,
                  seed: int = 0, bound: int | None = None) -> list[int]:
     """`normal_rank` of each of several pencils of one shape, one svd call a point.
 
-    At each sample point one stacked svd reads every pencil whose sweep is
-    still open; a pencil's sweep closes as `_max_rank`'s does, on the first
+    pencils is a stack sharing E, as `system_pencil` builds it from a list
+    of blocked systems, or a list of pencils, stacked once here. At each
+    sample point one stacked svd reads every pencil whose sweep is still
+    open; a pencil's sweep closes as `_max_rank`'s does, on the first
     reading that brings its max to min(bound, rows, cols). So each value is
     the one `normal_rank` gives for that pencil alone.
     """
     policy = policy or TolerancePolicy()
-    shape = pencils[0].shape
-    limit = _rank_limit(shape, bound)
-    best = np.full(len(pencils), -1)   # -1: no point read yet
+    if isinstance(pencils, MatrixPencil):
+        E, F = pencils.E, pencils.F.reshape(-1, *pencils.shape)
+    else:   # each pencil's own E goes with its F
+        E, F = (np.stack([getattr(p, name) for p in pencils]) for name in "EF")
+    limit = _rank_limit(E.shape[-2:], bound)
+    best = np.full(len(F), -1)   # -1: no point read yet
     for Z in _sample_points(seed, policy.normal_rank_samples):
         open_ = np.flatnonzero(best != limit)
         if open_.size == 0:
             break
-        M = np.stack([_evaluate(pencils[i].E, pencils[i].F, Z) for i in open_])
+        M = _evaluate(E if E.ndim == 2 else E[open_], F[open_], Z)
         best[open_] = np.maximum(best[open_], _ranks(M, policy))
     return best.tolist()
 

@@ -30,6 +30,11 @@ def planted_zero_system(Df: float) -> MultirateSystem:
                            Cf=one(1), Cs=one(0), Df=one(Df), Ds=one(0))
 
 
+def pencil_count(pencils) -> int:
+    """How many pencils a `normal_ranks` argument holds: a list, or a stack sharing E."""
+    return len(pencils) if isinstance(pencils, list) else len(pencils.F)
+
+
 @pytest.fixture(scope="session")
 def policy() -> TolerancePolicy:
     return TolerancePolicy()

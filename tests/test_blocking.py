@@ -15,7 +15,7 @@ from multirate_zeros.errors import ResolventSingular, TauOutOfRange, ZeroZ
 from multirate_zeros.model import (Dimensions, MultirateSystem, fixture,
                                    random_generic, reverse_time)
 
-from conftest import EXAMPLE1_DIMS
+from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS
 
 SCALAR_DIMS = Dimensions(1, 1, 1, 1, 2)
 
@@ -193,6 +193,22 @@ class TestSystemPencil:
         from multirate_zeros.blocking import MatrixPencil
         with pytest.raises(ValueError):
             MatrixPencil(E=np.eye(2), F=np.eye(3))
+        with pytest.raises(ValueError):
+            MatrixPencil(E=np.eye(2), F=np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError):
+            MatrixPencil(E=np.eye(2), F=np.zeros((1, 2, 2, 2)))
+
+    @pytest.mark.parametrize("dims", [EXAMPLE1_DIMS, Dimensions(3, 2, 1, 3, 4),
+                                      LONG_HORIZON_DIMS])
+    def test_list_of_systems_is_a_stack_sharing_E(self, dims):
+        blocks = block_all(random_generic(dims, seed=5))
+        stack = system_pencil(blocks)
+        assert stack.F.shape == (dims.N, *stack.shape)
+        for i, blk in enumerate(blocks):
+            one = system_pencil(blk)
+            assert np.array_equal(stack.E, one.E)
+            assert np.array_equal(stack.F[i], one.F)
+            assert np.array_equal(stack.at(-1.5)[i], one.at(-1.5))
 
     @given(z1=st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
            z2=st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False))
@@ -290,6 +306,52 @@ class TestLiftRelation:
         monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
         assert lift_relation_residual(blocks, 0.7 + 0.2j) < 1e-10
         assert len(solves) == 1
+
+    @pytest.mark.parametrize("dims", [LIFT_DIMS, LONG_HORIZON_DIMS])
+    @pytest.mark.parametrize("points", [[0.9, -1.3, 0.75], (-0.8, 1.2, -1.4),
+                                        [0.7 + 0.2j, -0.4 + 1.1j, 1.2 - 0.5j]],
+                             ids=["real", "real-tuple", "complex"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sequence_is_the_max_of_its_points(self, dims, points, seed):
+        # exactly: the same resolvents, solved as one stack, and the same
+        # residual arithmetic at each point; a fault on the last delay makes
+        # the points' residuals differ
+        blocks = block_all(random_generic(dims, seed))
+        faulted = blocks[:-1] + [replace(blocks[-1], D_tau=blocks[-1].D_tau * (1 + 1e-9))]
+        for bs in (blocks, faulted):
+            assert lift_relation_residual(bs, points) == max(
+                lift_relation_residual(bs, Z) for Z in points)
+
+    def test_one_cond_and_one_solve_for_every_point(self, monkeypatch):
+        blocks = block_all(random_generic(LIFT_DIMS, seed=21))
+        calls = []
+        for name in ("cond", "solve"):
+            f = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _f=f, _n=name: calls.append(_n) or _f(*a))
+        assert lift_relation_residual(blocks, [0.9, -1.3, 0.75, 1.1]) < 1e-10
+        assert calls == ["cond", "solve"]
+
+    def test_first_singular_point_is_named(self):
+        # A_tau = a^N = 1: of the three points only the second, Z = 1, is singular
+        sys = scalar_system(a=1.0, b=1.0, cf=1.0, cs=1.0, df=1.0, ds=1.0)
+        with pytest.raises(ResolventSingular, match=r"at Z=1\.0 has condition"):
+            lift_relation_residual(block_all(sys), [0.5, 1.0, 2.0])
+        # A_tau = diag(1, 4): the second and third points are singular, the second named
+        sys = MultirateSystem(dims=Dimensions(2, 1, 1, 1, 2), A=np.diag([1.0, 2.0]),
+                              B=[[1.0], [1.0]], Cf=[[1.0, 1.0]], Cs=[[1.0, 0.0]],
+                              Df=[[1.0]], Ds=[[1.0]])
+        with pytest.raises(ResolventSingular, match=r"at Z=4\.0 has condition"):
+            lift_relation_residual(block_all(sys), [0.5, 4.0, 1.0])
+
+    @pytest.mark.parametrize("points", [[0.5, 0.0, 2.0], [0j]])
+    def test_zero_anywhere_in_a_sequence_refused(self, points):
+        with pytest.raises(ZeroZ):
+            lift_relation_residual(block_all(random_generic(LIFT_DIMS, seed=21)), points)
+
+    def test_empty_sequence_refused(self):
+        with pytest.raises(ValueError, match="empty"):
+            lift_relation_residual(block_all(random_generic(LIFT_DIMS, seed=21)), [])
 
     def test_systems_must_match(self):
         blocks = (block_all(random_generic(LIFT_DIMS, seed=21))[:2]

@@ -14,7 +14,7 @@ from multirate_zeros.model import (Dimensions, fixture, random_generic,
                                    save_system)
 from multirate_zeros.numerics import normal_ranks
 
-from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, planted_zero_system
+from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, pencil_count, planted_zero_system
 
 
 @pytest.fixture()
@@ -131,21 +131,21 @@ class TestAnalyze:
     def test_every_delay_is_settled_from_one_assembly(self, example1_file, tmp_path,
                                                       monkeypatch):
         # every float reading at both delays falls short; one mod-P
-        # assembly of all N delays serves every re-read
+        # assembly of the delays to re-read, here all N, serves every re-read
         pol = tmp_path / "policy.json"
         pol.write_text(json.dumps({"rel_rank_tol": 0.5}))
         assembled = []
 
-        def counting(sys_):
-            assembled.append(sys_)
-            return modp_block(sys_)
+        def counting(sys_, taus):
+            assembled.append(list(taus))
+            return modp_block(sys_, taus)
 
         monkeypatch.setattr(harness, "modp_block", counting)
         out = tmp_path / "report.json"
         assert main(["analyze", "--system", str(example1_file), "--policy", str(pol),
                      "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["results"]) == EXAMPLE1_DIMS.N == 2
-        assert len(assembled) == 1
+        assert assembled == [[1, 2]]
 
     def test_genuine_rank_drop_reports_disagreement(self, example1_sys, tmp_path):
         # with no feedthrough, rank(D_tau) is exactly below its generic
@@ -229,7 +229,7 @@ class TestAnalyze:
             return assemble(d, assembled[-1], *args, **kwargs)
 
         def counting_sweep(pencils, *args):
-            sweeps.append(len(pencils))
+            sweeps.append(pencil_count(pencils))
             return stacked(pencils, *args)
 
         monkeypatch.setattr(blocking, "_assemble", counting_assembly)

@@ -352,6 +352,24 @@ class TestModpBlock:
                 assert getattr(mb, name).dtype == np.int64
                 assert getattr(mb, name).tolist() == reduced
 
+    @pytest.mark.parametrize("taus", [[2], [3, 1], [1, 2, 3]])
+    def test_chosen_delays_are_those_of_every_delay(self, taus):
+        sys = random_generic(Dimensions(2, 2, 1, 3, 3), seed=5)
+        for assemble in (modp_block, exact_block):
+            every, chosen = assemble(sys), assemble(sys, taus)
+            assert [b.tau for b in chosen] == taus
+            for b in chosen:
+                for name in ("A_tau", "B_tau", "C_tau", "D_tau"):
+                    assert np.array_equal(getattr(b, name), getattr(every[b.tau - 1], name))
+
+    def test_residues_of_all_six_matrices_in_one_pass(self, monkeypatch):
+        sys = random_generic(Dimensions(2, 3, 1, 4, 3), seed=9)
+        passes = []
+        monkeypatch.setattr(_exact, "residue_matrix",
+                            lambda M: passes.append(np.size(M)) or residue_matrix(M))
+        modp_block(sys, [1])
+        assert passes == [sum(M.size for M in (sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds))]
+
     def test_inner_dimension_that_could_wrap_is_refused(self):
         # 8192 * (P - 1)**2 < 2**63 <= 8193 * (P - 1)**2
         top = np.full((1, 8192), P - 1, dtype=np.int64)
@@ -379,9 +397,16 @@ class TestEscalation:
     @pytest.mark.parametrize("tau", [1, 2])
     def test_reading_above_its_generic_value_is_reread(self, monkeypatch, tau):
         # a float rank above the generic value breaks the under-report
-        # premise; it is re-read like one below it, and the exact value stands
+        # premise; it is re-read like one below it, and the exact value stands.
+        # The +1 goes on the stacked D_tau readings only, not on the rank at 0
         dims = EXAMPLE1_DIMS
-        monkeypatch.setattr(harness, "numerical_rank", lambda *a: numerical_rank(*a) + 1)
+        d_shape = (dims.N * dims.p1 + dims.p2, dims.N * dims.m)
+
+        def inflated(M, policy):
+            ranks = numerical_rank(M, policy)
+            return [r + 1 for r in ranks] if M.shape[1:] == d_shape else ranks
+
+        monkeypatch.setattr(harness, "numerical_rank", inflated)
         screened = []
         monkeypatch.setattr(harness, "modp_rank",
                             lambda M: screened.append(M.shape) or modp_rank(M))
@@ -392,6 +417,24 @@ class TestEscalation:
         assert rec.measured["rank_D"] == generic
         assert screened
         assert rec.agree_all
+
+    def test_only_the_delays_to_re_read_are_assembled(self, monkeypatch):
+        # delay 2 of 3 has the one reading off its generic value
+        dims = Dimensions(2, 2, 1, 4, 3)
+        sys_ = random_generic(dims, 1)
+        rank = {}
+        for t in (1, 2, 3):
+            pred = predict(dims, t)
+            rank["normal_rank", t] = pred.normal_rank
+            rank["rank_D", t] = pred.rank_D
+            rank["rank_at_zero", t] = pred.normal_rank - pred.mult_at_zero
+        rank["rank_D", 2] -= 1
+        assembled = []
+        monkeypatch.setattr(harness, "modp_block",
+                            lambda s, taus: assembled.append(list(taus)) or modp_block(s, taus))
+        settled = harness._escalate(sys_, rank)
+        assert assembled == [[2]]
+        assert settled["rank_D", 2] == predict(dims, 2).rank_D
 
     @pytest.mark.parametrize("case", ESCALATION_CASES, ids=lambda c: str(c["seed"]))
     def test_analyze_settles_what_run_trial_settles(self, case):

@@ -21,7 +21,7 @@ from multirate_zeros.numerics import normal_rank, normal_ranks, numerical_rank, 
 from multirate_zeros.oracle import dual_index
 from multirate_zeros.zeros import finite_zero_candidates, multiplicities
 
-from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS
+from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, pencil_count
 
 SINGLE_CELL = GridSpec(n_values=(1,), m_values=(2,), N_values=(2,),
                        p1_values=(1,), taus=(1,), trials_per_cell=2)
@@ -73,7 +73,7 @@ class TestRunTrial:
         sweeps, singles = [], []
 
         def stacked(pencils, *args):
-            sweeps.append(len(pencils))
+            sweeps.append(pencil_count(pencils))
             return normal_ranks(pencils, *args)
 
         monkeypatch.setattr(harness, "normal_ranks", stacked)
@@ -90,14 +90,16 @@ class TestRunTrial:
     @pytest.mark.parametrize("tau", [1, 8])
     def test_generic_trial_samples_one_point_per_delay(self, monkeypatch, tau):
         # 53x45 pencils of generic normal rank 36: every delay's sweep stops
-        # at the first point, so the sweep is one svd call on a stack of N
+        # at the first point, so the sweep is one svd call on a stack of N;
+        # rank(D_tau) and the rank at 0 at tau and its dual are one stack each
         stacks = []
         ranks = numerics._ranks
         monkeypatch.setattr(numerics, "_ranks",
                             lambda M, policy: stacks.append(M.shape) or ranks(M, policy))
         rec = run_trial(LONG_HORIZON_DIMS, tau=tau, seed=0)
         assert rec.agree_all and not rec.escalated
-        assert [shape for shape in stacks if len(shape) == 3] == [(LONG_HORIZON_DIMS.N, 53, 45)]
+        assert [shape for shape in stacks if len(shape) == 3] == [
+            (LONG_HORIZON_DIMS.N, 53, 45), (2, 48, 40), (2, 53, 45)]
 
     @pytest.mark.parametrize("tau", [1, 2, 3])
     def test_finite_zero_search_runs_once(self, monkeypatch, tau):
@@ -114,7 +116,9 @@ class TestRunTrial:
 
     def test_lift_check_takes_every_delay_at_each_sample_point(self, monkeypatch):
         # the points are real, from the first LIFT_SAMPLES uniforms behind the
-        # normal-rank points, with |Z| in [2**-0.5, 2**0.5]
+        # normal-rank points, with |Z| in [2**-0.5, 2**0.5], all in one call.
+        # At seed 6 numpy's vectorized 2.0 ** x differs from the scalar one in
+        # the last bit of a point; at seed 1 the two agree
         calls, residuals = [], []
 
         def counting(blocks, Z, policy):
@@ -123,11 +127,16 @@ class TestRunTrial:
             return residuals[-1]
 
         monkeypatch.setattr(harness, "lift_relation_residual", counting)
-        rec = run_trial(Dimensions(2, 2, 1, 4, 3), tau=2, seed=1)
-        u = _rng(1 + (1 << 64)).uniform(-1.0, 1.0, LIFT_SAMPLES)
-        assert calls == [([1, 2, 3], float(np.copysign(2.0 ** (abs(x) - 0.5), x))) for x in u]
-        assert all(type(Z) is float and 2**-0.5 <= abs(Z) <= 2**0.5 for _, Z in calls)
-        assert rec.measured["lift_residual_max"] == max(residuals)
+        for seed in (1, 6):
+            calls.clear()
+            residuals.clear()
+            rec = run_trial(Dimensions(2, 2, 1, 4, 3), tau=2, seed=seed)
+            u = _rng(seed + (1 << 64)).uniform(-1.0, 1.0, LIFT_SAMPLES)
+            assert calls == [([1, 2, 3],
+                              [float(np.copysign(2.0 ** (abs(x) - 0.5), x)) for x in u])]
+            (_, points), = calls
+            assert all(type(Z) is float and 2**-0.5 <= abs(Z) <= 2**0.5 for Z in points)
+            assert rec.measured["lift_residual_max"] == residuals[0]
 
     @pytest.mark.parametrize("dims", [EXAMPLE1_DIMS, Dimensions(3, 2, 1, 5, 4),
                                       Dimensions(2, 1, 3, 1, 4), LONG_HORIZON_DIMS])
@@ -177,6 +186,34 @@ class TestRunTrial:
     def test_not_tall_dims_rejected(self):
         with pytest.raises(NotTallClass):
             run_trial(Dimensions(1, 2, 1, 2, 2), tau=1, seed=0)
+
+
+class TestRead:
+    """`_read`'s stacked readings are the one-matrix readings at each delay."""
+
+    @pytest.mark.parametrize("dims,taus", [
+        (Dimensions(2, 2, 1, 4, 3), (2, 2)),          # tau = 2 is its own dual at N = 3
+        (Dimensions(2, 2, 1, 4, 3), (3, 1)),
+        (EXAMPLE1_DIMS, (1, 2)),
+        (LONG_HORIZON_DIMS, (1, 8)),
+        (LONG_HORIZON_DIMS, range(1, 9))],            # analyze's --tau all
+        ids=["own-dual", "dual-pair", "example1", "long-pair", "long-all"])
+    @pytest.mark.parametrize("policy", [TolerancePolicy(), TolerancePolicy(rel_rank_tol=0.1)],
+                             ids=["default", "coarse"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_stack_per_kind_of_reading(self, monkeypatch, dims, taus, policy, seed):
+        stacks = []
+        monkeypatch.setattr(harness, "numerical_rank",
+                            lambda M, pol: stacks.append(M.shape[0]) or numerical_rank(M, pol))
+        blocks, rank = harness._read(random_generic(dims, seed), taus, policy, seed, None)
+        delays = list(dict.fromkeys(taus))
+        assert stacks == [len(delays)] * 2
+        assert {t for q, t in rank if q != "normal_rank"} == set(delays)
+        for t in delays:
+            pencil = system_pencil(blocks[t - 1])
+            assert rank["rank_D", t] == numerical_rank(blocks[t - 1].D_tau, policy)
+            assert rank["rank_at_zero", t] == rank_at(pencil, 0.0, policy)
+            assert rank["normal_rank", t] == normal_rank(pencil, policy, seed)
 
 
 class TestAnalyze:

@@ -45,6 +45,17 @@ class TestNumericalRank:
         assert numerical_rank(M, policy) == numerical_rank(1e12 * M, policy)
         assert numerical_rank(M, policy) == numerical_rank(1e-12 * M, policy)
 
+    @given(ranks=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+           draw=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_a_stack_gives_each_matrix_its_own_rank(self, ranks, draw):
+        rng = np.random.default_rng(draw)
+        stack = np.stack([rng.standard_normal((4, r)) @ rng.standard_normal((r, 5))
+                          * 10.0 ** rng.integers(-6, 7) for r in ranks])
+        got = numerical_rank(stack)
+        assert got == [numerical_rank(M) for M in stack] == ranks
+        assert all(type(r) is int for r in got)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_invariant_under_well_conditioned_factor(self, seed, policy):
         # multiplying by a matrix with condition far below 1/rel_rank_tol
@@ -308,6 +319,17 @@ class TestNormalRanks:
             numerics._max_rank((rank_at(p, Z, policy) for Z in every_sample_point(policy, seed)),
                                p.shape, bound)
             for p in pencils]
+
+    @pytest.mark.parametrize("dims", [EXAMPLE1_DIMS, Dimensions(3, 2, 1, 3, 4),
+                                      Dimensions(5, 5, 3, 24, 8)])
+    @pytest.mark.parametrize("bound", [None, 0, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_stack_sharing_E_reads_as_its_list(self, dims, bound, seed):
+        blocks = block_all(random_generic(dims, seed))
+        policy = TolerancePolicy()
+        assert numerics.normal_ranks(system_pencil(blocks), policy, seed, bound) \
+            == numerics.normal_ranks([system_pencil(b) for b in blocks], policy, seed, bound) \
+            == [normal_rank(system_pencil(b), policy, seed, bound) for b in blocks]
 
     def test_one_svd_call_per_sample_point(self, monkeypatch, policy):
         # every delay of a generic system meets its bound at the first point
