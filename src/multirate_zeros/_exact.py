@@ -9,12 +9,13 @@ N-1 power) that sink below any double-precision threshold. Those trials are
 undecidable in float arithmetic: the same reading is produced by a genuine
 rank drop and by an unlucky but full-rank draw.
 
-This module settles such rank readings in two stages. The verification
-harness calls in only for trials whose float rank measurement disagrees
-with the closed-form prediction, and re-reads only the ranks that differ
-from their generic value, which no instance's exact rank exceeds. It reads
-ranks only, at real rational points: a genuine finite zero almost never
-sits exactly at its float location, so a rank read there settles nothing.
+`settle` settles such rank readings in two stages. The verification
+harness calls it only for trials whose float rank measurement disagrees
+with the closed-form prediction, and it re-reads only the ranks that
+differ from their generic value, which no instance's exact rank exceeds.
+It reads ranks only, at real rational points: a genuine finite zero almost
+never sits exactly at its float location, so a rank read there settles
+nothing.
 
 First, a screen over the prime field F_P, P = 33554393, the largest prime
 below 2**25. Each entry num * 2**e is mapped to its residue num * 2**e mod
@@ -31,8 +32,9 @@ enters the argument, because the screen never decides a reading it cannot
 prove. An unlucky P, one that divides every nonzero minor of the largest
 size, only makes the screen fall short.
 
-Second, the fallback for a screen that falls short. Matrices are rebuilt
-from the original entries with Fraction arithmetic, which is rounding-free,
+Second, the fallback for the readings the screen leaves short, and for
+them only. Their delays' matrices are rebuilt from the original entries
+with Fraction arithmetic, which is rounding-free,
 and a rank is computed in integers: each row, scaled by the lcm of its
 denominators, goes through fraction-free Bareiss elimination, whose
 divisions are exact.
@@ -55,7 +57,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blocking import BlockedSystem, MatrixPencil, _assemble
+from .blocking import BlockedSystem, _assemble, system_pencil
 from .model import MultirateSystem
 from .numerics import _max_rank
 
@@ -181,28 +183,39 @@ def exact_rank(M: np.ndarray) -> int:
     return rank
 
 
-def exact_rank_at(pencil: MatrixPencil, z) -> int:
-    """Exact rank of Z*E - F at the real rational point Z = z."""
-    return exact_rank(pencil.at(Fraction(z)))
+def settle(sys: MultirateSystem, rank: dict, generic: dict) -> dict:
+    """The readings in rank, each one off its generic value re-read exactly.
 
-
-def modp_rank_at(pencil: MatrixPencil, z) -> int:
-    """Lower bound on exact_rank_at from a pencil of residues (of modp_block's systems)."""
-    return modp_rank(pencil.at(_residue(z)))
-
-
-def exact_normal_rank(pencil: MatrixPencil, bound: int | None = None) -> int:
-    """Max exact rank over _SAMPLE_POINTS, stopping once it reaches min(bound, rows, cols).
-
-    A point's rank is a lower bound on the normal rank; min(rows, cols) is
-    an upper bound, and so is bound when it is the generic value. A point
-    that meets the upper bound settles the max. A point ranking above a
-    bound set too low does not stop the sweep, so the excess still shows.
+    rank maps (quantity, delay) to a reading of "normal_rank", "rank_D" or
+    "rank_at_zero", and generic maps each key to its generic value. A
+    reading at it is exact already and stands. The others are re-read in
+    two stages, each an (assembly, rank, point) triple: the screen
+    (`modp_block`, `modp_rank`, a point's residue), then Bareiss
+    (`exact_block`, `exact_rank`, a point as a Fraction). A stage re-reads
+    only the readings still off their generic value, from one assembly of
+    their delays, and builds a delay's pencil only for a pencil reading:
+    the max of its ranks at Z = 0, or at _SAMPLE_POINTS for the normal
+    rank, stopped by `_max_rank` at the generic value. A mod-P rank that
+    meets the generic value is exact, so each value returned is the one a
+    Bareiss re-read of every reading gives.
     """
-    return _max_rank((exact_rank_at(pencil, z) for z in _SAMPLE_POINTS), pencil.shape, bound)
-
-
-def modp_normal_rank(pencil: MatrixPencil, bound: int | None = None) -> int:
-    """`exact_normal_rank` read mod P: a lower bound on it, and equal to it
-    when it meets a bound that is the generic value."""
-    return _max_rank((modp_rank_at(pencil, z) for z in _SAMPLE_POINTS), pencil.shape, bound)
+    rank = dict(rank)
+    points = {"rank_at_zero": (0,), "normal_rank": _SAMPLE_POINTS}
+    # built per call, so a rebinding of these module globals takes effect
+    for assemble, rank_of, point in ((modp_block, modp_rank, _residue),
+                                     (exact_block, exact_rank, Fraction)):
+        off = [key for key, value in rank.items() if value != generic[key]]
+        if not off:
+            break
+        taus = sorted({t for _, t in off})
+        blocks = dict(zip(taus, assemble(sys, taus)))
+        pencils = {}
+        for q, t in off:
+            if q == "rank_D":
+                rank[q, t] = rank_of(blocks[t].D_tau)
+                continue
+            if t not in pencils:
+                pencils[t] = system_pencil(blocks[t])
+            rank[q, t] = _max_rank((rank_of(pencils[t].at(point(z))) for z in points[q]),
+                                   pencils[t].shape, generic[q, t])
+    return rank

@@ -18,15 +18,14 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from ._exact import (exact_block, exact_normal_rank, exact_rank, exact_rank_at, modp_block,
-                     modp_normal_rank, modp_rank, modp_rank_at)
+from ._exact import settle
 from ._version import __version__
-from .blocking import _check_tau, block, block_all, lift_relation_residual, system_pencil
+from .blocking import (MatrixPencil, _check_tau, block, block_all, lift_relation_residual,
+                       system_pencil)
 from .errors import MultirateError, NotTallClass
 from .model import (Dimensions, MultirateSystem, TolerancePolicy, _is_int, classify,
                     fixture, policy_from_dict, random_generic)
@@ -281,18 +280,12 @@ def _escalate(sys: MultirateSystem, rank: dict) -> dict:
     """The rank readings, those not at their generic value re-read exactly.
 
     rank maps (quantity, delay) to a reading of "normal_rank", "rank_D" or
-    "rank_at_zero", at any delays; all of them share one assembly per
-    stage, of just the delays with a reading to re-read. A float reading at
-    the generic value is already exact (see _exact). Every other reading,
-    below the generic value or above it (which would break the premise that
-    a float rank only under-reports), is first read over F_P from one
-    `modp_block` assembly: a mod-P rank is a lower bound on the exact rank,
-    so one that meets the generic value is the exact value. Only a reading
-    the screen leaves short is read by Bareiss, and the Fraction assembly
-    `exact_block` is built on the first such reading. So every value
-    returned is the one a full Bareiss re-read gives. Finite zeros are not
-    re-read: a rank at a zero's float location settles nothing, since a
-    genuine zero almost never sits exactly at a float value.
+    "rank_at_zero", at any delays. The generic value of each comes from
+    `predict` at its delay, and `settle` re-reads every reading off it: a
+    mod-P screen, and Bareiss for what the screen leaves short. Finite
+    zeros are not re-read: a rank at a zero's float location settles
+    nothing, since a genuine zero almost never sits exactly at a float
+    value.
     """
     generic = {}
     for t in {t for _, t in rank}:
@@ -300,43 +293,16 @@ def _escalate(sys: MultirateSystem, rank: dict) -> dict:
         generic["normal_rank", t] = pred.normal_rank
         generic["rank_D", t] = pred.rank_D
         generic["rank_at_zero", t] = pred.normal_rank - pred.mult_at_zero
-    # the readers of each stage: the screen (False), then Bareiss (True)
-    stages = {False: (modp_block, modp_rank, modp_rank_at, modp_normal_rank),
-              True: (exact_block, exact_rank, exact_rank_at, exact_normal_rank)}
-    # the delays with a reading to re-read, each stage assembling only those
-    taus = sorted({t for (q, t), value in rank.items() if value != generic[q, t]})
-
-    @cache
-    def blocks(exact):
-        return dict(zip(taus, stages[exact][0](sys, taus)))
-
-    @cache
-    def pencil(t, exact):
-        return system_pencil(blocks(exact)[t])
-
-    def read(q, t, exact):
-        _, rank_of, rank_at_point, normal_rank_of = stages[exact]
-        if q == "rank_D":
-            return rank_of(blocks(exact)[t].D_tau)
-        if q == "rank_at_zero":
-            return rank_at_point(pencil(t, exact), 0)
-        return normal_rank_of(pencil(t, exact), generic[q, t])
-
-    def settle(q, t, value):
-        if value == generic[q, t]:
-            return value
-        value = read(q, t, False)
-        return value if value == generic[q, t] else read(q, t, True)
-
-    return {(q, t): settle(q, t, value) for (q, t), value in rank.items()}
+    return settle(sys, rank, generic)
 
 
 def _read(sys: MultirateSystem, taus, policy: TolerancePolicy, seed: int,
-          bound: int | None) -> tuple[list, dict]:
-    """The blocked systems of sys at every delay, and their float rank readings.
+          bound: int | None) -> tuple[list, MatrixPencil, dict]:
+    """The blocked systems of sys at every delay, their pencils, and their float rank readings.
 
     One `block_all` assembly gives the N blocked systems, blocks[t - 1]
-    being the one at delay t, and their pencils are one stack sharing E.
+    being the one at delay t, and their pencils are one stack sharing E,
+    the pencil at delay t having F[t - 1].
     One stacked `normal_ranks` sweep of it, stopped at bound, reads the
     normal rank at every delay. rank(D_t) at the delays t in taus is one
     stacked `numerical_rank` call, and the rank at Z = 0 (0.0 * E - F, as
@@ -356,7 +322,7 @@ def _read(sys: MultirateSystem, taus, policy: TolerancePolicy, seed: int,
     rank_0 = numerical_rank(0.0 * pencils.E - pencils.F[at], policy)
     for t, r_D, r_0 in zip(taus, rank_D, rank_0):
         rank["rank_D", t], rank["rank_at_zero", t] = r_D, r_0
-    return blocks, rank
+    return blocks, pencils, rank
 
 
 def run_trial(dims: Dimensions, tau: int, seed: int,
@@ -399,9 +365,10 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     escalated = ()
     agreement = dict.fromkeys(AGREEMENT_KEYS, False)
     try:
-        blocks, rank = _read(sys, (tau, dual_index(tau, dims.N)), policy, seed,
-                             pred.normal_rank)
-        rep = zero_report(blocks[tau - 1], policy, seed, rho=rank["normal_rank", tau])
+        blocks, pencils, rank = _read(sys, (tau, dual_index(tau, dims.N)), policy, seed,
+                                      pred.normal_rank)
+        rep = zero_report(MatrixPencil(pencils.E, pencils.F[tau - 1]), tau, policy, seed,
+                          rank["normal_rank", tau])
         # real points of either sign with |Z| in [2**-0.5, 2**0.5], from the
         # first uniforms behind the normal-rank points; a scalar 2.0 ** x,
         # since numpy's vectorized power can differ from it in the last bit
@@ -467,12 +434,13 @@ def analyze(sys: MultirateSystem, tau: int | str = "all",
         predictions = {}
     # the generic normal rank, the same at every delay, bounds this system's
     bound = predictions[taus[0]].normal_rank if predictions else None
-    blocks, rank = _read(sys, taus, policy, ANALYZE_SEED, bound)
+    _, pencils, rank = _read(sys, taus, policy, ANALYZE_SEED, bound)
     readings = {(q, t): v for (q, t), v in rank.items() if t in taus}
     settled = _escalate(sys, readings) if predictions else readings
     results = []
     for t in taus:
-        rep = zero_report(blocks[t - 1], policy, ANALYZE_SEED, rho=rank["normal_rank", t])
+        rep = zero_report(MatrixPencil(pencils.E, pencils.F[t - 1]), t, policy, ANALYZE_SEED,
+                          rank["normal_rank", t])
         measured = {**zero_report_to_dict(rep), **_delay_fields(readings, dims.n, t)}
         pred = predictions.get(t)
         predicted = agreement = None

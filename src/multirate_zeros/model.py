@@ -327,6 +327,8 @@ def system_to_dict(sys: MultirateSystem) -> dict:
 
 def system_from_dict(data: dict) -> MultirateSystem:
     """Build a system from parsed JSON, naming the offending field on any mismatch."""
+    if not isinstance(data, dict):
+        raise ValueError(f"system must be a JSON object, got {data!r}")
     for key in ("n", "m", "p1", "p2", "N"):
         if key not in data:
             raise ValueError(f"missing integer field {key!r}")

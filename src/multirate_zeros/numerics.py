@@ -104,30 +104,26 @@ def _sample_points(seed: int, count: int) -> tuple[float, ...]:
                  for u in _sample_uniforms(seed, count))
 
 
-def normal_ranks(pencils: MatrixPencil | list[MatrixPencil],
-                 policy: TolerancePolicy | None = None,
+def normal_ranks(pencils: MatrixPencil, policy: TolerancePolicy | None = None,
                  seed: int = 0, bound: int | None = None) -> list[int]:
-    """`normal_rank` of each of several pencils of one shape, one svd call a point.
+    """`normal_rank` of each pencil of a stack sharing E, one svd call a point.
 
-    pencils is a stack sharing E, as `system_pencil` builds it from a list
-    of blocked systems, or a list of pencils, stacked once here. At each
-    sample point one stacked svd reads every pencil whose sweep is still
-    open; a pencil's sweep closes as `_max_rank`'s does, on the first
-    reading that brings its max to min(bound, rows, cols). So each value is
-    the one `normal_rank` gives for that pencil alone.
+    pencils is a stack, as `system_pencil` builds it from a list of blocked
+    systems, or one pencil, a stack of one. At each sample point one
+    stacked svd reads every pencil whose sweep is still open; a pencil's
+    sweep closes as `_max_rank`'s does, on the first reading that brings
+    its max to min(bound, rows, cols). So each value is the one
+    `normal_rank` gives for that pencil alone.
     """
     policy = policy or TolerancePolicy()
-    if isinstance(pencils, MatrixPencil):
-        E, F = pencils.E, pencils.F.reshape(-1, *pencils.shape)
-    else:   # each pencil's own E goes with its F
-        E, F = (np.stack([getattr(p, name) for p in pencils]) for name in "EF")
-    limit = _rank_limit(E.shape[-2:], bound)
+    E, F = pencils.E, pencils.F.reshape(-1, *pencils.shape)
+    limit = _rank_limit(E.shape, bound)
     best = np.full(len(F), -1)   # -1: no point read yet
     for Z in _sample_points(seed, policy.normal_rank_samples):
         open_ = np.flatnonzero(best != limit)
         if open_.size == 0:
             break
-        M = _evaluate(E if E.ndim == 2 else E[open_], F[open_], Z)
+        M = _evaluate(E, F[open_], Z)
         best[open_] = np.maximum(best[open_], _ranks(M, policy))
     return best.tolist()
 
@@ -150,7 +146,7 @@ def normal_rank(pencil: MatrixPencil, policy: TolerancePolicy | None = None,
     over all of them (see `_max_rank`). This is the one-pencil case of
     `normal_ranks`.
     """
-    return normal_ranks([pencil], policy, seed, bound)[0]
+    return normal_ranks(pencil, policy, seed, bound)[0]
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import BlockedSystem, MatrixPencil, system_pencil
+from .blocking import BlockedSystem, MatrixPencil
 from .errors import CompressionFailure, SingularD
 from .model import TolerancePolicy, _rng
 from .numerics import eigenvalues, normal_rank, rank_at
@@ -147,12 +147,14 @@ def multiplicities(rho: int, rank_at_zero: int, rank_D: int, n: int) -> tuple[in
     return max(0, rho - rank_at_zero), max(0, rho - n - rank_D)
 
 
-def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
+def zero_report(pencil: MatrixPencil, tau: int, policy: TolerancePolicy | None = None,
                 seed: int = 0, rho: int | None = None) -> ZeroReport:
     """The finite-zero search: verified finite nonzero zeros of a blocked system.
 
-    This is the only caller of the finite-zero search, and a verification
-    trial calls it at tau alone. Candidates farther from the origin than
+    pencil is the system pencil of the system blocked at delay tau, as
+    `system_pencil` builds it. This is the only caller of the finite-zero
+    search, and a verification trial calls it at tau alone, on its entry of
+    the stack the harness reads. Candidates farther from the origin than
     cluster_tol are listed as finite nonzero zeros when the rank test
     confirms them; those in the band between zero_radius and cluster_tol
     are reported separately instead of being silently attributed to the
@@ -163,7 +165,6 @@ def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
     harness passes the reading of its stacked sweep instead).
     """
     policy = policy or TolerancePolicy()
-    pencil = system_pencil(blk)
     if rho is None:
         rho = normal_rank(pencil, policy, seed)
     candidates = finite_zero_candidates(pencil, policy, seed, rho)
@@ -180,7 +181,7 @@ def zero_report(blk: BlockedSystem, policy: TolerancePolicy | None = None,
         else:
             finite.append((z, mult))
     return ZeroReport(
-        tau=blk.tau,
+        tau=tau,
         finite_nonzero_zeros=tuple(finite),
         boundary_candidates=tuple(boundary),
         candidates_examined=len(candidates),

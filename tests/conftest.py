@@ -31,8 +31,8 @@ def planted_zero_system(Df: float) -> MultirateSystem:
 
 
 def pencil_count(pencils) -> int:
-    """How many pencils a `normal_ranks` argument holds: a list, or a stack sharing E."""
-    return len(pencils) if isinstance(pencils, list) else len(pencils.F)
+    """How many pencils a stack sharing E holds, as the harness passes it to `normal_ranks`."""
+    return len(pencils.F)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from multirate_zeros import blocking, harness, numerics
+from multirate_zeros import _exact, blocking, harness, numerics
 from multirate_zeros._exact import modp_block
 from multirate_zeros.cli import main
 from multirate_zeros.harness import CSV_COLUMNS
@@ -79,6 +79,15 @@ class TestAnalyze:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["5", "null", '"abc"', "[1, 2]"])
+    def test_system_file_that_is_not_an_object(self, text, tmp_path, capsys):
+        # valid JSON of the wrong kind is bad input (2), not a disagreement (1)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["analyze", "--system", str(bad), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "system must be a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["n", "m", "p1", "p2", "N"])
     def test_bool_dimension_names_field(self, field, example1_file, tmp_path, capsys):
         # JSON true is a Python int subclass; it is not a dimension
@@ -140,7 +149,7 @@ class TestAnalyze:
             assembled.append(list(taus))
             return modp_block(sys_, taus)
 
-        monkeypatch.setattr(harness, "modp_block", counting)
+        monkeypatch.setattr(_exact, "modp_block", counting)
         out = tmp_path / "report.json"
         assert main(["analyze", "--system", str(example1_file), "--policy", str(pol),
                      "--out", str(out)]) == 0
@@ -220,8 +229,9 @@ class TestAnalyze:
     def test_every_delay_is_read_from_one_assembly_and_one_sweep(self, tmp_path,
                                                                  monkeypatch):
         # --tau all at N = 8: one assembly of all N blocked systems, none of
-        # a single delay, and one stacked normal-rank sweep over the N pencils
-        assembled, sweeps = [], []
+        # a single delay, one stack of their N pencils, which the zero search
+        # reads too, and one stacked normal-rank sweep over it
+        assembled, sweeps, pencils = [], [], []
         assemble, stacked = blocking._assemble, numerics.normal_ranks
 
         def counting_assembly(d, taus, *args, **kwargs):
@@ -235,6 +245,8 @@ class TestAnalyze:
         monkeypatch.setattr(blocking, "_assemble", counting_assembly)
         for module in (numerics, harness):     # normal_rank sweeps through numerics'
             monkeypatch.setattr(module, "normal_ranks", counting_sweep)
+        monkeypatch.setattr(harness, "system_pencil", lambda blocks: pencils.append(
+            len(blocks)) or blocking.system_pencil(blocks))
         sys_path = tmp_path / "long.json"
         save_system(random_generic(LONG_HORIZON_DIMS, 3), sys_path)
         out = tmp_path / "report.json"
@@ -243,6 +255,7 @@ class TestAnalyze:
         assert len(json.loads(out.read_text())["results"]) == LONG_HORIZON_DIMS.N
         assert assembled == [list(range(1, LONG_HORIZON_DIMS.N + 1))]
         assert sweeps == [LONG_HORIZON_DIMS.N]
+        assert pencils == [LONG_HORIZON_DIMS.N]
 
     def test_not_tall_system_measures_without_predictions(self, tmp_path):
         sys_path = tmp_path / "square.json"

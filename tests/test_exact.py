@@ -16,16 +16,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from multirate_zeros import _exact, harness
-from multirate_zeros._exact import (P, _matmul_mod, exact_block,
-                                    exact_normal_rank, exact_rank,
-                                    exact_rank_at, fraction_matrix,
-                                    modp_block, modp_rank, modp_rank_at,
-                                    residue_matrix)
+from multirate_zeros._exact import (P, _matmul_mod, exact_block, exact_rank,
+                                    fraction_matrix, modp_block, modp_rank,
+                                    residue_matrix, settle)
 from multirate_zeros.blocking import MatrixPencil, block, system_pencil
 from multirate_zeros.harness import _fixture_rank_rows, run_trial
 from multirate_zeros.model import (Dimensions, TolerancePolicy, fixture,
                                    random_generic)
-from multirate_zeros.numerics import numerical_rank
+from multirate_zeros.numerics import _max_rank, numerical_rank
 from multirate_zeros.oracle import dual_index, predict
 
 from conftest import EXAMPLE1_DIMS, planted_zero_system
@@ -163,10 +161,12 @@ class TestFloatRankNeverExceedsExact:
 
 
 class TestExactRankAt:
+    """The exact rank of a pencil at a rational point, as `settle` reads it."""
+
     def test_real_point(self):
         p = MatrixPencil(E=fraction_matrix(np.eye(1)), F=fraction_matrix([[2.0]]))
-        assert exact_rank_at(p, Fraction(2)) == 0
-        assert exact_rank_at(p, Fraction(3)) == 1
+        assert exact_rank(p.at(Fraction(2))) == 0
+        assert exact_rank(p.at(Fraction(3))) == 1
 
 
 class TestExactBlock:
@@ -199,15 +199,34 @@ class TestExactBlock:
         assert np.array_equal(ex.A_tau, expected)
 
 
-class TestExactNormalRank:
-    def test_worked_instance(self, example1_sys):
-        assert exact_normal_rank(system_pencil(exact_block(example1_sys)[0])) == 6
+def bareiss_normal_rank(monkeypatch, sys, generic):
+    """settle's exact normal rank at delay 1 from a reading of 0, the screen
+    falling short at every point so that Bareiss decides."""
+    monkeypatch.setattr(_exact, "modp_rank", lambda M: 0)
+    key = ("normal_rank", 1)
+    return settle(sys, {key: 0}, {key: generic})[key]
 
-    def test_fast_tall_full_column(self):
+
+def exact_ranks_at_sample_points(pencil, reads=None):
+    """The lazy sequence of exact ranks at _SAMPLE_POINTS that settle's
+    normal rank takes its max over; each point read is appended to reads."""
+    for z in _exact._SAMPLE_POINTS:
+        if reads is not None:
+            reads.append(z)
+        yield exact_rank(pencil.at(z))
+
+
+class TestExactNormalRank:
+    def test_worked_instance(self, example1_sys, monkeypatch):
+        # a generic value of min(rows, cols) lets no point stop the sweep
+        pencil = system_pencil(exact_block(example1_sys)[0])
+        assert bareiss_normal_rank(monkeypatch, example1_sys, min(pencil.shape)) == 6
+
+    def test_fast_tall_full_column(self, monkeypatch):
         dims = Dimensions(2, 1, 2, 1, 3)
         sys = random_generic(dims, seed=1)
-        got = exact_normal_rank(system_pencil(exact_block(sys)[0]))
-        assert got == dims.n + dims.N * dims.m
+        full = dims.n + dims.N * dims.m
+        assert bareiss_normal_rank(monkeypatch, sys, full) == full
 
 
 class TestExactNormalRankEarlyExit:
@@ -226,8 +245,8 @@ class TestExactNormalRankEarlyExit:
         eig = rational_matrix(data, 1, inner)
         eig[0, :planted] = at
         pencil = MatrixPencil(E=U @ E0 @ V, F=U @ (E0 * eig) @ V)
-        every = max(exact_rank_at(pencil, z) for z in _exact._SAMPLE_POINTS)
-        assert exact_normal_rank(pencil) == every
+        every = max(exact_rank(pencil.at(z)) for z in _exact._SAMPLE_POINTS)
+        assert _max_rank(exact_ranks_at_sample_points(pencil), pencil.shape) == every
 
     @given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 5),
            inner=st.integers(0, 5), planted=st.integers(0, 3),
@@ -240,21 +259,21 @@ class TestExactNormalRankEarlyExit:
         eig = rational_matrix(data, 1, inner)
         eig[0, :planted] = at
         pencil = MatrixPencil(E=U @ E0 @ V, F=U @ (E0 * eig) @ V)
-        value = exact_normal_rank(pencil)
+        value = _max_rank(exact_ranks_at_sample_points(pencil), pencil.shape)
         bound = value + slack
-        first = exact_rank_at(pencil, _exact._SAMPLE_POINTS[0])
-        with mock.patch.object(_exact, "exact_rank_at", wraps=exact_rank_at) as spy:
-            assert exact_normal_rank(pencil, bound) == value
+        first = exact_rank(pencil.at(_exact._SAMPLE_POINTS[0]))
+        reads = []
+        assert _max_rank(exact_ranks_at_sample_points(pencil, reads), pencil.shape, bound) \
+            == value
         if first == min(bound, rows, cols):
-            assert spy.call_count == 1
+            assert len(reads) == 1
 
     def test_full_column_pencil_costs_one_rank(self, monkeypatch):
         sys = random_generic(Dimensions(2, 1, 2, 1, 3), seed=1)
         pencil = system_pencil(exact_block(sys)[0])
         calls = []
-        monkeypatch.setattr(_exact, "exact_rank_at",
-                            lambda *a: calls.append(1) or exact_rank_at(*a))
-        assert exact_normal_rank(pencil) == min(pencil.shape)
+        monkeypatch.setattr(_exact, "exact_rank", lambda M: calls.append(1) or exact_rank(M))
+        assert bareiss_normal_rank(monkeypatch, sys, min(pencil.shape)) == min(pencil.shape)
         assert len(calls) == 1
 
 
@@ -334,7 +353,7 @@ class TestModpRank:
     def test_rank_at_a_point_never_exceeds_exact(self, dims, seed, z):
         sys = random_generic(dims, seed)
         modp, exact = (system_pencil(b[0]) for b in (modp_block(sys), exact_block(sys)))
-        assert modp_rank_at(modp, z) <= exact_rank_at(exact, z)
+        assert modp_rank(modp.at(residue(z))) <= exact_rank(exact.at(Fraction(z)))
 
 
 class TestModpBlock:
@@ -408,7 +427,7 @@ class TestEscalation:
 
         monkeypatch.setattr(harness, "numerical_rank", inflated)
         screened = []
-        monkeypatch.setattr(harness, "modp_rank",
+        monkeypatch.setattr(_exact, "modp_rank",
                             lambda M: screened.append(M.shape) or modp_rank(M))
         rec = run_trial(dims, tau=tau, seed=0)
         generic = predict(dims, tau).rank_D
@@ -430,11 +449,30 @@ class TestEscalation:
             rank["rank_at_zero", t] = pred.normal_rank - pred.mult_at_zero
         rank["rank_D", 2] -= 1
         assembled = []
-        monkeypatch.setattr(harness, "modp_block",
+        monkeypatch.setattr(_exact, "modp_block",
                             lambda s, taus: assembled.append(list(taus)) or modp_block(s, taus))
         settled = harness._escalate(sys_, rank)
         assert assembled == [[2]]
         assert settled["rank_D", 2] == predict(dims, 2).rank_D
+
+    def test_bareiss_assembles_only_the_delays_the_screen_leaves_short(self, monkeypatch):
+        # rank(D) reads one short at delays 1 and 2; the screen settles
+        # delay 1 but falls one short on delay 2's D, which Bareiss re-reads
+        dims = Dimensions(2, 2, 1, 4, 3)
+        sys_ = random_generic(dims, 1)
+        generic = {("rank_D", t): predict(dims, t).rank_D for t in (1, 2, 3)}
+        rank = {key: value - (key[1] < 3) for key, value in generic.items()}
+        short_D = modp_block(sys_, [2])[0].D_tau.tolist()
+        monkeypatch.setattr(_exact, "modp_rank",
+                            lambda M: modp_rank(M) - (np.asarray(M).tolist() == short_D))
+        modp_assembled, exact_assembled = [], []
+        monkeypatch.setattr(_exact, "modp_block", lambda s, taus: modp_assembled.append(
+            list(taus)) or modp_block(s, taus))
+        monkeypatch.setattr(_exact, "exact_block", lambda s, taus: exact_assembled.append(
+            list(taus)) or exact_block(s, taus))
+        assert settle(sys_, rank, generic) == generic
+        assert modp_assembled == [[1, 2]]
+        assert exact_assembled == [[2]]
 
     @pytest.mark.parametrize("case", ESCALATION_CASES, ids=lambda c: str(c["seed"]))
     def test_analyze_settles_what_run_trial_settles(self, case):
@@ -495,10 +533,8 @@ class TestEscalation:
             return exact_block(sys)
 
         monkeypatch.setattr(_exact, "modp_rank", screening)
-        monkeypatch.setattr(harness, "modp_rank", screening)
         monkeypatch.setattr(_exact, "exact_rank", recording)
-        monkeypatch.setattr(harness, "exact_rank", recording)
-        monkeypatch.setattr(harness, "exact_block", assembling)
+        monkeypatch.setattr(_exact, "exact_block", assembling)
         rec = run_trial(Dimensions(3, 2, 2, 1, 4), tau=1, seed=4016)
         assert rec.escalated == ("duality", "mult_at_zero")
         assert rec.measured["screen"] == {"mult_at_zero": 1, "rank_at_zero": 10}
@@ -511,8 +547,7 @@ class TestEscalation:
         # mod P, so no case reaches Bareiss or builds the Fraction assembly
         bareiss = []
         monkeypatch.setattr(_exact, "exact_rank", lambda M: bareiss.append("rank"))
-        monkeypatch.setattr(harness, "exact_rank", lambda M: bareiss.append("rank"))
-        monkeypatch.setattr(harness, "exact_block", lambda sys: bareiss.append("block"))
+        monkeypatch.setattr(_exact, "exact_block", lambda sys: bareiss.append("block"))
         for case in ESCALATION_CASES:
             dims = Dimensions(case["n"], case["m"], case["p1"], case["p2"], case["N"])
             rec = run_trial(dims, tau=case["tau"], seed=case["seed"])
@@ -544,8 +579,7 @@ class TestEscalation:
             expected[case["seed"]] = dims, case["tau"], run_trial(dims, case["tau"], case["seed"])
         short = lambda M: max(0, modp_rank(M) - 1)  # noqa: E731
         monkeypatch.setattr(_exact, "modp_rank", short)
-        monkeypatch.setattr(harness, "modp_rank", short)
-        with mock.patch.object(harness, "exact_block", wraps=exact_block) as assembled:
+        with mock.patch.object(_exact, "exact_block", wraps=exact_block) as assembled:
             for seed, (dims, tau, ref) in expected.items():
                 rec = run_trial(dims, tau, seed)
                 assert (rec.measured, rec.agreement, rec.escalated) == \
@@ -562,11 +596,11 @@ class TestEscalation:
         assert list(rec.escalated) == case["escalated"]
         blocks = exact_block(random_generic(dims, case["seed"]))
         pencils = [system_pencil(b) for b in blocks]
-        rank = {("normal_rank", t): max(exact_rank_at(p, z) for z in _exact._SAMPLE_POINTS)
+        rank = {("normal_rank", t): max(exact_rank(p.at(z)) for z in _exact._SAMPLE_POINTS)
                 for t, p in enumerate(pencils, 1)}
         for t in (tau, dual_index(tau, dims.N)):
             rank["rank_D", t] = exact_rank(blocks[t - 1].D_tau)
-            rank["rank_at_zero", t] = exact_rank_at(pencils[t - 1], Fraction(0))
+            rank["rank_at_zero", t] = exact_rank(pencils[t - 1].at(Fraction(0)))
         reference = harness._rank_fields(rank, dims, tau)
         assert {k: rec.measured[k] for k in reference} == reference
         assert rec.measured["n_finite_nonzero"] == 0

@@ -114,6 +114,23 @@ class TestRunTrial:
         run_trial(Dimensions(2, 2, 1, 4, 3), tau=tau, seed=1)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    def test_zero_search_takes_its_pencil_from_the_readers_stack(self, monkeypatch, tau):
+        # one system_pencil call a trial builds the stack; the search reads
+        # its entry at tau rather than building the pencil again
+        built, searched = [], []
+        monkeypatch.setattr(harness, "system_pencil",
+                            lambda blocks: built.append(len(blocks)) or system_pencil(blocks))
+        monkeypatch.setattr(harness, "zero_report", lambda pencil, t, *args: searched.append(
+            (pencil, t)) or zeros.zero_report(pencil, t, *args))
+        dims = Dimensions(2, 2, 1, 4, 3)
+        run_trial(dims, tau=tau, seed=1)
+        assert built == [dims.N]
+        [(pencil, t)] = searched
+        want = system_pencil(block(random_generic(dims, 1), tau))
+        assert t == tau
+        assert np.array_equal(pencil.E, want.E) and np.array_equal(pencil.F, want.F)
+
     def test_lift_check_takes_every_delay_at_each_sample_point(self, monkeypatch):
         # the points are real, from the first LIFT_SAMPLES uniforms behind the
         # normal-rank points, with |Z| in [2**-0.5, 2**0.5], all in one call.
@@ -205,7 +222,8 @@ class TestRead:
         stacks = []
         monkeypatch.setattr(harness, "numerical_rank",
                             lambda M, pol: stacks.append(M.shape[0]) or numerical_rank(M, pol))
-        blocks, rank = harness._read(random_generic(dims, seed), taus, policy, seed, None)
+        blocks, pencils, rank = harness._read(random_generic(dims, seed), taus, policy, seed,
+                                              None)
         delays = list(dict.fromkeys(taus))
         assert stacks == [len(delays)] * 2
         assert {t for q, t in rank if q != "normal_rank"} == set(delays)
@@ -214,6 +232,8 @@ class TestRead:
             assert rank["rank_D", t] == numerical_rank(blocks[t - 1].D_tau, policy)
             assert rank["rank_at_zero", t] == rank_at(pencil, 0.0, policy)
             assert rank["normal_rank", t] == normal_rank(pencil, policy, seed)
+            assert np.array_equal(pencils.E, pencil.E)
+            assert np.array_equal(pencils.F[t - 1], pencil.F)
 
 
 class TestAnalyze:

@@ -146,19 +146,30 @@ def rank_at_every_sample(pencil, policy, seed):
     return max(rank_at(pencil, Z, policy) for Z in every_sample_point(policy, seed))
 
 
-def planted_pencil(rows, cols, inner, planted, at, draw, seed, policy):
-    """A real pencil of normal rank min(rows, cols, inner) with zeros on a sample point.
+def planted_stack(rows, cols, inner, plants, draw, seed, policy):
+    """A stack of real pencils sharing E, of normal rank min(rows, cols, inner),
+    with zeros on sample points.
 
-    E and F share an inner-dimensional factorization, so every
-    inner < min(rows, cols) gives a rank-deficient pencil; up to `planted`
-    zeros sit on sample point `at`, where the rank read falls short of the max.
+    E and every F share an inner-dimensional factorization, so every
+    inner < min(rows, cols) gives rank-deficient pencils. Pencil k has its
+    own eigenvalues, plants[k] = (planted, at) of them on sample point
+    `at`, where the rank read falls short of the max.
     """
     rng = np.random.default_rng(draw)
     U, V = rng.standard_normal((rows, inner)), rng.standard_normal((inner, cols))
     E0 = rng.standard_normal((inner, inner))
-    eig = rng.standard_normal(inner)
-    eig[:planted] = every_sample_point(policy, seed)[at]
-    return MatrixPencil(E=U @ E0 @ V, F=U @ (E0 * eig) @ V)
+    F = []
+    for planted, at in plants:
+        eig = rng.standard_normal(inner)
+        eig[:planted] = every_sample_point(policy, seed)[at]
+        F.append(U @ (E0 * eig) @ V)
+    return MatrixPencil(E=U @ E0 @ V, F=np.stack(F))
+
+
+def planted_pencil(rows, cols, inner, planted, at, draw, seed, policy):
+    """The one pencil of a `planted_stack` with `planted` zeros on sample point `at`."""
+    stack = planted_stack(rows, cols, inner, [(planted, at)], draw, seed, policy)
+    return MatrixPencil(E=stack.E, F=stack.F[0])
 
 
 def counting(monkeypatch, module, name):
@@ -301,21 +312,22 @@ class TestRealSampling:
 class TestNormalRanks:
     """One stacked sweep over several pencils gives each one's own normal rank."""
 
-    @given(rows=st.integers(1, 7), cols=st.integers(1, 7),
-           inners=st.lists(st.integers(0, 7), min_size=1, max_size=5),
-           planted=st.integers(0, 3), at=st.integers(0, 2),
+    @given(rows=st.integers(1, 7), cols=st.integers(1, 7), inner=st.integers(0, 7),
+           plants=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                           min_size=1, max_size=5),
            bound=st.one_of(st.none(), st.integers(0, 8)),
            draw=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_each_value_matches_a_point_by_point_sweep(self, rows, cols, inners, planted,
-                                                       at, bound, draw, seed):
+    def test_each_value_matches_a_point_by_point_sweep(self, rows, cols, inner, plants,
+                                                       bound, draw, seed):
         # the reference reads one pencil at one point at a time, stopping as
-        # _max_rank does; bounds below a pencil's value are included, where
-        # its sweep reads every point
+        # _max_rank does; pencils with zeros on different points close their
+        # sweeps at different points, and bounds below a pencil's value are
+        # included, where its sweep reads every point
         policy = TolerancePolicy()
-        pencils = [planted_pencil(rows, cols, inner, planted, at, draw + i, seed, policy)
-                   for i, inner in enumerate(inners)]
-        assert numerics.normal_ranks(pencils, policy, seed, bound) == [
+        stack = planted_stack(rows, cols, inner, plants, draw, seed, policy)
+        pencils = [MatrixPencil(E=stack.E, F=F) for F in stack.F]
+        assert numerics.normal_ranks(stack, policy, seed, bound) == [
             numerics._max_rank((rank_at(p, Z, policy) for Z in every_sample_point(policy, seed)),
                                p.shape, bound)
             for p in pencils]
@@ -328,13 +340,12 @@ class TestNormalRanks:
         blocks = block_all(random_generic(dims, seed))
         policy = TolerancePolicy()
         assert numerics.normal_ranks(system_pencil(blocks), policy, seed, bound) \
-            == numerics.normal_ranks([system_pencil(b) for b in blocks], policy, seed, bound) \
             == [normal_rank(system_pencil(b), policy, seed, bound) for b in blocks]
 
     def test_one_svd_call_per_sample_point(self, monkeypatch, policy):
         # every delay of a generic system meets its bound at the first point
         dims = Dimensions(5, 5, 3, 24, 8)
-        pencils = [system_pencil(b) for b in block_all(random_generic(dims, 0))]
+        pencils = system_pencil(block_all(random_generic(dims, 0)))
         calls = counting(monkeypatch, numerics, "_ranks")
         assert numerics.normal_ranks(pencils, policy, 0, predict(dims, 1).normal_rank) \
             == [predict(dims, 1).normal_rank] * dims.N

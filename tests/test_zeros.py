@@ -25,8 +25,13 @@ from conftest import LONG_HORIZON_DIMS
 
 def delay_fields(sys, tau, policy, seed=0):
     # the rank fields at tau as trials and analyze derive them, unbounded
-    _, rank = harness._read(sys, (tau,), policy, seed, None)
+    _, _, rank = harness._read(sys, (tau,), policy, seed, None)
     return harness._delay_fields(rank, sys.dims.n, tau)
+
+
+def report(sys, tau, policy, seed):
+    # zero_report on the pencil of sys blocked at tau
+    return zero_report(system_pencil(block(sys, tau)), tau, policy, seed=seed)
 
 
 def scalar_pencil(e, f):
@@ -68,14 +73,26 @@ class TestFiniteZeroCandidates:
 
 
 def full_size_candidates(pencil, policy, seed, rho):
-    """The rho x rho candidate search: eigvals(solve(G, U E V)), same draws, same floor."""
+    """The rho x rho candidate search: eigenvalues of M = solve(G, U E V), same draws, same floor.
+
+    E's zero columns give M rho - |J| structural zero eigenvalues. They can
+    chain with the zeros at infinity into Jordan blocks at 0 longer than 2,
+    which rounding lifts above the floor. M W2 = 0 for W2 spanning the null
+    space of V[J, :], so the orthogonal similarity [W1 W2] deflates them
+    exactly, leaving the eigenvalues of W1^T M W1.
+    """
     rows, cols = pencil.shape
+    J = np.flatnonzero(pencil.E.any(axis=0))
     rng = _rng(seed)
-    U, V = rng.standard_normal((rho, rows)), rng.standard_normal((cols, rho))
-    s = complex(*rng.standard_normal(2))
-    G = U @ (pencil.F - s * pencil.E) @ V
+    for _ in range(policy.resample_limit):
+        U, V = rng.standard_normal((rho, rows)), rng.standard_normal((cols, rho))
+        s = complex(*rng.standard_normal(2))
+        G = U @ (pencil.F - s * pencil.E) @ V
+        if np.linalg.cond(G) <= zeros._COMPRESSION_COND_CAP:
+            break
     M = np.linalg.solve(G, U @ pencil.E @ V)
-    lam = np.linalg.eigvals(M)
+    W1 = np.linalg.svd(V[J].T)[0][:, :len(J)]
+    lam = np.linalg.eigvals(W1.T @ M @ W1)
     floor = max(policy.cluster_tol,
                 zeros._EIG_NOISE_SAFETY * np.sqrt(np.finfo(float).eps * np.linalg.norm(M, 2)))
     return zeros._cluster(s + 1.0 / lam[np.abs(lam) > floor], policy.cluster_tol)
@@ -100,7 +117,17 @@ class TestReducedEigenproblem:
            seed=st.integers(0, 10**6), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_system_pencils(self, dims, seed, data, policy):
-        tau = data.draw(st.integers(1, dims.N))
+        self.check(dims, seed, data.draw(st.integers(1, dims.N)), policy)
+
+    @pytest.mark.parametrize("dims,seed,tau", [(Dimensions(2, 2, 1, 3, 3), 5022, 2),
+                                               (Dimensions(5, 5, 3, 24, 8), 756908, 3)])
+    def test_system_pencils_the_plain_reference_misread(self, dims, seed, tau, policy):
+        # 5022: undeflated, M's chain at 0 read as a pair near +-(27741 - 35745j);
+        # 756908: the first compression is past the condition cap, and is redrawn
+        self.check(dims, seed, tau, policy)
+
+    @staticmethod
+    def check(dims, seed, tau, policy):
         pencil = system_pencil(block(random_generic(dims, seed), tau))
         rho = normal_rank(pencil, policy, seed)
         assert same_points(finite_zero_candidates(pencil, policy, seed, rho),
@@ -204,14 +231,14 @@ class TestZeroReport:
         fields = delay_fields(sys, 4, policy)
         assert fields["mult_at_zero"] == 0
         assert fields["mult_at_infinity"] == 0
-        assert zero_report(block(sys, 4), policy, seed=0).finite_nonzero_zeros == ()
+        assert report(sys, 4, policy, 0).finite_nonzero_zeros == ()
 
     def test_wide_rate_instance_origin_heavy_delay(self, policy):
         sys = random_generic(LONG_HORIZON_DIMS, seed=0)
         fields = delay_fields(sys, 1, policy)
         assert fields["mult_at_zero"] == 5
         assert fields["mult_at_infinity"] == 0
-        assert zero_report(block(sys, 1), policy, seed=0).finite_nonzero_zeros == ()
+        assert report(sys, 1, policy, 0).finite_nonzero_zeros == ()
 
     @pytest.mark.parametrize("tau", [1, 2, 3])
     def test_fast_tall_all_clear(self, tau, policy):
@@ -219,7 +246,7 @@ class TestZeroReport:
         fields = delay_fields(sys, tau, policy)
         assert fields["mult_at_zero"] == 0
         assert fields["mult_at_infinity"] == 0
-        assert zero_report(block(sys, tau), policy, seed=0).finite_nonzero_zeros == ()
+        assert report(sys, tau, policy, 0).finite_nonzero_zeros == ()
 
     @pytest.mark.parametrize("tau", [1, 2])
     def test_square_fast_rate_all_clear(self, tau, policy):
@@ -228,7 +255,7 @@ class TestZeroReport:
         fields = delay_fields(sys, tau, policy)
         assert fields["mult_at_zero"] == 0
         assert fields["mult_at_infinity"] == 0
-        assert zero_report(block(sys, tau), policy, seed=0).finite_nonzero_zeros == ()
+        assert report(sys, tau, policy, 0).finite_nonzero_zeros == ()
 
     def test_multiplicity_identities(self, example1_sys, policy):
         blk = block(example1_sys, 1)
@@ -239,11 +266,10 @@ class TestZeroReport:
         assert fields["mult_at_infinity"] == max(0, fields["normal_rank"] - rank_at_infinity)
 
     def test_deterministic(self, example1_sys, policy):
-        blk = block(example1_sys, 1)
-        assert zero_report(blk, policy, seed=3) == zero_report(blk, policy, seed=3)
+        assert report(example1_sys, 1, policy, 3) == report(example1_sys, 1, policy, 3)
 
     def test_report_carries_inputs(self, example1_sys, policy):
-        rep = zero_report(block(example1_sys, 2), policy, seed=9)
+        rep = report(example1_sys, 2, policy, 9)
         assert rep.tau == 2
         assert rep.seed == 9
         assert isinstance(rep, ZeroReport)
@@ -262,7 +288,7 @@ class TestMultiplicities:
         policy = TolerancePolicy()
         sys = random_generic(dims, seed)
         taus = range(1, dims.N + 1)
-        blocks, rank = harness._read(sys, taus, policy, seed, None)
+        blocks, _, rank = harness._read(sys, taus, policy, seed, None)
         for tau in taus:
             blk = blocks[tau - 1]
             fields = harness._delay_fields(rank, dims.n, tau)
@@ -308,7 +334,7 @@ class TestSquareBlockedZeros:
 
 class TestSerialization:
     def test_complex_numbers_as_re_im(self, example1_sys, policy):
-        rep = zero_report(block(example1_sys, 1), policy, seed=0)
+        rep = report(example1_sys, 1, policy, 0)
         data = zero_report_to_dict(rep)
         text = json.dumps(data)  # must be JSON-serializable as-is
         back = json.loads(text)
