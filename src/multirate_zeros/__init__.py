@@ -17,9 +17,9 @@ from .harness import (GridSpec, TrialRecord, VerificationReport, analyze,
                       emit_report, grid_spec_from_dict, run_fixture_suite,
                       run_grid, run_trial)
 from .model import (Dimensions, MultirateSystem, SystemClass, TolerancePolicy,
-                    ValidationResult, classify, fixture, load_system,
-                    random_generic, reverse_time, save_system,
-                    system_from_dict, system_to_dict, validate)
+                    classify, fixture, load_system, random_generic,
+                    reverse_time, save_system, system_from_dict,
+                    system_to_dict)
 from .numerics import (NORMAL_RANK_RADIUS, eigenvalues, normal_rank,
                        numerical_rank, rank_at)
 from .oracle import (TableRow, TheoryPrediction, dual_index, predict,
@@ -38,9 +38,9 @@ __all__ = [
     "GridSpec", "TrialRecord", "VerificationReport", "analyze", "emit_report",
     "grid_spec_from_dict", "run_fixture_suite", "run_grid", "run_trial",
     "Dimensions", "MultirateSystem", "SystemClass",
-    "TolerancePolicy", "ValidationResult", "classify", "fixture",
+    "TolerancePolicy", "classify", "fixture",
     "load_system", "random_generic", "reverse_time", "save_system",
-    "system_from_dict", "system_to_dict", "validate",
+    "system_from_dict", "system_to_dict",
     "NORMAL_RANK_RADIUS", "eigenvalues", "normal_rank", "numerical_rank",
     "rank_at",
     "TableRow", "TheoryPrediction", "dual_index", "predict",

@@ -27,8 +27,8 @@ from ._version import __version__
 from .blocking import (MatrixPencil, _check_tau, block, block_all, lift_relation_residual,
                        system_pencil)
 from .errors import MultirateError, NotTallClass
-from .model import (Dimensions, MultirateSystem, TolerancePolicy, _is_int, classify,
-                    fixture, policy_from_dict, random_generic)
+from .model import (Dimensions, MultirateSystem, TolerancePolicy, _check_fields, _is_int,
+                    classify, fixture, policy_from_dict, random_generic)
 # normal_rank is not called here (run_trial reads through normal_ranks), but
 # perfbench's tracer reads and wraps harness.normal_rank, so it stays bound
 from .numerics import (_sample_uniforms, normal_rank,  # noqa: F401
@@ -65,6 +65,27 @@ CSV_COLUMNS = (
 )
 
 
+# the keys of a grid spec file and the GridSpec attributes that hold them
+GRID_FIELDS = {
+    "n": "n_values",
+    "m": "m_values",
+    "N": "N_values",
+    "p1": "p1_values",
+    "p2_offsets": "p2_offsets",
+    "taus": "taus",
+    "trials_per_cell": "trials_per_cell",
+    "base_seed": "base_seed",
+    "policy": "policy",
+}
+
+
+def _grid_field(attr: str) -> str:
+    # a GridSpec attribute as its messages name it: by file key, and by
+    # attribute where the two differ
+    key = next(k for k, a in GRID_FIELDS.items() if a == attr)
+    return f"grid field {key!r}" + ("" if key == attr else f" ({attr})")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Deterministic enumeration of tall dimension cells to sweep.
@@ -74,6 +95,13 @@ class GridSpec:
     1..m for each m. taus is "all" (1..N per cell) or an explicit list,
     silently truncated to taus <= N in cells where N is smaller; a list
     with no tau <= max N is refused, since it would run no trials.
+
+    This is the one check of grid values, for a spec built in Python and
+    for one read from a file alike: a bad value is refused with a
+    ValueError naming its file key and its attribute (see GRID_FIELDS).
+    Lists are kept as tuples. Trial seeds run from base_seed, one a trial,
+    and a spec whose last trial seed would reach 2**64, past every seed
+    `model._rng` takes, is refused.
     """
 
     n_values: tuple[int, ...]
@@ -87,91 +115,66 @@ class GridSpec:
     policy: TolerancePolicy = TolerancePolicy()
 
     def __post_init__(self):
+        for name in ("n_values", "m_values", "N_values", "p1_values", "p2_offsets", "taus"):
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("n_values", "m_values", "N_values", "p1_values", "p2_offsets"):
             vals = getattr(self, name)
             if name == "p1_values" and vals is None:
                 continue
             # p2_offsets >= 1 keeps every cell above the tallness threshold
-            if not vals or any(not _is_int(v) or v < 1 for v in vals):
-                raise ValueError(f"{name} must be a nonempty list of ints >= 1, got {vals!r}")
+            if not isinstance(vals, tuple) or not vals \
+                    or any(not _is_int(v) or v < 1 for v in vals):
+                raise ValueError(f"{_grid_field(name)} must be a nonempty list of ints >= 1, "
+                                 f"got {vals!r}")
         if any(N < 2 for N in self.N_values):
-            raise ValueError("N values must be >= 2")
-        if isinstance(self.taus, str):
-            if self.taus != "all":
-                raise ValueError(f'taus must be "all" or a list, got {self.taus!r}')
-        elif not all(_is_int(t) for t in self.taus):
-            raise ValueError(f'taus must be "all" or a list of ints, got {self.taus!r}')
-        elif any(t < 1 for t in self.taus):
-            raise ValueError("tau values must be >= 1")
-        for name in ("trials_per_cell", "base_seed"):
+            raise ValueError(f"{_grid_field('N_values')}: N values must be >= 2, "
+                             f"got {self.N_values!r}")
+        if self.taus != "all":
+            if not isinstance(self.taus, tuple) or not all(_is_int(t) for t in self.taus):
+                raise ValueError(f'{_grid_field("taus")} must be "all" or a list of ints, '
+                                 f'got {self.taus!r}')
+            if any(t < 1 for t in self.taus):
+                raise ValueError(f"{_grid_field('taus')}: tau values must be >= 1, "
+                                 f"got {self.taus!r}")
+        for name, least in (("trials_per_cell", 1), ("base_seed", 0)):
             v = getattr(self, name)
-            if not _is_int(v):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.trials_per_cell < 1:
-            raise ValueError("trials_per_cell must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
+            if not _is_int(v) or v < least:
+                raise ValueError(f"{_grid_field(name)} must be an integer >= {least}, "
+                                 f"got {v!r}")
+        n_cells = sum(1 for _ in cells(self))
         # a sweep of no trials would report vacuous agreement
-        if next(cells(self), None) is None:
-            raise ValueError(f"taus has no value <= max N = {max(self.N_values)}, "
-                             f"so the sweep would run no trials")
+        if n_cells == 0:
+            raise ValueError(f"{_grid_field('taus')} has no value <= max N = "
+                             f"{max(self.N_values)}, so the sweep would run no trials")
+        last = self.base_seed + n_cells * self.trials_per_cell - 1
+        if last.bit_length() > 64:
+            raise ValueError(f"{_grid_field('base_seed')} {self.base_seed} puts the last "
+                             f"trial seed at {last}, past the seeds below 2**64")
 
 
 def grid_spec_from_dict(data: dict) -> GridSpec:
-    """Build a GridSpec from parsed JSON, naming any offending field."""
-    if not isinstance(data, dict):
-        raise ValueError("grid spec must be a JSON object")
-    known = {"n", "m", "p1", "N", "p2_offsets", "taus",
-             "trials_per_cell", "base_seed", "policy"}
-    for key in data:
-        if key not in known:
-            raise ValueError(f"unknown grid spec field {key!r}")
+    """Build a GridSpec from parsed JSON, naming any offending field.
 
-    def int_list(key, required):
-        vals = data.get(key)
-        if vals is None:
-            if required:
-                raise ValueError(f"grid spec field {key!r} is required")
-            return None
-        if not isinstance(vals, list) or not all(_is_int(v) for v in vals):
-            raise ValueError(f"grid spec field {key!r} must be a list of ints")
-        return tuple(vals)
-
-    taus = data.get("taus", "all")
-    if taus != "all":
-        if not isinstance(taus, list):
-            raise ValueError('grid spec field "taus" must be "all" or a list')
-        taus = tuple(taus)
-    p2_offsets = int_list("p2_offsets", False)
-    try:
-        policy = policy_from_dict(data.get("policy", {}))
-    except ValueError as exc:
-        raise ValueError(f"grid spec field 'policy': {exc}") from exc
-    return GridSpec(
-        n_values=int_list("n", True),
-        m_values=int_list("m", True),
-        N_values=int_list("N", True),
-        p1_values=int_list("p1", False),
-        p2_offsets=(1,) if p2_offsets is None else p2_offsets,
-        taus=taus,
-        trials_per_cell=data.get("trials_per_cell", 10),
-        base_seed=data.get("base_seed", 0),
-        policy=policy,
-    )
+    The JSON checks are here; GridSpec checks the values.
+    """
+    _check_fields(data, "grid spec", GRID_FIELDS, ("n", "m", "N"))
+    kwargs = {GRID_FIELDS[key]: v for key, v in data.items()}
+    if "policy" in data:
+        try:
+            kwargs["policy"] = policy_from_dict(data["policy"])
+        except ValueError as exc:
+            raise ValueError(f"grid spec field 'policy': {exc}") from exc
+    return GridSpec(**kwargs)
 
 
 def grid_spec_to_dict(spec: GridSpec) -> dict:
-    return {
-        "n": list(spec.n_values),
-        "m": list(spec.m_values),
-        "N": list(spec.N_values),
-        "p1": None if spec.p1_values is None else list(spec.p1_values),
-        "p2_offsets": list(spec.p2_offsets),
-        "taus": spec.taus if isinstance(spec.taus, str) else list(spec.taus),
-        "trials_per_cell": spec.trials_per_cell,
-        "base_seed": spec.base_seed,
-        "policy": asdict(spec.policy),
-    }
+    out = {}
+    for key, attr in GRID_FIELDS.items():
+        v = getattr(spec, attr)
+        out[key] = list(v) if isinstance(v, tuple) else v
+    out["policy"] = asdict(spec.policy)
+    return out
 
 
 def cells(spec: GridSpec):
@@ -308,13 +311,16 @@ def _read(sys: MultirateSystem, taus, policy: TolerancePolicy, seed: int,
     stacked `numerical_rank` call, and the rank at Z = 0 (0.0 * E - F, as
     `rank_at` reads it) one more: all real points in real arithmetic. rank
     maps (quantity, delay) to a reading, as `_delay_fields` and `_escalate`
-    take it.
+    take it. A system whose blocked matrices overflow is refused with a
+    ValueError, since every float reading of it would be meaningless.
     """
     taus = list(dict.fromkeys(taus))      # in order, each delay once
     for t in taus:
         _check_tau(t, sys.dims.N)
     blocks = block_all(sys)
     pencils = system_pencil(blocks)
+    if not np.isfinite(pencils.F).all():
+        raise ValueError("the blocked matrices overflow: the pencils hold non-finite entries")
     rho = normal_ranks(pencils, policy, seed, bound)
     rank = {("normal_rank", t): r for t, r in enumerate(rho, 1)}
     at = [t - 1 for t in taus]
@@ -521,22 +527,8 @@ class VerificationReport:
     timestamp: str
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "grid": self.grid,
-            "policy": self.policy,
-            "total_trials": self.total_trials,
-            "failed_trials": self.failed_trials,
-            "escalated_trials": self.escalated_trials,
-            "agreement_counts": dict(self.agreement_counts),
-            "agreement_rates": dict(self.agreement_rates),
-            "all_agree": self.all_agree,
-            "cells": list(self.cells),
-            "trials": list(self.trials),
-            "disagreements": list(self.disagreements),
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
+        # every field, shallow: asdict would deep-copy every trial row
+        return dict(vars(self))
 
 
 def _utc_now() -> str:

@@ -8,9 +8,14 @@ every N steps:
     y^f(k)  = Cf x(k) + Df u(k)        k = 0, 1, 2, ...
     y^s(k)  = Cs x(k) + Ds u(k)        k = 0, N, 2N, ...
 
-This module holds the dimension bookkeeping, validation, the tallness
-classification, seeded generic instance generation, the reverse-time
-transform, structured fixture systems, and JSON serialization.
+This module holds the dimension bookkeeping, the tallness classification,
+seeded generic instance generation, the reverse-time transform, structured
+fixture systems, and JSON serialization. Each value object checks its own
+input when it is built: `Dimensions`, `TolerancePolicy` and
+`MultirateSystem` refuse bad values with a `ValueError` naming the field,
+so every path that makes one (a file, the Python API, `random_generic`,
+`reverse_time`, a fixture) gets the same checks. The file readers add only
+the JSON checks of `_check_fields`.
 """
 from __future__ import annotations
 
@@ -93,14 +98,21 @@ class TolerancePolicy:
                 raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
-def policy_from_dict(data: dict) -> TolerancePolicy:
-    """Build a TolerancePolicy from parsed JSON, naming any offending field."""
+def _check_fields(data, what: str, known, required=()) -> None:
+    """Refuse parsed JSON unless it is an object with no unknown field and every required one."""
     if not isinstance(data, dict):
-        raise ValueError(f"policy must be a JSON object, got {data!r}")
-    known = {f.name for f in fields(TolerancePolicy)}
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
     for key in data:
         if key not in known:
-            raise ValueError(f"unknown policy field {key!r}")
+            raise ValueError(f"unknown {what} field {key!r}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} field {key!r} is required")
+
+
+def policy_from_dict(data: dict) -> TolerancePolicy:
+    """Build a TolerancePolicy from parsed JSON, naming any offending field."""
+    _check_fields(data, "policy", [f.name for f in fields(TolerancePolicy)])
     return TolerancePolicy(**data)
 
 
@@ -116,7 +128,13 @@ _MATRIX_SHAPES = {
 
 @dataclass(frozen=True)
 class MultirateSystem:
-    """State-space data of a two-rate system. Matrices are float64 arrays."""
+    """State-space data of a two-rate system. Matrices are float64 arrays.
+
+    Built from anything numpy reads as an array of ints or floats; a scalar
+    or a vector counts as one row. Refuses, with a ValueError naming the
+    matrix, one that is not numeric, has a shape other than the one dims
+    gives, or holds a non-finite entry.
+    """
 
     dims: Dimensions
     A: np.ndarray
@@ -127,31 +145,30 @@ class MultirateSystem:
     Ds: np.ndarray
 
     def __post_init__(self):
-        for name in _MATRIX_SHAPES:
-            arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+        for name, shape_of in _MATRIX_SHAPES.items():
+            try:
+                arr = np.asarray(getattr(self, name))
+            except ValueError as exc:    # a ragged nesting
+                raise ValueError(f"matrix {name!r} is not numeric: {exc}") from None
+            # ints and floats only: float() would read None as nan, a
+            # string as its number, and a bool as 0 or 1
+            if arr.dtype.kind not in "iuf":
+                raise ValueError(f"matrix {name!r} is not numeric: it holds {arr.dtype} "
+                                 f"entries, not ints or floats")
+            arr = arr.astype(float, copy=False)
+            if arr.ndim < 2:    # a scalar or a vector is one row
+                arr = arr.reshape(1, -1)
+            if arr.shape != shape_of(self.dims):
+                raise ValueError(f"matrix {name!r} has shape {arr.shape}, "
+                                 f"expected {shape_of(self.dims)}")
             object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(sys: MultirateSystem) -> ValidationResult:
-    """Check matrix shapes against dims and entry finiteness; violations are data, not errors."""
-    problems = []
-    for name, shape_of in _MATRIX_SHAPES.items():
-        arr = getattr(sys, name)
-        want = shape_of(sys.dims)
-        if arr.shape != want:
-            problems.append(f"matrix {name!r} has shape {arr.shape}, expected {want}")
-        elif not np.all(np.isfinite(arr)):
-            problems.append(f"matrix {name!r} contains non-finite entries")
-    return ValidationResult(tuple(problems))
+        # one test over every entry, as random_generic builds a system a
+        # trial; the matrix is looked for only when it fails
+        if not np.isfinite(np.concatenate(
+                [getattr(self, name).ravel() for name in _MATRIX_SHAPES])).all():
+            bad = next(name for name in _MATRIX_SHAPES
+                       if not np.isfinite(getattr(self, name)).all())
+            raise ValueError(f"matrix {bad!r} contains non-finite entries")
 
 
 def classify(dims: Dimensions) -> SystemClass:
@@ -163,10 +180,17 @@ def classify(dims: Dimensions) -> SystemClass:
     return SystemClass.NOT_TALL
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # Philox is counter-based, so streams are reproducible across platforms
-    # and independent of draw history.
-    return np.random.Generator(np.random.Philox(key=seed))
+def _rng(seed: int, purpose: int = 0) -> np.random.Generator:
+    """The Philox stream of a seed in [0, 2**64) for one purpose, keyed seed + (purpose << 64).
+
+    Purpose 0 draws the systems and the compressions, purpose 1 the sample
+    points; each purpose owns its own range of keys, so no seed reads
+    another's stream. Philox is counter-based, so streams are reproducible
+    across platforms and independent of draw history.
+    """
+    if not _is_int(seed) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=seed + (purpose << 64)))
 
 
 def random_generic(dims: Dimensions, seed: int) -> MultirateSystem:
@@ -327,25 +351,11 @@ def system_to_dict(sys: MultirateSystem) -> dict:
 
 def system_from_dict(data: dict) -> MultirateSystem:
     """Build a system from parsed JSON, naming the offending field on any mismatch."""
-    if not isinstance(data, dict):
-        raise ValueError(f"system must be a JSON object, got {data!r}")
-    for key in ("n", "m", "p1", "p2", "N"):
-        if key not in data:
-            raise ValueError(f"missing integer field {key!r}")
-    dims = Dimensions(n=data["n"], m=data["m"], p1=data["p1"], p2=data["p2"], N=data["N"])
-    mats = {}
-    for name in _MATRIX_SHAPES:
-        if name not in data:
-            raise ValueError(f"missing matrix field {name!r}")
-        try:
-            mats[name] = np.asarray(data[name], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"matrix field {name!r} is not numeric: {exc}") from None
-    sys = MultirateSystem(dims=dims, **mats)
-    violations = validate(sys).violations
-    if violations:
-        raise ValueError("; ".join(violations))
-    return sys
+    dim_keys = [f.name for f in fields(Dimensions)]
+    keys = dim_keys + list(_MATRIX_SHAPES)
+    _check_fields(data, "system", keys, keys)
+    return MultirateSystem(dims=Dimensions(**{k: data[k] for k in dim_keys}),
+                           **{name: data[name] for name in _MATRIX_SHAPES})
 
 
 def load_system(path: str | Path) -> MultirateSystem:

@@ -90,11 +90,11 @@ def _max_rank(ranks, shape: tuple[int, int], bound: int | None = None) -> int:
 @lru_cache(maxsize=1)
 def _sample_uniforms(seed: int, count: int) -> tuple[float, ...]:
     # uniforms on [-1, 1) behind the sample points and the lift check's
-    # points, from their own Philox key: keys below 2**64 draw the systems
-    # and the compressions. One entry serves every pencil of a trial and its
-    # lift check; a tuple of Python floats, so no caller can change it and
-    # the points are scalar arithmetic (see run_trial)
-    return tuple(_rng(seed + (1 << 64)).uniform(-1.0, 1.0, count).tolist())
+    # points, from the seed's stream of purpose 1 (see _rng). One entry
+    # serves every pencil of a trial and its lift check; a tuple of Python
+    # floats, so no caller can change it and the points are scalar
+    # arithmetic (see run_trial)
+    return tuple(_rng(seed, 1).uniform(-1.0, 1.0, count).tolist())
 
 
 @lru_cache(maxsize=1)
@@ -132,8 +132,8 @@ def normal_rank(pencil: MatrixPencil, policy: TolerancePolicy | None = None,
                 seed: int = 0, bound: int | None = None) -> int:
     """Maximum rank over sampled real points Z of either sign.
 
-    The points come from a Philox stream keyed by seed (offset into a key
-    range of their own), so the result is deterministic in (pencil, policy,
+    The points come from the seed's Philox stream of purpose 1 (see
+    `model._rng`), so the result is deterministic in (pencil, policy,
     seed); their modulus lies in NORMAL_RANK_RADIUS * [1, 2]. The rank at
     a random real point equals the normal rank with probability 1, since
     the real pencil loses rank at finitely many real points only; the max

@@ -99,6 +99,28 @@ class TestAnalyze:
         assert code == 2
         assert f"field {field!r} must be an integer" in capsys.readouterr().err
 
+    def test_unknown_system_field_names_it(self, example1_file, tmp_path, capsys):
+        data = json.loads(example1_file.read_text())
+        data["Dt"] = [[0.0]]
+        bad = tmp_path / "extra.json"
+        bad.write_text(json.dumps(data))
+        code = main(["analyze", "--system", str(bad), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "unknown system field 'Dt'" in capsys.readouterr().err
+
+    # A**2 overflows: every float reading would be 0, and the zero search
+    # would not run, yet the exact ranks would report zero-freeness
+    def test_overflowing_system_is_refused(self, example1_file, tmp_path, capsys):
+        data = json.loads(example1_file.read_text())
+        data["A"] = [[1e200]]
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        code = main(["analyze", "--system", str(bad), "--out", str(out)])
+        assert code == 2
+        assert "blocked matrices overflow" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_policy_field(self, example1_file, tmp_path, capsys):
         pol = tmp_path / "policy.json"
         pol.write_text(json.dumps({"bogus_knob": 1}))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, LIFT_SAMPLES, 
                                      cells, emit_report, grid_spec_from_dict,
                                      grid_spec_to_dict, run_fixture_suite,
                                      run_grid, run_trial)
-from multirate_zeros.model import (Dimensions, TolerancePolicy, _rng, random_generic,
-                                   save_system)
+from multirate_zeros.model import (Dimensions, MultirateSystem, TolerancePolicy,
+                                   random_generic, save_system)
 from multirate_zeros.numerics import normal_rank, normal_ranks, numerical_rank, rank_at
 from multirate_zeros.oracle import dual_index
 from multirate_zeros.zeros import finite_zero_candidates, multiplicities
@@ -148,7 +149,8 @@ class TestRunTrial:
             calls.clear()
             residuals.clear()
             rec = run_trial(Dimensions(2, 2, 1, 4, 3), tau=2, seed=seed)
-            u = _rng(seed + (1 << 64)).uniform(-1.0, 1.0, LIFT_SAMPLES)
+            rng = np.random.Generator(np.random.Philox(key=seed + (1 << 64)))
+            u = rng.uniform(-1.0, 1.0, LIFT_SAMPLES)
             assert calls == [([1, 2, 3],
                               [float(np.copysign(2.0 ** (abs(x) - 0.5), x)) for x in u])]
             (_, points), = calls
@@ -259,6 +261,27 @@ class TestAnalyze:
         with pytest.raises(TauOutOfRange):
             harness.analyze(sys_, tau)
 
+    # a system built in Python is checked as one read from a file, before
+    # any numpy error inside the blocking
+    @pytest.mark.parametrize("name,value,message", [
+        ("A", np.eye(2), r"matrix 'A' has shape \(2, 2\), expected \(1, 1\)"),
+        ("A", np.array([[np.nan]]), "matrix 'A' contains non-finite"),
+        ("Ds", np.full((5, 3), np.inf), "matrix 'Ds' contains non-finite"),
+    ])
+    def test_bad_system_is_refused_naming_the_matrix(self, example1_sys, name, value,
+                                                    message):
+        mats = {k: getattr(example1_sys, k) for k in ("A", "B", "Cf", "Cs", "Df", "Ds")}
+        with pytest.raises(ValueError, match=message):
+            harness.analyze(MultirateSystem(dims=EXAMPLE1_DIMS, **{**mats, name: value}))
+
+    # A**2 overflows, so every float reading would be 0 and the zero search
+    # would never run; the exact ranks would then pass for zero-freeness
+    @pytest.mark.parametrize("tau", ["all", 1, 2])
+    def test_overflowing_blocked_matrices_are_refused(self, example1_sys, tau):
+        sys_ = dataclasses.replace(example1_sys, A=np.array([[1e200]]))
+        with pytest.raises(ValueError, match="blocked matrices overflow"):
+            harness.analyze(sys_, tau)
+
 
 class TestGridSpecValidation:
     def test_empty_axis(self):
@@ -311,6 +334,44 @@ class TestGridSpecValidation:
         with pytest.raises(ValueError, match="p2_offsets"):
             GridSpec(n_values=(1,), m_values=(2,), N_values=(2,), p2_offsets=(1, 2.0),
                      trials_per_cell=1)
+
+    # trial seeds run base_seed, base_seed + 1, ...; each must be a 64-bit key
+    def test_last_trial_seed_must_stay_below_2_to_the_64(self):
+        # one cell (tau 1 and 2) of three trials: six seeds
+        kw = dict(n_values=(1,), m_values=(2,), N_values=(2,), p1_values=(1,),
+                  trials_per_cell=3)
+        assert GridSpec(**kw, base_seed=2**64 - 6).base_seed == 2**64 - 6
+        for base in (2**64 - 5, 2**64, 2**128 - 5):
+            with pytest.raises(ValueError, match=f"'base_seed' {base} puts the last trial seed"):
+                GridSpec(**kw, base_seed=base)
+
+    @pytest.mark.parametrize("seed", [2**64, 2**128 - 5])
+    def test_trial_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer in"):
+            run_trial(Dimensions(1, 3, 1, 5, 2), 1, seed)
+
+    # a spec built in Python is refused in the terms of the file
+    @pytest.mark.parametrize("kwargs,named", [
+        (dict(n_values=(0,)), "grid field 'n' (n_values)"),
+        (dict(m_values=(2, True)), "grid field 'm' (m_values)"),
+        (dict(N_values=(1,)), "grid field 'N' (N_values): N values"),
+        (dict(p1_values=()), "grid field 'p1' (p1_values)"),
+        (dict(p2_offsets=(0,)), "grid field 'p2_offsets' must"),
+        (dict(taus=(0,)), "grid field 'taus': tau values"),
+        (dict(trials_per_cell=0), "grid field 'trials_per_cell' must"),
+        (dict(base_seed=-1), "grid field 'base_seed' must"),
+    ])
+    def test_messages_name_the_file_key(self, kwargs, named):
+        spec = {**dict(n_values=(1,), m_values=(2,), N_values=(2,)), **kwargs}
+        with pytest.raises(ValueError, match=re.escape(named)):
+            GridSpec(**spec)
+
+    def test_lists_are_kept_as_tuples(self):
+        spec = GridSpec(n_values=[1], m_values=[2], N_values=[2], p1_values=[1],
+                        p2_offsets=[1, 2], taus=[1])
+        assert spec == GridSpec(n_values=(1,), m_values=(2,), N_values=(2,), p1_values=(1,),
+                                p2_offsets=(1, 2), taus=(1,))
+        hash(spec)
 
 
 class TestCells:
@@ -435,6 +496,31 @@ class TestGridSpecDict:
     def test_not_a_dict(self):
         with pytest.raises(ValueError, match="JSON object"):
             grid_spec_from_dict([1, 2])
+
+    # the values are checked by GridSpec alone, which names the file key
+    @pytest.mark.parametrize("data,named", [
+        ({"p1": [0]}, "grid field 'p1' (p1_values)"),
+        ({"N": [2.5]}, "grid field 'N' (N_values)"),
+        ({"p2_offsets": "1"}, "grid field 'p2_offsets'"),
+        ({"taus": [1, False]}, "grid field 'taus'"),
+        ({"trials_per_cell": 2.0}, "grid field 'trials_per_cell'"),
+        ({"base_seed": 2**64}, "grid field 'base_seed'"),
+    ])
+    def test_bad_value_names_the_file_key(self, data, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            grid_spec_from_dict({"n": [1], "m": [2], "N": [2], **data})
+
+    def test_file_and_python_errors_are_the_same(self):
+        with pytest.raises(ValueError) as from_file:
+            grid_spec_from_dict({"n": [1], "m": [2], "N": [2], "p1": [0]})
+        with pytest.raises(ValueError) as from_python:
+            GridSpec(n_values=(1,), m_values=(2,), N_values=(2,), p1_values=(0,))
+        assert str(from_file.value) == str(from_python.value)
+
+    def test_file_keys_and_attributes_match_the_spec(self):
+        assert sorted(harness.GRID_FIELDS.values()) == sorted(
+            f.name for f in dataclasses.fields(GridSpec))
+        assert set(grid_spec_to_dict(SINGLE_CELL)) == set(harness.GRID_FIELDS)
 
 
 class TestFixtureSuite:

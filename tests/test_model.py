@@ -1,7 +1,8 @@
-"""System data model: validation, classification, generation, reverse time, fixtures."""
+"""System data model: checks at construction, classification, generation, reverse time, fixtures."""
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 from multirate_zeros.errors import SingularA, UnsupportedDims
 from multirate_zeros.model import (Dimensions, MultirateSystem, SystemClass,
-                                   TolerancePolicy, classify, fixture,
+                                   TolerancePolicy, _rng, classify, fixture,
                                    load_system, random_generic, reverse_time,
                                    save_system, system_from_dict,
-                                   system_to_dict, validate)
+                                   system_to_dict)
 
 from conftest import EXAMPLE1_DIMS
 
@@ -81,32 +82,59 @@ class TestTolerancePolicy:
             TolerancePolicy(**kwargs)
 
 
+MATRICES = ("A", "B", "Cf", "Cs", "Df", "Ds")
+
+
 class TestValidate:
+    """A system checks its matrices when it is built, whatever builds it."""
+
     def test_well_formed_system_is_ok(self):
         sys = random_generic(Dimensions(1, 2, 1, 2, 2), seed=0)
-        result = validate(sys)
-        assert result.ok
-        assert result.violations == ()
+        rebuilt = MultirateSystem(dims=sys.dims, **{k: getattr(sys, k).tolist() for k in MATRICES})
+        for name in MATRICES:
+            assert np.array_equal(getattr(rebuilt, name), getattr(sys, name))
+            assert getattr(rebuilt, name).dtype == np.float64
 
     def test_wrong_shape_names_the_matrix(self):
         d = Dimensions(2, 1, 1, 1, 2)
         good = random_generic(d, seed=0)
-        bad = MultirateSystem(dims=d, A=np.zeros((2, 3)), B=good.B,
-                              Cf=good.Cf, Cs=good.Cs, Df=good.Df, Ds=good.Ds)
-        result = validate(bad)
-        assert not result.ok
-        assert any("A" in v and "(2, 3)" in v for v in result.violations)
+        with pytest.raises(ValueError, match=r"'A' has shape \(2, 3\), expected \(2, 2\)"):
+            MultirateSystem(dims=d, A=np.zeros((2, 3)), B=good.B,
+                            Cf=good.Cf, Cs=good.Cs, Df=good.Df, Ds=good.Ds)
 
     def test_nonfinite_entry_names_the_matrix(self):
         d = Dimensions(2, 1, 1, 1, 2)
         good = random_generic(d, seed=0)
         B = good.B.copy()
         B[0, 0] = np.inf
-        bad = MultirateSystem(dims=d, A=good.A, B=B, Cf=good.Cf,
-                              Cs=good.Cs, Df=good.Df, Ds=good.Ds)
-        result = validate(bad)
-        assert not result.ok
-        assert any("B" in v and "non-finite" in v for v in result.violations)
+        with pytest.raises(ValueError, match="'B' contains non-finite"):
+            MultirateSystem(dims=d, A=good.A, B=B, Cf=good.Cf,
+                            Cs=good.Cs, Df=good.Df, Ds=good.Ds)
+
+    # every matrix is named on its own: the finiteness test runs over all
+    # entries at once, and only its failure looks for the matrix
+    @pytest.mark.parametrize("name", MATRICES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_each_nonfinite_matrix_is_named(self, name, bad):
+        sys = random_generic(Dimensions(2, 2, 1, 3, 2), seed=1)
+        mats = {k: getattr(sys, k).copy() for k in MATRICES}
+        mats[name][-1, -1] = bad
+        with pytest.raises(ValueError, match=f"matrix '{name}' contains non-finite"):
+            MultirateSystem(dims=sys.dims, **mats)
+
+    @pytest.mark.parametrize("value", ["abc", [[1.0, 2.0], [3.0]], [[1j]], {"a": 1},
+                                       None, [["1.5"]], [[True]]])
+    def test_nonnumeric_matrix_is_named(self, value):
+        sys = random_generic(Dimensions(1, 1, 1, 1, 2), seed=0)
+        mats = {k: getattr(sys, k) for k in MATRICES}
+        with pytest.raises(ValueError, match="matrix 'Cs' is not numeric"):
+            MultirateSystem(dims=sys.dims, **{**mats, "Cs": value})
+
+    def test_scalar_counts_as_one_row(self):
+        sys = random_generic(Dimensions(1, 1, 1, 1, 2), seed=0)
+        rebuilt = MultirateSystem(dims=sys.dims, **{k: float(getattr(sys, k)[0, 0])
+                                                    for k in MATRICES})
+        assert rebuilt.A.shape == (1, 1)
 
 
 class TestClassify:
@@ -160,6 +188,28 @@ class TestRandomGeneric:
         b = random_generic(d, seed)
         assert all(np.array_equal(getattr(a, f), getattr(b, f))
                    for f in ("A", "B", "Cf", "Cs", "Df", "Ds"))
+
+
+class TestSeeds:
+    # a float or bool seed would alias the integer Philox makes of it
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 2**128 - 5, 0.5, True, "3"])
+    def test_seed_that_is_not_a_64_bit_integer_is_refused(self, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer in [0, 2**64), got {seed!r}")):
+            random_generic(Dimensions(1, 3, 1, 5, 2), seed)
+
+    def test_largest_seed_draws(self):
+        sys = random_generic(Dimensions(1, 3, 1, 5, 2), 2**64 - 1)
+        assert np.isfinite(sys.A).all()
+
+    # seed 2**64 once drew the systems from seed 0's sample-point stream
+    def test_each_purpose_has_its_own_key_range(self):
+        for seed in (0, 7, 2**64 - 1):
+            for purpose in (0, 1):
+                key = seed + purpose * 2**64
+                want = np.random.Generator(np.random.Philox(key=key)).uniform(size=3)
+                assert np.array_equal(_rng(seed, purpose).uniform(size=3), want)
+        assert _rng(0, 1).uniform() != _rng(0).uniform()
 
 
 class TestReverseTime:
@@ -301,6 +351,22 @@ class TestSerialization:
         data["A"][0][0] = float("nan")
         with pytest.raises(ValueError, match="'A'"):
             system_from_dict(data)
+
+    def test_unknown_field_is_refused(self):
+        data = system_to_dict(random_generic(Dimensions(2, 1, 1, 1, 2), seed=0))
+        data["Dt"] = [[0.0]]
+        with pytest.raises(ValueError, match="unknown system field 'Dt'"):
+            system_from_dict(data)
+
+    def test_file_and_python_errors_are_the_same(self):
+        data = system_to_dict(random_generic(Dimensions(2, 1, 1, 1, 2), seed=0))
+        data["Df"] = [[1.0, 2.0]]
+        with pytest.raises(ValueError) as from_file:
+            system_from_dict(data)
+        with pytest.raises(ValueError) as from_python:
+            MultirateSystem(dims=Dimensions(2, 1, 1, 1, 2),
+                            **{k: data[k] for k in MATRICES})
+        assert str(from_file.value) == str(from_python.value)
 
     def test_file_format_is_plain_json(self, tmp_path):
         sys = random_generic(Dimensions(1, 1, 1, 1, 2), seed=0)
