@@ -57,7 +57,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blocking import BlockedSystem, _assemble, system_pencil
+from .blocking import BlockedSystem, MatrixPencil, _assemble, system_pencil
 from .model import MultirateSystem
 from .numerics import _max_rank
 
@@ -113,7 +113,7 @@ def _matmul_mod(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _block_from(sys: MultirateSystem, taus, entries,
-                matmul=operator.matmul) -> list[BlockedSystem]:
+                matmul=operator.matmul) -> BlockedSystem:
     # `_assemble` at the delays in taus, in order (every delay 1..N when
     # None), on the entries of the six system matrices, taken in one pass
     mats = (sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
@@ -123,9 +123,9 @@ def _block_from(sys: MultirateSystem, taus, entries,
                      *(x.reshape(M.shape) for x, M in zip(parts, mats)), matmul=matmul)
 
 
-def modp_block(sys: MultirateSystem, taus=None) -> list[BlockedSystem]:
-    """`block_all` over F_P at the delays in taus (every delay when None),
-    each entry the residue of the exact one."""
+def modp_block(sys: MultirateSystem, taus=None) -> BlockedSystem:
+    """`block_all` over F_P at the delays in taus (every delay when None):
+    one stack, each entry the residue of the exact one."""
     return _block_from(sys, taus, residue_matrix, _matmul_mod)
 
 
@@ -154,9 +154,9 @@ def modp_rank(M: np.ndarray) -> int:
     return rank
 
 
-def exact_block(sys: MultirateSystem, taus=None) -> list[BlockedSystem]:
+def exact_block(sys: MultirateSystem, taus=None) -> BlockedSystem:
     """`block_all` in Fraction arithmetic, free of rounding, at the delays
-    in taus (every delay when None)."""
+    in taus (every delay when None): one stack."""
     return _block_from(sys, taus, fraction_matrix)
 
 
@@ -192,11 +192,12 @@ def settle(sys: MultirateSystem, rank: dict, generic: dict) -> dict:
     two stages, each an (assembly, rank, point) triple: the screen
     (`modp_block`, `modp_rank`, a point's residue), then Bareiss
     (`exact_block`, `exact_rank`, a point as a Fraction). A stage re-reads
-    only the readings still off their generic value, from one assembly of
-    their delays, and builds a delay's pencil only for a pencil reading:
-    the max of its ranks at Z = 0, or at _SAMPLE_POINTS for the normal
-    rank, stopped by `_max_rank` at the generic value. A mod-P rank that
-    meets the generic value is exact, so each value returned is the one a
+    only the readings still off their generic value, from one stack of
+    their delays and the one pencil stack it gives: rank(D_tau) from the
+    stack's D_tau, and a pencil reading as the max of the ranks of its
+    delay's pencil at Z = 0, or at _SAMPLE_POINTS for the normal rank,
+    stopped by `_max_rank` at the generic value. A mod-P rank that meets
+    the generic value is exact, so each value returned is the one a
     Bareiss re-read of every reading gives.
     """
     rank = dict(rank)
@@ -208,14 +209,14 @@ def settle(sys: MultirateSystem, rank: dict, generic: dict) -> dict:
         if not off:
             break
         taus = sorted({t for _, t in off})
-        blocks = dict(zip(taus, assemble(sys, taus)))
-        pencils = {}
+        blocks = assemble(sys, taus)
+        pencils = system_pencil(blocks)
         for q, t in off:
+            i = taus.index(t)
             if q == "rank_D":
-                rank[q, t] = rank_of(blocks[t].D_tau)
+                rank[q, t] = rank_of(blocks.D_tau[i])
                 continue
-            if t not in pencils:
-                pencils[t] = system_pencil(blocks[t])
-            rank[q, t] = _max_rank((rank_of(pencils[t].at(point(z))) for z in points[q]),
-                                   pencils[t].shape, generic[q, t])
+            pencil = MatrixPencil(pencils.E, pencils.F[i])
+            rank[q, t] = _max_rank((rank_of(pencil.at(point(z))) for z in points[q]),
+                                   pencil.shape, generic[q, t])
     return rank

@@ -10,7 +10,7 @@ off the pencil of the blocked one.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,18 +20,23 @@ from .model import Dimensions, MultirateSystem, TolerancePolicy
 
 @dataclass(frozen=True)
 class BlockedSystem:
-    """Time-invariant lift of a multirate system for one blocking delay.
+    """Time-invariant lift of a multirate system at one blocking delay, or a stack of them.
 
+    For one delay tau is an int and every matrix is 2-D. A stack, as
+    `block_all` returns it, holds the system at several delays: tau is the
+    tuple of them, and C_tau and D_tau carry a leading delay axis, C_tau[i]
+    being the one at delay tau[i]. A_tau and B_tau do not depend on the
+    delay, so a stack holds them once, as `MatrixPencil.F` shares its E.
     slow_rows is p2 for a full blocked system and 0 after the slow outputs
     have been discarded, so C_tau and D_tau have N*p1 + slow_rows rows.
     """
 
     dims: Dimensions
-    tau: int
+    tau: int | tuple[int, ...]
     A_tau: np.ndarray   # n x n
     B_tau: np.ndarray   # n x N*m
-    C_tau: np.ndarray   # (N*p1 + slow_rows) x n
-    D_tau: np.ndarray   # (N*p1 + slow_rows) x N*m
+    C_tau: np.ndarray   # ([delays,] N*p1 + slow_rows, n)
+    D_tau: np.ndarray   # ([delays,] N*p1 + slow_rows, N*m)
     slow_rows: int
 
 
@@ -58,59 +63,61 @@ class MatrixPencil:
         return Z * self.E - self.F
 
 
-def _powers(A: np.ndarray, k: int, matmul=operator.matmul) -> list[np.ndarray]:
-    # A^0 .. A^k by repeated multiplication; keeps real data real
-    out = [np.eye(A.shape[0], dtype=A.dtype)]
-    for _ in range(k):
-        out.append(matmul(out[-1], A))
+def _powers(A: np.ndarray, k: int, matmul=operator.matmul) -> np.ndarray:
+    # A^0 .. A^k as one stack, by repeated multiplication; keeps real data real
+    out = np.empty((k + 1, *A.shape), dtype=A.dtype)
+    out[0] = np.eye(A.shape[0], dtype=A.dtype)
+    for i in range(k):
+        out[i + 1] = matmul(out[i], A)
     return out
 
 
-def _check_tau(tau: int, N: int) -> None:
-    if not 1 <= tau <= N:
+def _check_tau(tau, N: int) -> None:
+    # bool is an int subclass, and numpy's integers are not ints
+    if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)) or not 1 <= tau <= N:
         raise TauOutOfRange(tau, N)
 
 
 def _assemble(d: Dimensions, taus, A, B, Cf, Cs, Df, Ds,
-              matmul=operator.matmul) -> list[BlockedSystem]:
-    """Blocked systems at each delay in taus from raw state-space matrices.
+              matmul=operator.matmul) -> BlockedSystem:
+    """The stack of blocked systems at the delays in taus, from raw state-space matrices.
 
-    Only the p2 slow rows of C_tau and D_tau depend on tau, so A_tau, B_tau,
-    the fast rows and the slow products Cs A^k B are built once, and the
-    returned systems share their A_tau and B_tau arrays. dtype follows the
-    inputs: float64 inputs assemble in float64; object inputs (e.g.
-    Fraction entries) assemble without any rounding at all. Every
-    arithmetic operation is a product through matmul, so a matmul that
-    reduces its result (modulo a prime, say) assembles in that ring.
+    Every block is gathered from products of the stacked powers A^0..A^N,
+    each product taken once. Only the p2 slow rows depend on the delay:
+    at tau they are the fast row block N - tau with Cs and Ds in place of
+    Cf and Df. dtype follows the inputs: float64 inputs assemble in
+    float64; object inputs (e.g. Fraction entries) assemble without any
+    rounding at all. Every arithmetic operation is a product through
+    matmul, so a matmul that reduces its result (modulo a prime, say)
+    assembles in that ring.
     """
+    taus = tuple(taus)
     for tau in taus:
         _check_tau(tau, d.N)
-    m, p1, p2, N = d.m, d.p1, d.p2, d.N
+    n, m, N = d.n, d.m, d.N
     Ak = _powers(A, N, matmul)
-    A_tau = Ak[N]
-    B_tau = np.hstack([matmul(Ak[N - 1 - j], B) for j in range(N)])
-    CfAk = [matmul(Cf, Ak[i]) for i in range(N)]
-    CsAk = [matmul(Cs, Ak[i]) for i in range(N)]
-    # products associate as (C A^k) B, the order the entries were defined in
-    CfAkB = [matmul(CfAk[k], B) for k in range(N - 1)]
-    CsAkB = [matmul(CsAk[k], B) for k in range(N - 1)]
-    C_fast = np.vstack(CfAk)
-    D_fast = np.zeros((N * p1, N * m), dtype=A.dtype)
-    for i in range(N):
-        rows = slice(i * p1, (i + 1) * p1)
-        D_fast[rows, i * m:(i + 1) * m] = Df
-        for j in range(i):
-            D_fast[rows, j * m:(j + 1) * m] = CfAkB[i - j - 1]
-    out = []
-    for tau in taus:
-        D_slow = np.zeros((p2, N * m), dtype=A.dtype)
-        for j in range(N - tau):
-            D_slow[:, j * m:(j + 1) * m] = CsAkB[N - tau - 1 - j]
-        D_slow[:, (N - tau) * m:(N - tau + 1) * m] = Ds
-        out.append(BlockedSystem(dims=d, tau=tau, A_tau=A_tau, B_tau=B_tau,
-                                 C_tau=np.vstack([C_fast, CsAk[N - tau]]),
-                                 D_tau=np.vstack([D_fast, D_slow]), slow_rows=p2))
-    return out
+
+    def row_blocks(r, C, D):
+        # block rows r with C and D for Cf and Df: C A^r, and D at column
+        # block r with C A^(r-j-1) B left of it, the products associating as
+        # (C A^k) B, the order the entries were defined in
+        CAk = matmul(C, Ak[:N])
+        blocks = np.concatenate([np.zeros((1, *D.shape), dtype=A.dtype), D[None],
+                                 matmul(CAk[:N - 1], B)])
+        at = np.maximum(r[:, None] + 1 - np.arange(N), 0)
+        return CAk[r], blocks[at].transpose(0, 2, 1, 3).reshape(len(r), D.shape[0], N * m)
+
+    def every_delay(fast, slow):
+        # the fast rows, the same at every delay, over each delay's slow rows
+        fast = fast.reshape(1, -1, fast.shape[-1]).repeat(len(taus), axis=0)
+        return np.concatenate([fast, slow], axis=1)
+
+    (C_fast, D_fast), (C_slow, D_slow) = (row_blocks(np.arange(N), Cf, Df),
+                                          row_blocks(N - np.array(taus, dtype=np.intp), Cs, Ds))
+    return BlockedSystem(dims=d, tau=taus, A_tau=Ak[N],
+                         B_tau=matmul(Ak[N - 1::-1], B).transpose(1, 0, 2).reshape(n, N * m),
+                         C_tau=every_delay(C_fast, C_slow), D_tau=every_delay(D_fast, D_slow),
+                         slow_rows=d.p2)
 
 
 def block(sys: MultirateSystem, tau: int) -> BlockedSystem:
@@ -121,40 +128,36 @@ def block(sys: MultirateSystem, tau: int) -> BlockedSystem:
     fast block diagonal with Cf A^(i-j-1) B below it, and a slow row block
     [Cs A^(N-tau-1)B ... Cs B  Ds  0 ... 0] with tau-1 trailing zero blocks.
     """
-    return _assemble(sys.dims, (tau,), sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)[0]
+    stack = _assemble(sys.dims, (tau,), sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
+    return replace(stack, tau=tau, C_tau=stack.C_tau[0], D_tau=stack.D_tau[0])
 
 
-def block_all(sys: MultirateSystem) -> list[BlockedSystem]:
-    """The blocked systems at every delay: entry t-1 equals block(sys, t).
+def block_all(sys: MultirateSystem) -> BlockedSystem:
+    """The system blocked at every delay 1..N, as one stack: tau is (1, ..., N),
+    and C_tau[t - 1] and D_tau[t - 1] equal those of block(sys, t).
 
-    The delay-independent parts are built once and shared, so this costs
-    little more than a single block call.
+    The whole stack costs little more than a single block call.
     """
     return _assemble(sys.dims, range(1, sys.dims.N + 1),
                      sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
 
 
-def system_pencil(blk: BlockedSystem | list[BlockedSystem]) -> MatrixPencil:
+def system_pencil(blk: BlockedSystem) -> MatrixPencil:
     """System matrix as a pencil: P(Z) = [[Z*I - A_tau, -B_tau], [C_tau, D_tau]].
 
-    Given a list of blocked systems of one shape, as block_all returns
-    them, F stacks their pencils' F over the E they share.
+    For a stack of blocked systems, as block_all returns it, F stacks the
+    pencils' F over the E they share: F[i] is the one at delay tau[i].
     """
-    blocks = [blk] if isinstance(blk, BlockedSystem) else blk
-    first = blocks[0]
-    n = first.A_tau.shape[0]
-    rows = n + first.C_tau.shape[0]
-    cols = n + first.B_tau.shape[1]
-    dtype = first.A_tau.dtype
-    E = np.zeros((rows, cols), dtype=dtype)
+    n = blk.A_tau.shape[0]
+    dtype = blk.A_tau.dtype
+    E = np.zeros((n + blk.D_tau.shape[-2], n + blk.D_tau.shape[-1]), dtype=dtype)
     E[:n, :n] = np.eye(n, dtype=dtype)
-    F = np.zeros((len(blocks), rows, cols), dtype=dtype)
-    for Fk, b in zip(F, blocks):
-        Fk[:n, :n] = b.A_tau
-        Fk[:n, n:] = b.B_tau
-        Fk[n:, :n] = -b.C_tau
-        Fk[n:, n:] = -b.D_tau
-    return MatrixPencil(E=E, F=F if blocks is blk else F[0])
+    F = np.zeros(blk.D_tau.shape[:-2] + E.shape, dtype=dtype)
+    F[..., :n, :n] = blk.A_tau
+    F[..., :n, n:] = blk.B_tau
+    F[..., n:, :n] = -blk.C_tau
+    F[..., n:, n:] = -blk.D_tau
+    return MatrixPencil(E=E, F=F)
 
 
 def _solve_resolvent(blk: BlockedSystem, points, policy: TolerancePolicy) -> np.ndarray:
@@ -171,16 +174,19 @@ def _solve_resolvent(blk: BlockedSystem, points, policy: TolerancePolicy) -> np.
 
 def transfer_eval(blk: BlockedSystem, Z: complex,
                   policy: TolerancePolicy | None = None) -> np.ndarray:
-    """Blocked transfer function V_tau(Z) = C_tau (Z*I - A_tau)^-1 B_tau + D_tau."""
+    """Blocked transfer function V_tau(Z) = C_tau (Z*I - A_tau)^-1 B_tau + D_tau.
+
+    On a stack it is the stack of V_tau(Z) at its delays, from one solve.
+    """
     return blk.C_tau @ _solve_resolvent(blk, [Z], policy or TolerancePolicy())[0] + blk.D_tau
 
 
-def lift_relation_residual(blocks: list[BlockedSystem], Z,
+def lift_relation_residual(blk: BlockedSystem, Z,
                            policy: TolerancePolicy | None = None) -> float:
     """Largest relative residual of the one-step lifting identity over delays 1..N.
 
-    blocks is one system blocked at every delay 1..N, as block_all returns
-    it. For each tau in 1..N-1, V_tau+1(Z) equals L(Z) V_tau(Z) R(Z): L
+    blk is one system blocked at every delay 1..N, the stack block_all
+    returns. For each tau in 1..N-1, V_tau+1(Z) equals L(Z) V_tau(Z) R(Z): L
     rotates the fast output blocks up by one, the first picking up a factor
     Z, and leaves the slow rows alone; R rotates the input blocks left by
     one, the first picking up a factor 1/Z. Both are applied as block
@@ -193,33 +199,23 @@ def lift_relation_residual(blocks: list[BlockedSystem], Z,
     harness reads it at real points, where X, V and the residuals are all
     real.
     """
-    def same(a, b):
-        # block_all shares A_tau and B_tau between delays, so `is` usually settles it
-        return a is b or np.array_equal(a, b)
-
-    first = blocks[0] if blocks else None
-    layout = [(b.dims, b.slow_rows, b.tau) for b in blocks]
-    if first is None or layout != [(first.dims, first.slow_rows, t)
-                                   for t in range(1, first.dims.N + 1)] \
-            or not all(same(b.A_tau, first.A_tau) and same(b.B_tau, first.B_tau)
-                       for b in blocks):
+    if blk.tau != tuple(range(1, blk.dims.N + 1)):
         raise ValueError("the lifting relation needs one system blocked at every "
-                         "delay 1..N, in order, as block_all returns it")
+                         f"delay 1..N, in order, as block_all returns it, got tau={blk.tau}")
     points = [Z] if np.ndim(Z) == 0 else list(Z)
     if any(z == 0 for z in points):
         raise ZeroZ("the lifting relation involves 1/Z and is undefined at Z=0")
-    m, p1, N = first.dims.m, first.dims.p1, first.dims.N
-    C, D = (np.stack([getattr(b, name) for b in blocks]) for name in ("C_tau", "D_tau"))
+    m, p1, N = blk.dims.m, blk.dims.p1, blk.dims.N
 
     def residual(Z, X):
-        V = C @ X + D
+        V = blk.C_tau @ X + blk.D_tau
         lo, hi = V[:-1], V[1:]
         rows = np.concatenate([lo[:, p1:N * p1], Z * lo[:, :p1], lo[:, N * p1:]], axis=1)
         rotated = np.concatenate([rows[:, :, m:], rows[:, :, :m] / Z], axis=2)
         return float(np.sqrt(np.max(_squared_norms(hi - rotated) / _squared_norms(hi),
                                     initial=0.0)))
 
-    Xs = _solve_resolvent(first, points, policy or TolerancePolicy())
+    Xs = _solve_resolvent(blk, points, policy or TolerancePolicy())
     return max(residual(Z, X) for Z, X in zip(points, Xs))
 
 
@@ -230,9 +226,10 @@ def _squared_norms(V: np.ndarray) -> np.ndarray:
 
 
 def fast_subsystem(blk: BlockedSystem) -> BlockedSystem:
-    """Drop the slow output rows, leaving the blocked fast-only system."""
+    """Drop the slow output rows, leaving the blocked fast-only system (of a
+    stack, the stack of them)."""
     if blk.slow_rows == 0:
         return blk
-    keep = blk.C_tau.shape[0] - blk.slow_rows
-    return BlockedSystem(dims=blk.dims, tau=blk.tau, A_tau=blk.A_tau, B_tau=blk.B_tau,
-                         C_tau=blk.C_tau[:keep], D_tau=blk.D_tau[:keep], slow_rows=0)
+    keep = blk.C_tau.shape[-2] - blk.slow_rows
+    return replace(blk, C_tau=blk.C_tau[..., :keep, :], D_tau=blk.D_tau[..., :keep, :],
+                   slow_rows=0)

@@ -6,10 +6,10 @@ class MultirateError(Exception):
 
 
 class TauOutOfRange(MultirateError):
-    """Blocking delay tau must lie in 1..N."""
+    """Blocking delay tau must be an integer in 1..N."""
 
-    def __init__(self, tau: int, N: int):
-        super().__init__(f"blocking delay tau={tau} outside 1..{N}")
+    def __init__(self, tau, N: int):
+        super().__init__(f"blocking delay tau must be an integer in 1..{N}, got {tau!r}")
         self.tau = tau
         self.N = N
 

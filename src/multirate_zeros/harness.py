@@ -24,8 +24,8 @@ import numpy as np
 
 from ._exact import settle
 from ._version import __version__
-from .blocking import (MatrixPencil, _check_tau, block, block_all, lift_relation_residual,
-                       system_pencil)
+from .blocking import (BlockedSystem, MatrixPencil, _check_tau, block, block_all,
+                       lift_relation_residual, system_pencil)
 from .errors import MultirateError, NotTallClass
 from .model import (Dimensions, MultirateSystem, TolerancePolicy, _check_fields, _is_int,
                     classify, fixture, policy_from_dict, random_generic)
@@ -33,7 +33,7 @@ from .model import (Dimensions, MultirateSystem, TolerancePolicy, _check_fields,
 # perfbench's tracer reads and wraps harness.normal_rank, so it stays bound
 from .numerics import (_sample_uniforms, normal_rank,  # noqa: F401
                        normal_ranks, numerical_rank)
-from .oracle import dual_index, predict, predict_controllability_rank
+from .oracle import dual_index, predict, predict_controllability_rank, predict_rank_D
 from .zeros import multiplicities, zero_report, zero_report_to_dict
 
 LIFT_RESIDUAL_TOL = 1e-9
@@ -300,12 +300,11 @@ def _escalate(sys: MultirateSystem, rank: dict) -> dict:
 
 
 def _read(sys: MultirateSystem, taus, policy: TolerancePolicy, seed: int,
-          bound: int | None) -> tuple[list, MatrixPencil, dict]:
+          bound: int | None) -> tuple[BlockedSystem, MatrixPencil, dict]:
     """The blocked systems of sys at every delay, their pencils, and their float rank readings.
 
-    One `block_all` assembly gives the N blocked systems, blocks[t - 1]
-    being the one at delay t, and their pencils are one stack sharing E,
-    the pencil at delay t having F[t - 1].
+    One `block_all` stack holds the N blocked systems, and its pencils are
+    one stack sharing E: delay t has C_tau[t - 1], D_tau[t - 1] and F[t - 1].
     One stacked `normal_ranks` sweep of it, stopped at bound, reads the
     normal rank at every delay. rank(D_t) at the delays t in taus is one
     stacked `numerical_rank` call, and the rank at Z = 0 (0.0 * E - F, as
@@ -324,7 +323,7 @@ def _read(sys: MultirateSystem, taus, policy: TolerancePolicy, seed: int,
     rho = normal_ranks(pencils, policy, seed, bound)
     rank = {("normal_rank", t): r for t, r in enumerate(rho, 1)}
     at = [t - 1 for t in taus]
-    rank_D = numerical_rank(np.stack([blocks[i].D_tau for i in at]), policy)
+    rank_D = numerical_rank(blocks.D_tau[at], policy)
     rank_0 = numerical_rank(0.0 * pencils.E - pencils.F[at], policy)
     for t, r_D, r_0 in zip(taus, rank_D, rank_0):
         rank["rank_D", t], rank["rank_at_zero", t] = r_D, r_0
@@ -586,14 +585,14 @@ def _fixture_rank_rows(policy: TolerancePolicy) -> list[dict]:
                 p2 = N * w + 1
                 for tau in range(1, N + 1):
                     T = (N - tau) * w
-                    # (fixture, n, closed-form rank of D_tau) for this delay
-                    cases = [("shift_small_n", n, (N - 1) * p1 + m + n)
-                             for n in range(w, T + 1)]
+                    # small-state fixtures up to the saturation point T, large-state past it
+                    cases = [("shift_small_n", n) for n in range(w, T + 1)]
                     if tau <= N - 1:
-                        cases += [("shift_large_n", T + q, (tau - 1) * p1 + (N - tau + 1) * m)
-                                  for q in (1, 2)]
-                    for name, n, expected in cases:
-                        sys = fixture(name, Dimensions(n=n, m=m, p1=p1, p2=p2, N=N), tau, 0)
+                        cases += [("shift_large_n", T + q) for q in (1, 2)]
+                    for name, n in cases:
+                        dims = Dimensions(n=n, m=m, p1=p1, p2=p2, N=N)
+                        expected = predict_rank_D(dims, tau)[0]
+                        sys = fixture(name, dims, tau, 0)
                         meas = numerical_rank(block(sys, tau).D_tau, policy)
                         rows.append({
                             "fixture": name,

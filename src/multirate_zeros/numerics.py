@@ -108,7 +108,7 @@ def normal_ranks(pencils: MatrixPencil, policy: TolerancePolicy | None = None,
                  seed: int = 0, bound: int | None = None) -> list[int]:
     """`normal_rank` of each pencil of a stack sharing E, one svd call a point.
 
-    pencils is a stack, as `system_pencil` builds it from a list of blocked
+    pencils is a stack, as `system_pencil` builds it from a stack of blocked
     systems, or one pencil, a stack of one. At each sample point one
     stacked svd reads every pencil whose sweep is still open; a pencil's
     sweep closes as `_max_rank`'s does, on the first reading that brings

@@ -190,13 +190,15 @@ def zero_report(pencil: MatrixPencil, tau: int, policy: TolerancePolicy | None =
 
 
 def square_blocked_zeros(blk: BlockedSystem, policy: TolerancePolicy | None = None) -> np.ndarray:
-    """Zeros of a square blocked system with invertible D_tau.
+    """Zeros of a square blocked system with invertible D_tau, at one delay.
 
     For such systems the zeros are exactly the eigenvalues of
     A_tau - B_tau D_tau^-1 C_tau.
     """
     policy = policy or TolerancePolicy()
     D = blk.D_tau
+    if D.ndim != 2:
+        raise ValueError(f"square_blocked_zeros takes one delay, got a stack at delays {blk.tau}")
     if D.shape[0] != D.shape[1]:
         raise SingularD(f"D_tau must be square, got {D.shape}")
     cond = np.linalg.cond(D)

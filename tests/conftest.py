@@ -1,10 +1,14 @@
-"""Shared fixtures: the worked 8x7 instance, a planted finite zero and common policies."""
+"""Shared fixtures: the worked 8x7 instance, a planted finite zero, common policies, and
+the one-delay entries of a stack of blocked systems."""
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from multirate_zeros.blocking import BlockedSystem
 from multirate_zeros.model import Dimensions, MultirateSystem, TolerancePolicy, fixture
 
 settings.register_profile(
@@ -28,6 +32,12 @@ def planted_zero_system(Df: float) -> MultirateSystem:
     one = lambda x: np.array([[float(x)]])  # noqa: E731
     return MultirateSystem(dims=Dimensions(n=1, m=1, p1=1, p2=1, N=2), A=one(0.5), B=one(1),
                            Cf=one(1), Cs=one(0), Df=one(Df), Ds=one(0))
+
+
+def at_delay(stack: BlockedSystem, i: int) -> BlockedSystem:
+    """Entry i of a stack of blocked systems, the system at delay stack.tau[i], as `block`
+    returns one."""
+    return replace(stack, tau=stack.tau[i], C_tau=stack.C_tau[i], D_tau=stack.D_tau[i])
 
 
 def pencil_count(pencils) -> int:

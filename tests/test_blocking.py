@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multirate_zeros.blocking import (block, block_all, fast_subsystem,
+from multirate_zeros._exact import exact_block, modp_block
+from multirate_zeros.blocking import (_assemble, block, block_all, fast_subsystem,
                                       lift_relation_residual, system_pencil,
                                       transfer_eval)
 from multirate_zeros.errors import ResolventSingular, TauOutOfRange, ZeroZ
 from multirate_zeros.model import (Dimensions, MultirateSystem, fixture,
                                    random_generic, reverse_time)
 
-from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS
+from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, at_delay
 
 SCALAR_DIMS = Dimensions(1, 1, 1, 1, 2)
 
@@ -74,6 +75,20 @@ class TestBlock:
         with pytest.raises(TauOutOfRange):
             block(sys, tau)
 
+    @pytest.mark.parametrize("tau", [True, 1.5, 2.0, "1", None, np.float64(1.0)])
+    def test_non_integer_tau_refused(self, tau):
+        # True passed as delay 1, and 1.5 met numpy's TypeError inside the assembly
+        sys = scalar_system(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(TauOutOfRange, match="must be an integer"):
+            block(sys, tau)
+
+    @pytest.mark.parametrize("tau", [np.int64(2), np.uint8(1)])
+    def test_numpy_integer_tau_accepted(self, tau):
+        sys = random_generic(Dimensions(2, 2, 1, 3, 2), seed=1)
+        blk = block(sys, tau)
+        assert blk.tau == tau
+        assert blk.D_tau.tobytes() == block(sys, int(tau)).D_tau.tobytes()
+
 
 def formula_block(sys: MultirateSystem, tau: int) -> dict:
     """The blocked matrices written out from the block docstring, block by block."""
@@ -105,14 +120,45 @@ class TestBlockAll:
     def test_every_delay_is_bitwise_the_formula(self, dims, seed):
         sys = random_generic(dims, seed)
         blocks = block_all(sys)
-        assert [b.tau for b in blocks] == list(range(1, dims.N + 1))
+        assert blocks.tau == tuple(range(1, dims.N + 1))
+        assert blocks.dims == dims and blocks.slow_rows == dims.p2
         for t in range(1, dims.N + 1):
-            blk, single = blocks[t - 1], block(sys, t)
-            assert blk.dims == dims and blk.slow_rows == dims.p2
+            blk, single = at_delay(blocks, t - 1), block(sys, t)
+            assert single.tau == t and single.dims == dims and single.slow_rows == dims.p2
             for name, want in formula_block(sys, t).items():
                 for got in (getattr(blk, name), getattr(single, name)):
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), (t, name)
+
+    @pytest.mark.parametrize("dims,seed", [(Dimensions(3, 2, 1, 3, 4), 12),
+                                           (Dimensions(2, 1, 2, 1, 3), 3)])
+    @pytest.mark.parametrize("taus", [(3,), (2, 1), (3, 2, 3), (1, 2, 3),
+                                      (np.int64(3), 1), ()])
+    def test_any_delays_are_those_of_one_delay(self, dims, seed, taus):
+        # one stack at any delays, in any order, repeats included: in float
+        # each entry is bitwise block's; mod P and in Fractions it equals
+        # the assembly at that delay alone
+        sys = random_generic(dims, seed)
+        mats = (sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
+        stack = _assemble(dims, taus, *mats)
+        assert stack.tau == taus
+        assert stack.C_tau.shape[0] == stack.D_tau.shape[0] == len(taus)
+        for i, t in enumerate(taus):
+            one, want = at_delay(stack, i), block(sys, t)
+            assert one.tau == want.tau
+            for name in ("A_tau", "B_tau", "C_tau", "D_tau"):
+                got, ref = getattr(one, name), getattr(want, name)
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), (t, name)
+        for assemble in (modp_block, exact_block):
+            chosen = assemble(sys, taus)
+            assert chosen.tau == taus
+            for i, t in enumerate(taus):
+                alone = assemble(sys, [t])
+                for name in ("A_tau", "B_tau"):
+                    assert np.array_equal(getattr(chosen, name), getattr(alone, name))
+                for name in ("C_tau", "D_tau"):
+                    assert np.array_equal(getattr(chosen, name)[i], getattr(alone, name)[0])
 
 
 class TestWorkedInstance:
@@ -201,14 +247,15 @@ class TestSystemPencil:
     @pytest.mark.parametrize("dims", [EXAMPLE1_DIMS, Dimensions(3, 2, 1, 3, 4),
                                       LONG_HORIZON_DIMS])
     def test_list_of_systems_is_a_stack_sharing_E(self, dims):
-        blocks = block_all(random_generic(dims, seed=5))
+        sys = random_generic(dims, seed=5)
+        blocks = block_all(sys)
         stack = system_pencil(blocks)
         assert stack.F.shape == (dims.N, *stack.shape)
-        for i, blk in enumerate(blocks):
-            one = system_pencil(blk)
-            assert np.array_equal(stack.E, one.E)
-            assert np.array_equal(stack.F[i], one.F)
-            assert np.array_equal(stack.at(-1.5)[i], one.at(-1.5))
+        for i in range(dims.N):
+            for one in (system_pencil(at_delay(blocks, i)), system_pencil(block(sys, i + 1))):
+                assert np.array_equal(stack.E, one.E)
+                assert np.array_equal(stack.F[i], one.F)
+                assert np.array_equal(stack.at(-1.5)[i], one.at(-1.5))
 
     @given(z1=st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
            z2=st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False))
@@ -242,10 +289,18 @@ class TestTransferEval:
         direct = blk.C_tau @ np.linalg.inv(Z * np.eye(2) - blk.A_tau) @ blk.B_tau + blk.D_tau
         assert np.allclose(V, direct)
 
+    @pytest.mark.parametrize("Z", [0.4 - 1.1j, -1.3])
+    def test_stack_is_the_stack_of_its_delays(self, Z):
+        blocks = block_all(random_generic(Dimensions(2, 2, 1, 3, 3), seed=6))
+        V = transfer_eval(blocks, Z)
+        assert V.shape == blocks.D_tau.shape
+        for i in range(3):
+            assert np.array_equal(V[i], transfer_eval(at_delay(blocks, i), Z))
+
 
 def explicit_lift_residuals(blocks, Z):
     """Per-pair residuals of V_tau+1 = L V_tau R with L(Z) and R(Z) written out as matrices."""
-    d = blocks[0].dims
+    d = blocks.dims
     N, m, p1, p2 = d.N, d.m, d.p1, d.p2
     L = np.zeros((N * p1 + p2, N * p1 + p2), dtype=complex)
     L[: (N - 1) * p1, p1: N * p1] = np.eye((N - 1) * p1)
@@ -254,7 +309,7 @@ def explicit_lift_residuals(blocks, Z):
     R = np.zeros((N * m, N * m), dtype=complex)
     R[:m, (N - 1) * m:] = np.eye(m) / Z
     R[m:, : (N - 1) * m] = np.eye((N - 1) * m)
-    V = [transfer_eval(b, Z) for b in blocks]
+    V = [transfer_eval(at_delay(blocks, i), Z) for i in range(N)]
     return [np.linalg.norm(hi - L @ lo @ R) / np.linalg.norm(hi) for lo, hi in zip(V, V[1:])]
 
 
@@ -274,8 +329,8 @@ class TestLiftRelation:
         # differ, so each pair in turn can be the largest
         blocks = block_all(random_generic(dims, seed))
         noise = np.random.default_rng(seed)
-        blocks = [replace(b, D_tau=b.D_tau + s * noise.standard_normal(b.D_tau.shape))
-                  for b, s in zip(blocks, scales)]
+        s = np.array(scales[:dims.N])[:, None, None]
+        blocks = replace(blocks, D_tau=blocks.D_tau + s * noise.standard_normal(blocks.D_tau.shape))
         Z = complex(np.cos(theta), np.sin(theta))
         want = max(explicit_lift_residuals(blocks, Z))
         assert abs(lift_relation_residual(blocks, Z) - want) <= 1e-14 * max(want, 1.0)
@@ -283,9 +338,9 @@ class TestLiftRelation:
     def test_fault_at_a_later_delay_is_seen(self):
         # the first pair (delays 1 and 2) is untouched; pairs 2 and 3 are not
         blocks = block_all(random_generic(LIFT_DIMS, seed=21))
-        D = blocks[2].D_tau.copy()
-        D[LIFT_DIMS.N * LIFT_DIMS.p1:] += 1.0
-        blocks[2] = replace(blocks[2], D_tau=D)
+        D = blocks.D_tau.copy()
+        D[2, LIFT_DIMS.N * LIFT_DIMS.p1:] += 1.0
+        blocks = replace(blocks, D_tau=D)
         assert lift_relation_residual(blocks, 0.7 + 0.2j) >= 1e-3
 
     def test_zero_point_refused(self):
@@ -317,7 +372,9 @@ class TestLiftRelation:
         # residual arithmetic at each point; a fault on the last delay makes
         # the points' residuals differ
         blocks = block_all(random_generic(dims, seed))
-        faulted = blocks[:-1] + [replace(blocks[-1], D_tau=blocks[-1].D_tau * (1 + 1e-9))]
+        D = blocks.D_tau.copy()
+        D[-1] *= 1 + 1e-9
+        faulted = replace(blocks, D_tau=D)
         for bs in (blocks, faulted):
             assert lift_relation_residual(bs, points) == max(
                 lift_relation_residual(bs, Z) for Z in points)
@@ -354,25 +411,34 @@ class TestLiftRelation:
             lift_relation_residual(block_all(random_generic(LIFT_DIMS, seed=21)), [])
 
     def test_systems_must_match(self):
-        blocks = (block_all(random_generic(LIFT_DIMS, seed=21))[:2]
-                  + block_all(random_generic(LIFT_DIMS, seed=22))[2:])
+        # a system blocked at one delay is refused; a stack holds one
+        # system's A_tau and B_tau, and rows of another system at delays 3
+        # and 4 break the relation
+        one, other = (block_all(random_generic(LIFT_DIMS, seed=s)) for s in (21, 22))
         with pytest.raises(ValueError, match="one system"):
-            lift_relation_residual(blocks, 1.0)
+            lift_relation_residual(at_delay(one, 0), 1.0)
+        mixed = replace(one, C_tau=np.concatenate([one.C_tau[:2], other.C_tau[2:]]),
+                        D_tau=np.concatenate([one.D_tau[:2], other.D_tau[2:]]))
+        assert lift_relation_residual(mixed, 0.7 + 0.2j) >= 1e-3
 
     def test_delays_must_be_consecutive(self):
-        b1, b2, b3, b4 = block_all(random_generic(LIFT_DIMS, seed=21))
-        for blocks in ([b1, b3, b4], [b1, b2, b2, b4], []):   # missing, duplicate, none
+        sys = random_generic(LIFT_DIMS, seed=21)
+        mats = (sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
+        # missing, duplicate, none, out of order
+        for taus in ((1, 3, 4), (1, 2, 2, 4), (), (4, 3, 2, 1)):
             with pytest.raises(ValueError, match="every delay"):
-                lift_relation_residual(blocks, 1.0)
+                lift_relation_residual(_assemble(LIFT_DIMS, taus, *mats), 1.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_residual_on_unit_circle(self, seed):
-        # separately blocked delays share no arrays: A_tau and B_tau are
-        # compared by value
+        # a stack of separately blocked delays reads as block_all's
         sys = random_generic(Dimensions(3, 2, 1, 3, 4), seed=seed)
-        blocks = [block(sys, tau) for tau in range(1, 5)]
+        blocks = block_all(sys)
+        separate = replace(blocks, C_tau=np.stack([block(sys, t).C_tau for t in range(1, 5)]),
+                           D_tau=np.stack([block(sys, t).D_tau for t in range(1, 5)]))
         for theta in np.random.default_rng(seed).uniform(0, 2 * np.pi, 3):
-            assert lift_relation_residual(blocks, complex(np.cos(theta), np.sin(theta))) < 1e-9
+            Z = complex(np.cos(theta), np.sin(theta))
+            assert lift_relation_residual(separate, Z) == lift_relation_residual(blocks, Z) < 1e-9
 
 
     @given(dims=st.sampled_from([Dimensions(1, 3, 1, 5, 2), Dimensions(3, 2, 1, 3, 4),
@@ -386,7 +452,7 @@ class TestLiftRelation:
         blocks = block_all(random_generic(dims, seed))
         for x in u:
             Z = float(np.copysign(2.0 ** (abs(x) - 0.5), x))
-            assert transfer_eval(blocks[0], Z).dtype == np.float64
+            assert transfer_eval(blocks, Z).dtype == np.float64
             assert lift_relation_residual(blocks, Z) < 1e-9
 
 class TestFastSubsystem:
@@ -410,6 +476,16 @@ class TestFastSubsystem:
             assert np.array_equal(parts[0].B_tau, other.B_tau)
             assert np.array_equal(parts[0].C_tau, other.C_tau)
             assert np.array_equal(parts[0].D_tau, other.D_tau)
+
+    def test_stack_is_the_stack_of_its_delays(self):
+        sys = random_generic(Dimensions(2, 2, 1, 3, 3), seed=5)
+        fast = fast_subsystem(block_all(sys))
+        assert (fast.tau, fast.slow_rows) == ((1, 2, 3), 0)
+        for i in range(3):
+            one = fast_subsystem(block(sys, i + 1))
+            assert np.array_equal(fast.A_tau, one.A_tau) and np.array_equal(fast.B_tau, one.B_tau)
+            assert np.array_equal(fast.C_tau[i], one.C_tau)
+            assert np.array_equal(fast.D_tau[i], one.D_tau)
 
     def test_worked_instance_shape(self, example1_sys):
         fast = fast_subsystem(block(example1_sys, 1))

@@ -268,7 +268,7 @@ class TestAnalyze:
         for module in (numerics, harness):     # normal_rank sweeps through numerics'
             monkeypatch.setattr(module, "normal_ranks", counting_sweep)
         monkeypatch.setattr(harness, "system_pencil", lambda blocks: pencils.append(
-            len(blocks)) or blocking.system_pencil(blocks))
+            len(blocks.tau)) or blocking.system_pencil(blocks))
         sys_path = tmp_path / "long.json"
         save_system(random_generic(LONG_HORIZON_DIMS, 3), sys_path)
         out = tmp_path / "report.json"

@@ -26,7 +26,7 @@ from multirate_zeros.model import (Dimensions, TolerancePolicy, fixture,
 from multirate_zeros.numerics import _max_rank, numerical_rank
 from multirate_zeros.oracle import dual_index, predict
 
-from conftest import EXAMPLE1_DIMS, planted_zero_system
+from conftest import EXAMPLE1_DIMS, at_delay, planted_zero_system
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -114,7 +114,7 @@ class TestExactRankMatchesSympy:
     @settings(max_examples=15, deadline=None)
     def test_pencils_of_random_draws(self, dims, seed, point):
         # dyadic entries with wide exponents, the matrices escalation sees
-        pencil = system_pencil(exact_block(random_generic(dims, seed))[0])
+        pencil = system_pencil(at_delay(exact_block(random_generic(dims, seed)), 0))
         M = point * pencil.E - pencil.F
         assert exact_rank(M) == sympy_rank(M)
 
@@ -149,7 +149,7 @@ class TestFloatRankNeverExceedsExact:
         tau = data.draw(st.integers(1, dims.N))
         sys = random_generic(dims, seed)
         assert numerical_rank(block(sys, tau).D_tau) <= \
-            exact_rank(exact_block(sys)[tau - 1].D_tau)
+            exact_rank(exact_block(sys).D_tau[tau - 1])
 
     @given(row=st.sampled_from(_fixture_rank_rows(TolerancePolicy())))
     @settings(max_examples=20)
@@ -157,7 +157,7 @@ class TestFloatRankNeverExceedsExact:
         dims = Dimensions(row["n"], row["m"], row["p1"], row["p2"], row["N"])
         sys = fixture(row["fixture"], dims, row["tau"], 0)
         assert numerical_rank(block(sys, row["tau"]).D_tau) <= \
-            exact_rank(exact_block(sys)[row["tau"] - 1].D_tau)
+            exact_rank(exact_block(sys).D_tau[row["tau"] - 1])
 
 
 class TestExactRankAt:
@@ -174,7 +174,7 @@ class TestExactBlock:
     def test_agrees_with_float_assembly(self, tau):
         sys = random_generic(Dimensions(2, 2, 1, 3, 3), seed=5)
         fl = block(sys, tau)
-        ex = exact_block(sys)[tau - 1]
+        ex = at_delay(exact_block(sys), tau - 1)
         assert ex.dims == fl.dims and ex.tau == fl.tau and ex.slow_rows == fl.slow_rows
         for name in ("A_tau", "B_tau", "C_tau", "D_tau"):
             exact = getattr(ex, name).astype(float)
@@ -183,15 +183,15 @@ class TestExactBlock:
     def test_every_delay_from_one_assembly(self):
         sys = random_generic(Dimensions(2, 2, 1, 3, 3), seed=5)
         blocks = exact_block(sys)
-        assert [b.tau for b in blocks] == [1, 2, 3]
-        # the delay-independent matrices are built once and shared
-        assert all(b.A_tau is blocks[0].A_tau and b.B_tau is blocks[0].B_tau
-                   for b in blocks)
+        assert blocks.tau == (1, 2, 3)
+        # the delay-independent matrices are built once and held once
+        assert blocks.A_tau.shape == (2, 2) and blocks.B_tau.shape == (2, 6)
+        assert blocks.C_tau.shape == (3, 6, 2) and blocks.D_tau.shape == (3, 6, 6)
 
     def test_products_are_rounding_free(self):
         # the exact path reproduces A^N as true rational products
         sys = random_generic(Dimensions(3, 1, 1, 1, 4), seed=2)
-        ex = exact_block(sys)[0]
+        ex = exact_block(sys)
         A = fraction_matrix(sys.A)
         expected = A
         for _ in range(3):
@@ -219,7 +219,7 @@ def exact_ranks_at_sample_points(pencil, reads=None):
 class TestExactNormalRank:
     def test_worked_instance(self, example1_sys, monkeypatch):
         # a generic value of min(rows, cols) lets no point stop the sweep
-        pencil = system_pencil(exact_block(example1_sys)[0])
+        pencil = system_pencil(at_delay(exact_block(example1_sys), 0))
         assert bareiss_normal_rank(monkeypatch, example1_sys, min(pencil.shape)) == 6
 
     def test_fast_tall_full_column(self, monkeypatch):
@@ -270,7 +270,7 @@ class TestExactNormalRankEarlyExit:
 
     def test_full_column_pencil_costs_one_rank(self, monkeypatch):
         sys = random_generic(Dimensions(2, 1, 2, 1, 3), seed=1)
-        pencil = system_pencil(exact_block(sys)[0])
+        pencil = system_pencil(at_delay(exact_block(sys), 0))
         calls = []
         monkeypatch.setattr(_exact, "exact_rank", lambda M: calls.append(1) or exact_rank(M))
         assert bareiss_normal_rank(monkeypatch, sys, min(pencil.shape)) == min(pencil.shape)
@@ -352,7 +352,7 @@ class TestModpRank:
     @settings(max_examples=25, deadline=None)
     def test_rank_at_a_point_never_exceeds_exact(self, dims, seed, z):
         sys = random_generic(dims, seed)
-        modp, exact = (system_pencil(b[0]) for b in (modp_block(sys), exact_block(sys)))
+        modp, exact = (system_pencil(at_delay(b, 0)) for b in (modp_block(sys), exact_block(sys)))
         assert modp_rank(modp.at(residue(z))) <= exact_rank(exact.at(Fraction(z)))
 
 
@@ -363,8 +363,8 @@ class TestModpBlock:
     def test_every_delay_is_the_exact_assembly_mod_p(self, dims, seed):
         sys = random_generic(dims, seed)
         modp, exact = modp_block(sys), exact_block(sys)
-        assert [b.tau for b in modp] == list(range(1, dims.N + 1))
-        for mb, eb in zip(modp, exact):
+        assert modp.tau == exact.tau == tuple(range(1, dims.N + 1))
+        for mb, eb in ((at_delay(modp, i), at_delay(exact, i)) for i in range(dims.N)):
             assert (mb.dims, mb.tau, mb.slow_rows) == (eb.dims, eb.tau, eb.slow_rows)
             for name in ("A_tau", "B_tau", "C_tau", "D_tau"):
                 reduced = [[residue(x) for x in row] for row in getattr(eb, name).tolist()]
@@ -376,10 +376,11 @@ class TestModpBlock:
         sys = random_generic(Dimensions(2, 2, 1, 3, 3), seed=5)
         for assemble in (modp_block, exact_block):
             every, chosen = assemble(sys), assemble(sys, taus)
-            assert [b.tau for b in chosen] == taus
-            for b in chosen:
+            assert chosen.tau == tuple(taus)
+            for i, t in enumerate(taus):
+                b = at_delay(chosen, i)
                 for name in ("A_tau", "B_tau", "C_tau", "D_tau"):
-                    assert np.array_equal(getattr(b, name), getattr(every[b.tau - 1], name))
+                    assert np.array_equal(getattr(b, name), getattr(at_delay(every, t - 1), name))
 
     def test_residues_of_all_six_matrices_in_one_pass(self, monkeypatch):
         sys = random_generic(Dimensions(2, 3, 1, 4, 3), seed=9)
@@ -462,7 +463,7 @@ class TestEscalation:
         sys_ = random_generic(dims, 1)
         generic = {("rank_D", t): predict(dims, t).rank_D for t in (1, 2, 3)}
         rank = {key: value - (key[1] < 3) for key, value in generic.items()}
-        short_D = modp_block(sys_, [2])[0].D_tau.tolist()
+        short_D = modp_block(sys_, [2]).D_tau[0].tolist()
         monkeypatch.setattr(_exact, "modp_rank",
                             lambda M: modp_rank(M) - (np.asarray(M).tolist() == short_D))
         modp_assembled, exact_assembled = [], []
@@ -595,11 +596,11 @@ class TestEscalation:
         rec = run_trial(dims, tau=tau, seed=case["seed"])
         assert list(rec.escalated) == case["escalated"]
         blocks = exact_block(random_generic(dims, case["seed"]))
-        pencils = [system_pencil(b) for b in blocks]
+        pencils = [system_pencil(at_delay(blocks, i)) for i in range(dims.N)]
         rank = {("normal_rank", t): max(exact_rank(p.at(z)) for z in _exact._SAMPLE_POINTS)
                 for t, p in enumerate(pencils, 1)}
         for t in (tau, dual_index(tau, dims.N)):
-            rank["rank_D", t] = exact_rank(blocks[t - 1].D_tau)
+            rank["rank_D", t] = exact_rank(blocks.D_tau[t - 1])
             rank["rank_at_zero", t] = exact_rank(pencils[t - 1].at(Fraction(0)))
         reference = harness._rank_fields(rank, dims, tau)
         assert {k: rec.measured[k] for k in reference} == reference

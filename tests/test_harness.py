@@ -19,10 +19,10 @@ from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, LIFT_SAMPLES, 
 from multirate_zeros.model import (Dimensions, MultirateSystem, TolerancePolicy,
                                    random_generic, save_system)
 from multirate_zeros.numerics import normal_rank, normal_ranks, numerical_rank, rank_at
-from multirate_zeros.oracle import dual_index
+from multirate_zeros.oracle import dual_index, predict_rank_D
 from multirate_zeros.zeros import finite_zero_candidates, multiplicities
 
-from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, pencil_count
+from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, at_delay, pencil_count
 
 SINGLE_CELL = GridSpec(n_values=(1,), m_values=(2,), N_values=(2,),
                        p1_values=(1,), taus=(1,), trials_per_cell=2)
@@ -39,6 +39,17 @@ def single_cell_report():
 
 
 class TestRunTrial:
+    @pytest.mark.parametrize("tau", [2.0, True, 1.5])
+    def test_non_integer_tau_refused(self, tau):
+        # 2.0 escaped as a TypeError from indexing a list of delays
+        with pytest.raises(TauOutOfRange, match="must be an integer"):
+            run_trial(Dimensions(2, 2, 1, 4, 3), tau, 0)
+
+    def test_numpy_integer_tau_reads_as_its_int(self):
+        dims = Dimensions(2, 2, 1, 4, 3)
+        rec, ref = run_trial(dims, np.int64(2), 1), run_trial(dims, 2, 1)
+        assert (rec.measured, rec.agreement) == (ref.measured, ref.agreement)
+
     def test_worked_instance_agrees(self):
         rec = run_trial(EXAMPLE1_DIMS, tau=1, seed=0)
         assert rec.system_class == "MixedTall"
@@ -121,7 +132,7 @@ class TestRunTrial:
         # its entry at tau rather than building the pencil again
         built, searched = [], []
         monkeypatch.setattr(harness, "system_pencil",
-                            lambda blocks: built.append(len(blocks)) or system_pencil(blocks))
+                            lambda blocks: built.append(len(blocks.tau)) or system_pencil(blocks))
         monkeypatch.setattr(harness, "zero_report", lambda pencil, t, *args: searched.append(
             (pencil, t)) or zeros.zero_report(pencil, t, *args))
         dims = Dimensions(2, 2, 1, 4, 3)
@@ -140,7 +151,7 @@ class TestRunTrial:
         calls, residuals = [], []
 
         def counting(blocks, Z, policy):
-            calls.append(([b.tau for b in blocks], Z))
+            calls.append((list(blocks.tau), Z))
             residuals.append(lift_relation_residual(blocks, Z, policy))
             return residuals[-1]
 
@@ -230,8 +241,8 @@ class TestRead:
         assert stacks == [len(delays)] * 2
         assert {t for q, t in rank if q != "normal_rank"} == set(delays)
         for t in delays:
-            pencil = system_pencil(blocks[t - 1])
-            assert rank["rank_D", t] == numerical_rank(blocks[t - 1].D_tau, policy)
+            pencil = system_pencil(at_delay(blocks, t - 1))
+            assert rank["rank_D", t] == numerical_rank(blocks.D_tau[t - 1], policy)
             assert rank["rank_at_zero", t] == rank_at(pencil, 0.0, policy)
             assert rank["normal_rank", t] == normal_rank(pencil, policy, seed)
             assert np.array_equal(pencils.E, pencil.E)
@@ -542,6 +553,23 @@ class TestFixtureSuite:
         row = next(r for r in large
                    if (r["n"], r["m"], r["p1"], r["N"], r["tau"]) == (3, 3, 1, 2, 1))
         assert row["expected"] == row["measured"] == 6
+
+    def test_expected_ranks_are_the_oracles(self, monkeypatch, policy):
+        # every row's expected value is predict_rank_D's, and the rows reach
+        # both of its cases
+        labels = []
+
+        def recording(dims, tau):
+            labels.append(predict_rank_D(dims, tau)[1])
+            return predict_rank_D(dims, tau)
+
+        monkeypatch.setattr(harness, "predict_rank_D", recording)
+        rows = harness._fixture_rank_rows(policy)
+        assert len(labels) == len(rows) == 31
+        assert set(labels) == {"small-state", "large-state"}
+        for row in rows:
+            dims = Dimensions(row["n"], row["m"], row["p1"], row["p2"], row["N"])
+            assert row["expected"] == predict_rank_D(dims, row["tau"])[0]
 
     def test_controllability_rows(self, fixture_report):
         report = fixture_report

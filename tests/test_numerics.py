@@ -17,7 +17,7 @@ from multirate_zeros.numerics import (NORMAL_RANK_RADIUS, eigenvalues,
 from multirate_zeros.oracle import predict
 from multirate_zeros.zeros import multiplicities
 
-from conftest import EXAMPLE1_DIMS
+from conftest import EXAMPLE1_DIMS, at_delay
 
 
 def scalar_pencil(e, f):
@@ -341,7 +341,8 @@ class TestNormalRanks:
         blocks = block_all(random_generic(dims, seed))
         policy = TolerancePolicy()
         assert numerics.normal_ranks(system_pencil(blocks), policy, seed, bound) \
-            == [normal_rank(system_pencil(b), policy, seed, bound) for b in blocks]
+            == [normal_rank(system_pencil(at_delay(blocks, i)), policy, seed, bound)
+                for i in range(dims.N)]
 
     def test_one_svd_call_per_sample_point(self, monkeypatch, policy):
         # every delay of a generic system meets its bound at the first point
@@ -361,7 +362,9 @@ class TestToleranceFloor:
         # exceed the generic value; at 1e-20 all 100 do
         policy = TolerancePolicy(rel_rank_tol=float(np.finfo(float).eps))
         for seed in range(50):
-            for tau, blk in enumerate(block_all(random_generic(EXAMPLE1_DIMS, seed)), 1):
+            blocks = block_all(random_generic(EXAMPLE1_DIMS, seed))
+            for tau in range(1, EXAMPLE1_DIMS.N + 1):
+                blk = at_delay(blocks, tau - 1)
                 pred = predict(EXAMPLE1_DIMS, tau)
                 pencil = system_pencil(blk)
                 assert numerical_rank(blk.D_tau, policy) <= pred.rank_D

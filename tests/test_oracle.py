@@ -1,6 +1,7 @@
 """Closed-form predictions: values, case labels, and integer identities."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,6 +196,15 @@ class TestDualIndex:
 
 
 class TestPredictBundle:
+    @pytest.mark.parametrize("tau", [1.5, True, 2.0, "1"])
+    def test_non_integer_tau_refused(self, tau):
+        # 1.5 was predicted as a delay with rank_D = 5, True as delay 1
+        with pytest.raises(TauOutOfRange, match="must be an integer"):
+            predict(EXAMPLE1_DIMS, tau)
+
+    def test_numpy_integer_tau_accepted(self):
+        assert predict(EXAMPLE1_DIMS, np.int64(2)) == predict(EXAMPLE1_DIMS, 2)
+
     def test_carries_case_labels(self):
         pred = predict(EXAMPLE1_DIMS, 1)
         assert pred.rank_D == 5

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multirate_zeros import harness, zeros
-from multirate_zeros.blocking import (MatrixPencil, block, fast_subsystem,
+from multirate_zeros.blocking import (MatrixPencil, block, block_all, fast_subsystem,
                                       system_pencil)
 from multirate_zeros.errors import SingularD
 from multirate_zeros.model import (Dimensions, MultirateSystem,
@@ -20,7 +20,7 @@ from multirate_zeros.zeros import (ZeroReport, finite_zero_candidates,
                                    verify_zero, zero_report,
                                    zero_report_to_dict)
 
-from conftest import LONG_HORIZON_DIMS
+from conftest import LONG_HORIZON_DIMS, at_delay
 
 
 def delay_fields(sys, tau, policy, seed=0):
@@ -290,7 +290,7 @@ class TestMultiplicities:
         taus = range(1, dims.N + 1)
         blocks, _, rank = harness._read(sys, taus, policy, seed, None)
         for tau in taus:
-            blk = blocks[tau - 1]
+            blk = at_delay(blocks, tau - 1)
             fields = harness._delay_fields(rank, dims.n, tau)
             got = multiplicities(rank["normal_rank", tau], rank["rank_at_zero", tau],
                                  rank["rank_D", tau], dims.n)
@@ -320,6 +320,13 @@ class TestSquareBlockedZeros:
     def test_nonsquare_feedthrough_refused(self, example1_sys):
         with pytest.raises(SingularD):
             square_blocked_zeros(block(example1_sys, 1))
+
+    def test_stack_refused(self):
+        # a stack's D_tau.shape[0] counts delays, not rows: here 2 delays of
+        # 2 x 2 square feedthroughs, which is no square D_tau
+        sys = random_generic(Dimensions(2, 1, 1, 1, 2), seed=0)
+        with pytest.raises(ValueError, match=r"one delay, got a stack at delays \(1, 2\)"):
+            square_blocked_zeros(fast_subsystem(block_all(sys)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_blocked_zeros_are_powers(self, seed):
