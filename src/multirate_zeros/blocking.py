@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ResolventSingular, TauOutOfRange, ZeroZ
-from .model import Dimensions, MultirateSystem, TolerancePolicy
+from .model import Dimensions, MultirateSystem, TolerancePolicy, _is_int
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,11 @@ def _powers(A: np.ndarray, k: int, matmul=operator.matmul) -> np.ndarray:
     return out
 
 
-def _check_tau(tau, N: int) -> None:
-    # bool is an int subclass, and numpy's integers are not ints
-    if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)) or not 1 <= tau <= N:
+def _check_tau(tau, N: int) -> int:
+    # tau as a Python int, refused unless it is an integer in 1..N
+    if not _is_int(tau) or not 1 <= tau <= N:
         raise TauOutOfRange(tau, N)
+    return int(tau)
 
 
 def _assemble(d: Dimensions, taus, A, B, Cf, Cs, Df, Ds,
@@ -91,9 +92,7 @@ def _assemble(d: Dimensions, taus, A, B, Cf, Cs, Df, Ds,
     matmul, so a matmul that reduces its result (modulo a prime, say)
     assembles in that ring.
     """
-    taus = tuple(taus)
-    for tau in taus:
-        _check_tau(tau, d.N)
+    taus = tuple(_check_tau(tau, d.N) for tau in taus)
     n, m, N = d.n, d.m, d.N
     Ak = _powers(A, N, matmul)
 
@@ -129,7 +128,7 @@ def block(sys: MultirateSystem, tau: int) -> BlockedSystem:
     [Cs A^(N-tau-1)B ... Cs B  Ds  0 ... 0] with tau-1 trailing zero blocks.
     """
     stack = _assemble(sys.dims, (tau,), sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
-    return replace(stack, tau=tau, C_tau=stack.C_tau[0], D_tau=stack.D_tau[0])
+    return replace(stack, tau=stack.tau[0], C_tau=stack.C_tau[0], D_tau=stack.D_tau[0])
 
 
 def block_all(sys: MultirateSystem) -> BlockedSystem:

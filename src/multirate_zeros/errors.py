@@ -26,14 +26,6 @@ class ZeroZ(MultirateError):
     """The lifting relation is undefined at Z = 0."""
 
 
-class CompressionFailure(MultirateError):
-    """Every resampled random compression was ill-conditioned."""
-
-
-class SingularD(MultirateError):
-    """D_tau is singular where an invertible square D_tau is required."""
-
-
 class UnsupportedDims(MultirateError):
     """Fixture block structure is inconsistent with the requested dimensions."""
 

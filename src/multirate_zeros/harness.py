@@ -38,7 +38,7 @@ from .zeros import multiplicities, zero_report, zero_report_to_dict
 
 LIFT_RESIDUAL_TOL = 1e-9
 LIFT_SAMPLES = 3
-# seed of analyze's sample points and compressions
+# seed of analyze's sample points
 ANALYZE_SEED = 0
 
 AGREEMENT_KEYS = (
@@ -101,7 +101,8 @@ class GridSpec:
     ValueError naming its file key and its attribute (see GRID_FIELDS).
     Lists are kept as tuples. Trial seeds run from base_seed, one a trial,
     and a spec whose last trial seed would reach 2**64, past every seed
-    `model._rng` takes, is refused.
+    `model._rng` takes, is refused. numpy integers are accepted and kept
+    as Python ints.
     """
 
     n_values: tuple[int, ...]
@@ -127,6 +128,7 @@ class GridSpec:
                     or any(not _is_int(v) or v < 1 for v in vals):
                 raise ValueError(f"{_grid_field(name)} must be a nonempty list of ints >= 1, "
                                  f"got {vals!r}")
+            object.__setattr__(self, name, tuple(map(int, vals)))
         if any(N < 2 for N in self.N_values):
             raise ValueError(f"{_grid_field('N_values')}: N values must be >= 2, "
                              f"got {self.N_values!r}")
@@ -137,11 +139,13 @@ class GridSpec:
             if any(t < 1 for t in self.taus):
                 raise ValueError(f"{_grid_field('taus')}: tau values must be >= 1, "
                                  f"got {self.taus!r}")
+            object.__setattr__(self, "taus", tuple(map(int, self.taus)))
         for name, least in (("trials_per_cell", 1), ("base_seed", 0)):
             v = getattr(self, name)
             if not _is_int(v) or v < least:
                 raise ValueError(f"{_grid_field(name)} must be an integer >= {least}, "
                                  f"got {v!r}")
+            object.__setattr__(self, name, int(v))
         n_cells = sum(1 for _ in cells(self))
         # a sweep of no trials would report vacuous agreement
         if n_cells == 0:
@@ -313,9 +317,8 @@ def _read(sys: MultirateSystem, taus, policy: TolerancePolicy, seed: int,
     take it. A system whose blocked matrices overflow is refused with a
     ValueError, since every float reading of it would be meaningless.
     """
-    taus = list(dict.fromkeys(taus))      # in order, each delay once
-    for t in taus:
-        _check_tau(t, sys.dims.N)
+    # in order, each delay once
+    taus = list(dict.fromkeys(_check_tau(t, sys.dims.N) for t in taus))
     blocks = block_all(sys)
     pencils = system_pencil(blocks)
     if not np.isfinite(pencils.F).all():
@@ -342,15 +345,16 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     [2**-0.5, 2**0.5], drawn from the first uniforms behind the normal-rank
     sample points; there X, the transfer functions and the residuals are
     real. One `lift_relation_residual` call takes every point, with one
-    stacked solve for all their resolvents. The finite-zero search runs at
+    stacked solve for all their resolvents. The finite-zero reduction runs at
     tau only. Every rank field is derived by `_rank_fields` from the
     readings `_read` takes: the normal rank at every delay, and the ranks
     of D_tau and at Z = 0 at tau and at the dual delay, one stacked svd
     call for each kind. Its stacked normal-rank sweep costs one svd call
     per sample point, and each delay's sweep stops at the predicted normal
     rank, which no instance exceeds, so a generic trial costs one call.
-    Numerical failures (e.g. every compression attempt ill conditioned) are
-    captured in the record, not raised.
+    Numerical failures (e.g. an SVD or eigensolver that does not converge)
+    are captured in the record, not raised. A numpy integer tau or seed is
+    recorded as its Python int.
 
     When a check with rank content disagrees (any but FLOAT_ONLY_KEYS), the
     trial escalates: every reading not at its generic value is re-read
@@ -363,6 +367,7 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     """
     policy = policy or TolerancePolicy()
     pred = predict(dims, tau)
+    tau = pred.tau      # checked, and a Python int
     t0 = time.perf_counter()
     sys = random_generic(dims, seed)
     measured = None
@@ -399,7 +404,7 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     except MultirateError as exc:
         error = f"{type(exc).__name__}: {exc}"
     return TrialRecord(
-        dims=dims, tau=tau, seed=seed,
+        dims=dims, tau=tau, seed=int(seed),
         system_class=classify(dims).value,
         measured=measured,
         predicted=_predicted_dict(pred),
@@ -417,7 +422,7 @@ def analyze(sys: MultirateSystem, tau: int | str = "all",
 
     Returns the payload `analyze --out` writes, timestamp included. The
     readings come from `_read`, as in a trial, with ANALYZE_SEED for the
-    sample points and the compressions, and every rank field at a delay
+    sample points, and every rank field at a delay
     from `_delay_fields`. For a tall system the normal-rank sweep stops at
     the generic normal rank, one `_escalate` call settles every reading at
     the requested delays that is not at its generic value, the fields are
@@ -432,7 +437,7 @@ def analyze(sys: MultirateSystem, tau: int | str = "all",
         raise ValueError(f'tau must be an integer or "all", got {tau!r}')
     policy = policy or TolerancePolicy()
     dims = sys.dims
-    taus = range(1, dims.N + 1) if tau == "all" else [tau]
+    taus = range(1, dims.N + 1) if tau == "all" else [int(tau)]
     try:
         predictions = {t: predict(dims, t) for t in taus}
     except NotTallClass:

@@ -31,8 +31,10 @@ from .errors import SingularA, UnsupportedDims
 
 
 def _is_int(v) -> bool:
-    # bool is an int subclass, and JSON true is no size or count
-    return isinstance(v, int) and not isinstance(v, bool)
+    # a Python or numpy integer; bool is an int subclass, and JSON true is
+    # no size or count. A value it accepts is kept as int(v), so it
+    # serializes and keys the same as the Python int
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,7 @@ class Dimensions:
             v = getattr(self, f.name)
             if not _is_int(v):
                 raise ValueError(f"field {f.name!r} must be an integer, got {v!r}")
+            object.__setattr__(self, f.name, int(v))
         for name in ("n", "m", "p1", "p2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"dimension {name} must be >= 1, got {getattr(self, name)}")
@@ -69,13 +72,12 @@ class SystemClass(str, Enum):
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Numerical knobs shared across rank tests and the zero search."""
+    """Numerical knobs shared across rank tests and the finite-zero reduction."""
 
     rel_rank_tol: float = 1e-9       # singular values below rel*sigma_1*max(r,c) count as zero
     zero_radius: float = 1e-8        # |Z| below this is attributed to the origin
     cluster_tol: float = 1e-6        # candidate zeros closer than this merge
     normal_rank_samples: int = 7     # sample points for the normal rank
-    resample_limit: int = 5          # retries for ill-conditioned compressions
     condition_cap: float = 1e10      # refuse matrix inversions beyond this
 
     def __post_init__(self):
@@ -92,10 +94,10 @@ class TolerancePolicy:
         if self.rel_rank_tol < eps:
             raise ValueError(f"rel_rank_tol must be at least machine epsilon {eps!r}, "
                              f"got {self.rel_rank_tol!r}")
-        for name, least in (("normal_rank_samples", 3), ("resample_limit", 1)):
-            v = getattr(self, name)
-            if not _is_int(v) or v < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        v = self.normal_rank_samples
+        if not _is_int(v) or v < 3:
+            raise ValueError(f"normal_rank_samples must be an integer >= 3, got {v!r}")
+        object.__setattr__(self, "normal_rank_samples", int(v))
 
 
 def _check_fields(data, what: str, known, required=()) -> None:
@@ -183,14 +185,14 @@ def classify(dims: Dimensions) -> SystemClass:
 def _rng(seed: int, purpose: int = 0) -> np.random.Generator:
     """The Philox stream of a seed in [0, 2**64) for one purpose, keyed seed + (purpose << 64).
 
-    Purpose 0 draws the systems and the compressions, purpose 1 the sample
-    points; each purpose owns its own range of keys, so no seed reads
-    another's stream. Philox is counter-based, so streams are reproducible
-    across platforms and independent of draw history.
+    Purpose 0 draws the systems, purpose 1 the sample points; each purpose
+    owns its own range of keys, so no seed reads another's stream. Philox
+    is counter-based, so streams are reproducible across platforms and
+    independent of draw history. A numpy integer seed keys as its int.
     """
     if not _is_int(seed) or not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=seed + (purpose << 64)))
+    return np.random.Generator(np.random.Philox(key=int(seed) + (purpose << 64)))
 
 
 def random_generic(dims: Dimensions, seed: int) -> MultirateSystem:

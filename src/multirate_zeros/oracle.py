@@ -77,7 +77,7 @@ def _require_tall(dims: Dimensions) -> SystemClass:
 def predict_rank_D(dims: Dimensions, tau: int) -> tuple[int, str]:
     """Generic rank of D_tau."""
     cls = _require_tall(dims)
-    _check_tau(tau, dims.N)
+    tau = _check_tau(tau, dims.N)
     n, m, p1, N = dims.n, dims.m, dims.p1, dims.N
     if cls is SystemClass.FAST_TALL:
         return N * m, "full-column"
@@ -100,7 +100,7 @@ def predict_normal_rank(dims: Dimensions) -> tuple[int, str]:
 def predict_mult_infinity(dims: Dimensions, tau: int) -> tuple[int, str]:
     """Generic zero multiplicity at infinity."""
     cls = _require_tall(dims)
-    _check_tau(tau, dims.N)
+    tau = _check_tau(tau, dims.N)
     n, m, p1, N = dims.n, dims.m, dims.p1, dims.N
     w = m - p1
     if cls is SystemClass.FAST_TALL or w == 0 or n <= (N - tau) * w:
@@ -113,7 +113,7 @@ def predict_mult_infinity(dims: Dimensions, tau: int) -> tuple[int, str]:
 def predict_mult_zero(dims: Dimensions, tau: int) -> tuple[int, str]:
     """Generic zero multiplicity at the origin."""
     cls = _require_tall(dims)
-    _check_tau(tau, dims.N)
+    tau = _check_tau(tau, dims.N)
     n, m, p1, N = dims.n, dims.m, dims.p1, dims.N
     w = m - p1
     if cls is SystemClass.FAST_TALL or w == 0 or n <= (tau - 1) * w:
@@ -132,13 +132,13 @@ def predict_controllability_rank(n: int, m: int, nu: int) -> int:
 
 def dual_index(tau: int, N: int) -> int:
     """Delay pairing under which origin and infinity multiplicities swap."""
-    _check_tau(tau, N)
-    return N - tau + 1
+    return N - _check_tau(tau, N) + 1
 
 
 def predict(dims: Dimensions, tau: int) -> TheoryPrediction:
     """All predictions for one (dims, tau) pair."""
     cls = _require_tall(dims)
+    tau = _check_tau(tau, dims.N)
     rank_D, l_rd = predict_rank_D(dims, tau)
     nrank, l_nr = predict_normal_rank(dims)
     mz, l_mz = predict_mult_zero(dims, tau)

@@ -1,14 +1,18 @@
-"""Finite-zero search for a blocked system, and the multiplicity rule.
+"""Finite zeros of a blocked system, and the multiplicity rule.
 
 Zeros are the points where the system pencil loses rank relative to its
-normal rank. Candidates come from a randomized square compression of the
-pencil solved as a standard eigenproblem; every candidate is then
-re-verified by rank tests on the full pencil at and around the point, so
-reported zeros are sound up to the rank tolerance. Multiplicities are
-geometric: the rank deficiency at the point, with the point at infinity
-measured through n + rank(D_tau). The multiplicities at 0 and infinity need
-no search: `multiplicities` derives them from rank readings, which the
-harness takes once per system (`harness._read`) for trials and `analyze`.
+normal rank. The finite zeros come from the structural reduction of
+Emami-Naeini and Van Dooren ("Computation of zeros of linear multivariable
+systems", Automatica 18, 1982): rank decisions on constant matrices deflate
+the structure at infinity, and the finite zeros are the eigenvalues of the
+square matrix that is left. It draws no random numbers. Every point away
+from the origin and infinity is then re-verified by rank tests on the full
+pencil at and around it, so reported zeros are sound up to the rank
+tolerance. Multiplicities are geometric: the rank deficiency at the point,
+with the point at infinity measured through n + rank(D_tau). The
+multiplicities at 0 and infinity need no reduction: `multiplicities`
+derives them from rank readings, which the harness takes once per system
+(`harness._read`) for trials and `analyze`.
 """
 from __future__ import annotations
 
@@ -16,15 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import BlockedSystem, MatrixPencil
-from .errors import CompressionFailure, SingularD
-from .model import TolerancePolicy, _rng
+from .blocking import MatrixPencil
+from .errors import ConvergenceFailure
+from .model import TolerancePolicy
 from .numerics import eigenvalues, normal_rank, rank_at
-
-# gate for accepting a compressed eigenproblem, and the safety factor on the
-# noise floor below which an eigenvalue of it is treated as infinite
-_COMPRESSION_COND_CAP = 1e12
-_EIG_NOISE_SAFETY = 10.0
 
 # reference points for the local rank comparison in verify_zero, one just
 # outside and one just inside the candidate modulus, phase-rotated so that
@@ -53,61 +52,69 @@ def _cluster(points: np.ndarray, tol: float) -> list[complex]:
     return reps
 
 
-def finite_zero_candidates(pencil: MatrixPencil, policy: TolerancePolicy,
-                           seed: int, normal_rank: int) -> list[complex]:
-    """Candidate finite zeros of the pencil via randomized compression.
+def _reduce(A, B, C, D, thr: float):
+    """(A - B K, B N) for the system (A, B, C, D) once its structure at infinity is deflated.
 
-    The pencil is compressed to rho x rho (rho = normal rank) with Gaussian
-    U and V, and expanded about a random complex shift point s drawn from
-    the same stream: G = U (F - s E) V, H = U E V. Eigenvalues lambda of
-    G^-1 H then give candidates Z = s + 1/lambda. The shift keeps G
-    invertible even when the pencil loses rank at Z = 0 (at s = 0 the
-    construction reduces to compressing F itself, which is singular exactly
-    in that common case); G is ill-conditioned only if s lands near a zero,
-    and a fresh draw fixes that.
-
-    Only the nonzero eigenvalues of G^-1 H give candidates. With J the
-    nonzero columns of E, H = (U E[:, J]) V[J, :], and since
-    det(I - XY) = det(I - YX) the nonzero eigenvalues of G^-1 H are those
-    of the |J| x |J| matrix V[J, :] G^-1 U E[:, J]; for a system pencil
-    |J| = n, so the eigenproblem is n x n rather than rho x rho, and it
-    sheds the rho - |J| structural zero eigenvalues of G^-1 H. Each zero at
-    infinity of the pencil still adds a zero eigenvalue. Rounding lifts
-    such a cluster to about sqrt(eps * norm(G^-1 H)) because of its Jordan
-    structure, so eigenvalues are discarded as infinite below a floor at
-    the larger of that noise scale and cluster_tol (a point beyond
-    1/cluster_tol is not separable from infinity at the working tolerance
-    anyway). norm(G^-1 H) is the norm of G^-1 U E[:, J] R^T, where
-    V[J, :]^T = Q R is a thin QR factorization, Q having orthonormal
-    columns. The survivors, clustered at cluster_tol, contain every finite
-    rank-drop point with probability 1. Spurious candidates are expected
-    and removed by verify_zero.
+    Each step row-compresses D by its SVD, splitting the outputs into
+    [C1 D1], D1 of full row rank, and [C2 0]. At a zero those rows force
+    C2 x = 0, so the rho = rank(C2) state directions C2 reads are
+    deflated: in the basis [row space(C2) | null(C2)], A <- A22 and
+    B <- B2, and the deflated states' equations become outputs,
+    C <- [A12; C1 T2] and D <- [B1; D1]. Every step removes rho states and
+    rho from the normal rank, and keeps the finite zeros. It stops when no
+    state is left, or when C2 has no rows or reads rank 0 and its rows are
+    dropped. Then D1 has full row rank, K solves D1 K = C1, and the
+    columns of N span the null space of D1: the finite zeros are the
+    uncontrollable modes of (A - B K, B N). With no state left there is
+    no finite zero, and A comes back empty. Every rank is the count of
+    singular values above thr.
     """
-    if normal_rank == 0:
-        return []
-    rows, cols = pencil.shape
-    J = np.flatnonzero(pencil.E.any(axis=0))
-    rng = _rng(seed)
-    last_cond = None
-    for _ in range(policy.resample_limit):
-        U = rng.standard_normal((normal_rank, rows))
-        V = rng.standard_normal((cols, normal_rank))
-        s = complex(*rng.standard_normal(2))
-        UE, VJ = U @ pencil.E[:, J], V[J]
-        G = U @ pencil.F @ V - s * (UE @ VJ)
-        last_cond = np.linalg.cond(G)
-        if not np.isfinite(last_cond) or last_cond > _COMPRESSION_COND_CAP:
-            continue
-        X = np.linalg.solve(G, UE)
-        lam = eigenvalues(VJ @ X)
-        R = np.linalg.qr(VJ.T, mode="r")
-        floor = max(policy.cluster_tol,
-                    _EIG_NOISE_SAFETY * np.sqrt(np.finfo(float).eps * np.linalg.norm(X @ R.T, 2)))
-        finite = lam[np.abs(lam) > floor]
-        return _cluster(s + 1.0 / finite, policy.cluster_tol)
-    raise CompressionFailure(
-        f"{policy.resample_limit} compressions were ill-conditioned "
-        f"(last cond {last_cond:.3e})")
+    while len(A):
+        U, s, Vt = np.linalg.svd(D)
+        sigma = np.count_nonzero(s > thr)
+        C1, C2 = np.split(U.T @ C, [sigma])
+        _, s_C2, W = np.linalg.svd(C2)      # C2 may have no rows
+        rho = np.count_nonzero(s_C2 > thr)
+        if rho == 0:
+            # D1 = diag(s1) V1^T, so K = V1 diag(s1)^-1 C1
+            K = Vt[:sigma].T @ (C1 / s[:sigma, None])
+            return A - B @ K, B @ Vt[sigma:].T
+        A, B = W @ A @ W.T, W @ B
+        A, B, C, D = (A[rho:, rho:], B[rho:],
+                      np.concatenate([A[:rho, rho:], C1 @ W[rho:].T]),
+                      np.concatenate([B[:rho], s[:sigma, None] * Vt[:sigma]]))
+    return A, B
+
+
+def finite_zero_candidates(pencil: MatrixPencil, policy: TolerancePolicy) -> list[complex]:
+    """The finite zeros of a system pencil, by structural reduction, clustered at cluster_tol.
+
+    pencil is one system pencil, as `system_pencil` builds it: E is
+    [[I, 0], [0, 0]] with n the nonzero rows of E, and F is [[A, B],
+    [-C, -D]]. Any other pencil is refused with a ValueError. Every rank
+    decision counts singular values above one threshold,
+    rel_rank_tol * max(rows, cols) * norm(F, 2). `_reduce` deflates the
+    structure at infinity, leaving (A_K, B_N) whose uncontrollable modes
+    are the finite zeros. `_reduce` on the dual system (A_K^T, no inputs,
+    B_N^T) deflates the controllable part, and the eigenvalues of the A
+    that is left are the finite zeros, with algebraic multiplicity before
+    clustering. No random number is drawn. A failed SVD or eigensolver
+    raises ConvergenceFailure.
+    """
+    E, F = pencil.E, pencil.F
+    n = int(E.any(axis=1).sum())
+    system_E = np.zeros_like(E)
+    system_E[:n, :n] = np.eye(n)
+    if F.ndim != 2 or not np.array_equal(E, system_E):
+        raise ValueError("finite_zero_candidates takes one system pencil, "
+                         "E = [[I, 0], [0, 0]] and a 2-D F")
+    try:
+        thr = policy.rel_rank_tol * max(E.shape) * np.linalg.norm(F, 2)
+        A_K, B_N = _reduce(F[:n, :n], F[:n, n:], -F[n:, :n], -F[n:, n:], thr)
+        A = _reduce(A_K.T, np.zeros((len(A_K), 0)), B_N.T, np.zeros((B_N.shape[1], 0)), thr)[0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge: {exc}") from None
+    return _cluster(eigenvalues(A), policy.cluster_tol)
 
 
 def verify_zero(pencil: MatrixPencil, Z0: complex, policy: TolerancePolicy,
@@ -142,32 +149,35 @@ def multiplicities(rho: int, rank_at_zero: int, rank_D: int, n: int) -> tuple[in
     """(multiplicity at 0, multiplicity at infinity) of a pencil of normal rank rho.
 
     They are the drops below rho of the rank at Z = 0 and of n + rank(D_tau),
-    for a state of size n; neither needs the finite-zero search.
+    for a state of size n; neither needs the finite-zero reduction.
     """
     return max(0, rho - rank_at_zero), max(0, rho - n - rank_D)
 
 
 def zero_report(pencil: MatrixPencil, tau: int, policy: TolerancePolicy | None = None,
                 seed: int = 0, rho: int | None = None) -> ZeroReport:
-    """The finite-zero search: verified finite nonzero zeros of a blocked system.
+    """Verified finite nonzero zeros of a blocked system.
 
     pencil is the system pencil of the system blocked at delay tau, as
-    `system_pencil` builds it. This is the only caller of the finite-zero
-    search, and a verification trial calls it at tau alone, on its entry of
-    the stack the harness reads. Candidates farther from the origin than
-    cluster_tol are listed as finite nonzero zeros when the rank test
-    confirms them; those in the band between zero_radius and cluster_tol
-    are reported separately instead of being silently attributed to the
-    origin. Candidates beyond 1/zero_radius are copies of the point at
-    infinity (they come from compressed eigenvalues at the noise floor of
-    the infinite-eigenvalue filter) and are skipped the same way. rho is
-    the pencil's normal rank; when it is None, `normal_rank` reads it (the
-    harness passes the reading of its stacked sweep instead).
+    `system_pencil` builds it. This is the only caller of
+    `finite_zero_candidates`, and a verification trial calls it at tau
+    alone, on its entry of the stack the harness reads. The points the
+    reduction returns are sorted into bands: those within zero_radius of
+    the origin are the origin's, and those beyond 1/zero_radius are not
+    separable from infinity at the working tolerance, so both are skipped;
+    `verify_zero` reads the geometric multiplicity of every other point.
+    Points farther from the origin than cluster_tol are listed as finite
+    nonzero zeros when the rank test confirms them; those in the band
+    between zero_radius and cluster_tol are reported separately instead of
+    being silently attributed to the origin. candidates_examined counts the
+    points the reduction returns. rho is the pencil's normal rank; when it
+    is None, `normal_rank` reads it (the harness passes the reading of its
+    stacked sweep instead).
     """
     policy = policy or TolerancePolicy()
     if rho is None:
         rho = normal_rank(pencil, policy, seed)
-    candidates = finite_zero_candidates(pencil, policy, seed, rho)
+    candidates = finite_zero_candidates(pencil, policy)
     finite: list[tuple[complex, int]] = []
     boundary: list[tuple[complex, int]] = []
     for z in candidates:
@@ -187,24 +197,6 @@ def zero_report(pencil: MatrixPencil, tau: int, policy: TolerancePolicy | None =
         candidates_examined=len(candidates),
         seed=seed,
     )
-
-
-def square_blocked_zeros(blk: BlockedSystem, policy: TolerancePolicy | None = None) -> np.ndarray:
-    """Zeros of a square blocked system with invertible D_tau, at one delay.
-
-    For such systems the zeros are exactly the eigenvalues of
-    A_tau - B_tau D_tau^-1 C_tau.
-    """
-    policy = policy or TolerancePolicy()
-    D = blk.D_tau
-    if D.ndim != 2:
-        raise ValueError(f"square_blocked_zeros takes one delay, got a stack at delays {blk.tau}")
-    if D.shape[0] != D.shape[1]:
-        raise SingularD(f"D_tau must be square, got {D.shape}")
-    cond = np.linalg.cond(D)
-    if not np.isfinite(cond) or cond > policy.condition_cap:
-        raise SingularD(f"cond(D_tau)={cond:.3e} exceeds cap {policy.condition_cap:.1e}")
-    return eigenvalues(blk.A_tau - blk.B_tau @ np.linalg.solve(D, blk.C_tau))
 
 
 def _complex_to_dict(z: complex) -> dict:

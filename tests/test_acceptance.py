@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multirate_zeros.blocking import block, fast_subsystem
+from multirate_zeros.blocking import block, fast_subsystem, system_pencil
 from multirate_zeros.harness import (LIFT_RESIDUAL_TOL, GridSpec, grid_spec_to_dict,
                                      run_fixture_suite, run_grid)
-from multirate_zeros.model import Dimensions, random_generic
-from multirate_zeros.zeros import square_blocked_zeros
+from multirate_zeros.model import Dimensions, TolerancePolicy, random_generic
+from multirate_zeros.zeros import finite_zero_candidates
 
 WORKED_SPEC = GridSpec(n_values=(1,), m_values=(3,), N_values=(2,),
                        p1_values=(1,), p2_offsets=(1,), taus=(1,),
@@ -99,7 +99,8 @@ def _power_rows() -> list[dict]:
                 for seed in range(10):
                     dims = Dimensions(n=n, m=m, p1=m, p2=1, N=N)
                     sys = random_generic(dims, seed)
-                    blocked = square_blocked_zeros(fast_subsystem(block(sys, 1)))
+                    blocked = np.array(finite_zero_candidates(
+                        system_pencil(fast_subsystem(block(sys, 1))), TolerancePolicy()))
                     unblocked = np.linalg.eigvals(
                         sys.A - sys.B @ np.linalg.solve(sys.Df, sys.Cf))
                     powers = unblocked ** N

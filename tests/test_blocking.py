@@ -86,7 +86,7 @@ class TestBlock:
     def test_numpy_integer_tau_accepted(self, tau):
         sys = random_generic(Dimensions(2, 2, 1, 3, 2), seed=1)
         blk = block(sys, tau)
-        assert blk.tau == tau
+        assert blk.tau == tau and type(blk.tau) is int
         assert blk.D_tau.tobytes() == block(sys, int(tau)).D_tau.tobytes()
 
 

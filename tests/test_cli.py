@@ -129,6 +129,15 @@ class TestAnalyze:
         assert code == 2
         assert "policy" in capsys.readouterr().err
 
+    def test_retired_resample_limit_is_an_unknown_policy_field(self, example1_file, tmp_path,
+                                                                capsys):
+        pol = tmp_path / "policy.json"
+        pol.write_text(json.dumps({"resample_limit": 5}))
+        code = main(["analyze", "--system", str(example1_file),
+                     "--policy", str(pol), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "unknown policy field 'resample_limit'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [{"rel_rank_tol": "x"}, {"normal_rank_samples": 7.5},
                                      {"rel_rank_tol": 1e-17}])
     def test_mistyped_policy_value_names_field(self, bad, example1_file, tmp_path, capsys):

@@ -50,6 +50,26 @@ class TestRunTrial:
         rec, ref = run_trial(dims, np.int64(2), 1), run_trial(dims, 2, 1)
         assert (rec.measured, rec.agreement) == (ref.measured, ref.agreement)
 
+    def test_numpy_integer_tau_and_seed_are_recorded_as_ints(self):
+        # np.int64 in the record made json.dumps raise TypeError
+        rec = run_trial(Dimensions(*map(np.int64, (2, 2, 1, 4, 3))), np.int64(2), np.int64(1))
+        payload = dataclasses.asdict(rec)
+        del payload["elapsed"]
+        ref = dataclasses.asdict(run_trial(Dimensions(2, 2, 1, 4, 3), 2, 1))
+        del ref["elapsed"]
+        assert json.dumps(payload, sort_keys=True) == json.dumps(ref, sort_keys=True)
+        assert (type(rec.tau), type(rec.seed)) == (int, int)
+
+    # a float search read a shadow of the zero at infinity as a finite
+    # nonzero zero in each of these held-out trials
+    @pytest.mark.parametrize("dims,tau,seed", [((4, 3, 2, 5, 4), 3, 15433),
+                                               ((5, 4, 3, 5, 4), 4, 55860),
+                                               ((4, 4, 3, 6, 4), 4, 63815)])
+    def test_held_out_shadows_of_infinity_agree(self, dims, tau, seed):
+        rec = run_trial(Dimensions(*dims), tau, seed)
+        assert rec.agree_all, rec.agreement
+        assert rec.measured["n_finite_nonzero"] == 0
+
     def test_worked_instance_agrees(self):
         rec = run_trial(EXAMPLE1_DIMS, tau=1, seed=0)
         assert rec.system_class == "MixedTall"
@@ -175,9 +195,10 @@ class TestRunTrial:
             for tau in (1, dims.N):
                 assert run_trial(dims, tau=tau, seed=seed).measured["lift_residual_max"] < 1e-9
 
-    def test_trial_builds_three_philox_generators(self, monkeypatch):
-        # the system draw and the compression (both keyed by the seed), and the
-        # uniforms behind the normal-rank and lift points (keyed by seed + 2**64)
+    def test_trial_builds_two_philox_generators(self, monkeypatch):
+        # the system draw (keyed by the seed) and the uniforms behind the
+        # normal-rank and lift points (keyed by seed + 2**64); the finite-zero
+        # reduction draws nothing
         numerics._sample_points.cache_clear()
         numerics._sample_uniforms.cache_clear()
         built = []
@@ -186,8 +207,7 @@ class TestRunTrial:
                             lambda *a, **k: built.append(k) or philox(*a, **k))
         rec = run_trial(Dimensions(2, 2, 1, 4, 3), tau=2, seed=1)
         assert rec.escalated == ()
-        assert len(built) == 3
-        assert sorted(k["key"] for k in built) == [1, 1, 1 + (1 << 64)]
+        assert sorted(k["key"] for k in built) == [1, 1 + (1 << 64)]
 
     @pytest.mark.parametrize("dims,tau", [
         (Dimensions(2, 2, 1, 4, 3), 1), (Dimensions(2, 2, 1, 4, 3), 2),
@@ -264,6 +284,11 @@ class TestAnalyze:
     def test_tau_must_be_an_int_or_all(self, example1_sys, tau):
         with pytest.raises(ValueError, match="tau must be an integer"):
             harness.analyze(example1_sys, tau)
+
+    def test_numpy_integer_tau_gives_the_payload_of_its_int(self, example1_sys):
+        got, want = harness.analyze(example1_sys, np.int64(2)), harness.analyze(example1_sys, 2)
+        del got["timestamp"], want["timestamp"]
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     @pytest.mark.parametrize("tau", [0, 3])
     def test_delay_out_of_range_on_a_not_tall_system(self, tau):
@@ -376,6 +401,19 @@ class TestGridSpecValidation:
         spec = {**dict(n_values=(1,), m_values=(2,), N_values=(2,)), **kwargs}
         with pytest.raises(ValueError, match=re.escape(named)):
             GridSpec(**spec)
+
+    def test_numpy_integers_run_and_emit_as_ints(self, tmp_path):
+        spec = GridSpec(n_values=(np.int64(1),), m_values=[np.int32(2)],
+                        N_values=(np.int64(2),), p1_values=(np.int64(1),),
+                        p2_offsets=(np.uint8(1),), taus=(np.int64(1),),
+                        trials_per_cell=np.int64(2), base_seed=np.int64(0))
+        assert spec == SINGLE_CELL
+        assert all(type(v) is int for v in (*spec.n_values, *spec.m_values, *spec.N_values,
+                                            *spec.p1_values, *spec.p2_offsets, *spec.taus,
+                                            spec.trials_per_cell, spec.base_seed))
+        out = tmp_path / "r.json"
+        emit_report(run_grid(spec), "json", out)
+        assert json.loads(out.read_text())["total_trials"] == 2
 
     def test_lists_are_kept_as_tuples(self):
         spec = GridSpec(n_values=[1], m_values=[2], N_values=[2], p1_values=[1],

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from multirate_zeros.errors import SingularA, UnsupportedDims
 from multirate_zeros.model import (Dimensions, MultirateSystem, SystemClass,
                                    TolerancePolicy, _rng, classify, fixture,
-                                   load_system, random_generic, reverse_time,
+                                   load_system, policy_from_dict,
+                                   random_generic, reverse_time,
                                    save_system, system_from_dict,
                                    system_to_dict)
 
@@ -51,6 +53,13 @@ class TestDimensions:
         with pytest.raises(ValueError, match=f"field {field!r} must be an integer"):
             Dimensions(**kwargs)
 
+    def test_numpy_integers_are_kept_as_ints(self):
+        d = Dimensions(*map(np.int64, (1, 3, 1, 5, 2)))
+        assert d == EXAMPLE1_DIMS
+        assert all(type(v) is int for v in vars(d).values())
+        with pytest.raises(ValueError, match="field 'n' must be an integer"):
+            Dimensions(np.bool_(True), 3, 1, 5, 2)
+
 
 class TestTolerancePolicy:
     def test_defaults(self):
@@ -59,8 +68,10 @@ class TestTolerancePolicy:
         assert pol.zero_radius == 1e-8
         assert pol.cluster_tol == 1e-6
         assert pol.normal_rank_samples == 7
-        assert pol.resample_limit == 5
         assert pol.condition_cap == 1e10
+        assert [f.name for f in fields(pol)] == [
+            "rel_rank_tol", "zero_radius", "cluster_tol", "normal_rank_samples",
+            "condition_cap"]
 
     @pytest.mark.parametrize("kwargs", [
         dict(rel_rank_tol=0.0),
@@ -68,18 +79,27 @@ class TestTolerancePolicy:
         dict(cluster_tol=0.0),
         dict(condition_cap=0.0),
         dict(normal_rank_samples=2),
-        dict(resample_limit=0),
+        dict(normal_rank_samples=True),
         dict(rel_rank_tol="x"),
         dict(zero_radius=True),
         dict(cluster_tol=float("nan")),
         dict(condition_cap=float("inf")),
         dict(normal_rank_samples=7.5),
-        dict(resample_limit=True),
+        dict(normal_rank_samples=np.float64(7.0)),
         dict(rel_rank_tol=1e-17),  # below machine epsilon
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             TolerancePolicy(**kwargs)
+
+    def test_numpy_integer_sample_count_is_kept_as_an_int(self):
+        pol = TolerancePolicy(normal_rank_samples=np.int64(9))
+        assert type(pol.normal_rank_samples) is int
+        assert pol == TolerancePolicy(normal_rank_samples=9)
+
+    def test_retired_resample_limit_is_an_unknown_field(self):
+        with pytest.raises(ValueError, match="unknown policy field 'resample_limit'"):
+            policy_from_dict({"resample_limit": 5})
 
 
 MATRICES = ("A", "B", "Cf", "Cs", "Df", "Ds")
@@ -197,6 +217,12 @@ class TestSeeds:
         with pytest.raises(ValueError, match=re.escape(
                 f"seed must be an integer in [0, 2**64), got {seed!r}")):
             random_generic(Dimensions(1, 3, 1, 5, 2), seed)
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        for seed in (np.int64(7), np.uint64(2**64 - 1)):
+            got = random_generic(EXAMPLE1_DIMS, seed)
+            assert got.A.tobytes() == random_generic(EXAMPLE1_DIMS, int(seed)).A.tobytes()
+            assert _rng(seed, 1).uniform() == _rng(int(seed), 1).uniform()
 
     def test_largest_seed_draws(self):
         sys = random_generic(Dimensions(1, 3, 1, 5, 2), 2**64 - 1)

@@ -136,7 +136,7 @@ class TestNormalRank:
 
 def every_sample_point(policy, seed):
     # real points of either sign, |Z| in NORMAL_RANK_RADIUS * [1, 2], from
-    # Philox key seed + 2**64, which no system or compression draws from
+    # Philox key seed + 2**64, which no system draw uses
     rng = np.random.Generator(np.random.Philox(key=seed + (1 << 64)))
     u = rng.uniform(-1.0, 1.0, policy.normal_rank_samples)
     return [NORMAL_RANK_RADIUS * float(np.copysign(1.0 + abs(x), x)) for x in u]

@@ -1,26 +1,26 @@
-"""Finite-zero search, candidate verification, zero reports, multiplicities."""
+"""Finite zeros by structural reduction, candidate verification, zero reports, multiplicities."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multirate_zeros import harness, zeros
+from multirate_zeros import harness, model, zeros
 from multirate_zeros.blocking import (MatrixPencil, block, block_all, fast_subsystem,
                                       system_pencil)
-from multirate_zeros.errors import SingularD
+from multirate_zeros.errors import ConvergenceFailure
 from multirate_zeros.model import (Dimensions, MultirateSystem,
-                                   TolerancePolicy, _rng, random_generic)
+                                   TolerancePolicy, random_generic)
 from multirate_zeros.numerics import eigenvalues, normal_rank, numerical_rank, rank_at
 from multirate_zeros.zeros import (ZeroReport, finite_zero_candidates,
-                                   multiplicities, square_blocked_zeros,
-                                   verify_zero, zero_report,
+                                   multiplicities, verify_zero, zero_report,
                                    zero_report_to_dict)
 
-from conftest import LONG_HORIZON_DIMS, at_delay
+from conftest import LONG_HORIZON_DIMS, at_delay, planted_zero_system
 
 
 def delay_fields(sys, tau, policy, seed=0):
@@ -38,148 +38,133 @@ def scalar_pencil(e, f):
     return MatrixPencil(E=np.array([[float(e)]]), F=np.array([[float(f)]]))
 
 
+def matched_rel_err(got, want) -> float:
+    """Largest relative error |g - w| / max(1, |w|) when each w takes its nearest unused g."""
+    assert len(got) == len(want), (got, want)
+    remaining, worst = list(got), 0.0
+    for w in want:
+        j = min(range(len(remaining)), key=lambda i: abs(remaining[i] - w))
+        worst = max(worst, abs(remaining.pop(j) - w) / max(1.0, abs(w)))
+    return worst
+
+
+def powers_of_unblocked_zeros(sys) -> np.ndarray:
+    # a square fast-only system with invertible Df: the zeros of its blocked
+    # system are the N-th powers of the eigenvalues of A - B Df^-1 Cf
+    return eigenvalues(sys.A - sys.B @ np.linalg.solve(sys.Df, sys.Cf)) ** sys.dims.N
+
+
+def fast_block_zeros(sys, policy):
+    # the reduction on the fast-only system blocked at delay 1
+    return finite_zero_candidates(system_pencil(fast_subsystem(block(sys, 1))), policy)
+
+
 class TestFiniteZeroCandidates:
     def test_scalar_eigenvalue_found(self, policy):
-        cands = finite_zero_candidates(scalar_pencil(1, 2), policy, seed=0, normal_rank=1)
+        cands = finite_zero_candidates(scalar_pencil(1, 2), policy)
         assert any(abs(z - 2.0) < policy.cluster_tol for z in cands)
 
     def test_no_finite_drop_means_empty(self, policy):
         p = MatrixPencil(E=np.zeros((2, 2)), F=np.eye(2))
-        assert finite_zero_candidates(p, policy, seed=0, normal_rank=2) == []
+        assert finite_zero_candidates(p, policy) == []
 
     def test_zero_normal_rank_short_circuits(self, policy):
+        # no state, so the reduction has nothing to deflate and no eigenvalue
         p = MatrixPencil(E=np.zeros((2, 2)), F=np.zeros((2, 2)))
-        assert finite_zero_candidates(p, policy, seed=0, normal_rank=0) == []
+        assert finite_zero_candidates(p, policy) == []
 
     @pytest.mark.parametrize("seed", range(5))
     def test_square_system_eigenvalues_covered(self, seed, policy):
         # for a square fast-only blocked system with invertible feedthrough
-        # the finite zeros are known in closed form; the candidate search
-        # must cover all of them
+        # the finite zeros are known in closed form; the reduction must
+        # return all of them
         sys = random_generic(Dimensions(2, 1, 1, 1, 2), seed=seed)
         blk = fast_subsystem(block(sys, 1))
         zeros = eigenvalues(blk.A_tau - blk.B_tau @ np.linalg.solve(blk.D_tau, blk.C_tau))
-        pencil = system_pencil(blk)
-        rho = normal_rank(pencil, policy, seed=seed)
-        cands = finite_zero_candidates(pencil, policy, seed=seed, normal_rank=rho)
+        cands = finite_zero_candidates(system_pencil(blk), policy)
         for z in zeros:
             assert any(abs(z - c) < 1e-6 for c in cands), (z, cands)
 
     def test_deterministic(self, policy, example1_sys):
         pencil = system_pencil(block(example1_sys, 1))
-        a = finite_zero_candidates(pencil, policy, seed=5, normal_rank=6)
-        b = finite_zero_candidates(pencil, policy, seed=5, normal_rank=6)
-        assert a == b
+        assert finite_zero_candidates(pencil, policy) == finite_zero_candidates(pencil, policy)
+
+    def test_draws_no_random_numbers(self, monkeypatch, policy):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random stream was built")
+
+        pencils = [system_pencil(block(random_generic(dims, 3), tau))
+                   for dims, tau in [(LONG_HORIZON_DIMS, 3), (Dimensions(3, 2, 2, 1, 4), 2)]]
+        pencils.append(system_pencil(block(planted_zero_system(6), 1)))
+        for name in ("Generator", "Philox", "default_rng", "SeedSequence"):
+            monkeypatch.setattr(np.random, name, refuse)
+        monkeypatch.setattr(model, "_rng", refuse)
+        for pencil in pencils:
+            finite_zero_candidates(pencil, policy)
+
+    @pytest.mark.parametrize("E,F", [
+        (np.eye(2)[::-1], np.ones((2, 2))),                       # E not [[I, 0], [0, 0]]
+        (np.diag([1.0, 0.0]) * 2, np.ones((2, 2))),               # a scaled identity block
+        (np.diag([0.0, 1.0]), np.ones((2, 2))),                   # the identity block last
+        (np.diag([1.0, 0.0]), np.ones((3, 2, 2))),                # a stack of pencils
+    ])
+    def test_a_pencil_that_is_not_one_system_pencil_is_refused(self, E, F, policy):
+        with pytest.raises(ValueError, match="one system pencil"):
+            finite_zero_candidates(MatrixPencil(E=E, F=F), policy)
+
+    def test_svd_failure_is_a_convergence_failure(self, monkeypatch, policy):
+        def fail(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(zeros, "_reduce", fail)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            finite_zero_candidates(scalar_pencil(1, 2), policy)
+        rec = harness.run_trial(Dimensions(2, 2, 1, 4, 3), 2, 1)
+        assert rec.error.startswith("ConvergenceFailure") and not rec.agree_all
 
 
-def full_size_candidates(pencil, policy, seed, rho):
-    """The rho x rho candidate search: eigenvalues of M = solve(G, U E V), same draws, same floor.
-
-    E's zero columns give M rho - |J| structural zero eigenvalues. They can
-    chain with the zeros at infinity into Jordan blocks at 0 longer than 2,
-    which rounding lifts above the floor. M W2 = 0 for W2 spanning the null
-    space of V[J, :], so the orthogonal similarity [W1 W2] deflates them
-    exactly, leaving the eigenvalues of W1^T M W1.
-    """
-    rows, cols = pencil.shape
-    J = np.flatnonzero(pencil.E.any(axis=0))
-    rng = _rng(seed)
-    for _ in range(policy.resample_limit):
-        U, V = rng.standard_normal((rho, rows)), rng.standard_normal((cols, rho))
-        s = complex(*rng.standard_normal(2))
-        G = U @ (pencil.F - s * pencil.E) @ V
-        if np.linalg.cond(G) <= zeros._COMPRESSION_COND_CAP:
-            break
-    M = np.linalg.solve(G, U @ pencil.E @ V)
-    W1 = np.linalg.svd(V[J].T)[0][:, :len(J)]
-    lam = np.linalg.eigvals(W1.T @ M @ W1)
-    floor = max(policy.cluster_tol,
-                zeros._EIG_NOISE_SAFETY * np.sqrt(np.finfo(float).eps * np.linalg.norm(M, 2)))
-    return zeros._cluster(s + 1.0 / lam[np.abs(lam) > floor], policy.cluster_tol)
+def orthogonal(rng, k: int) -> np.ndarray:
+    # a random orthogonal k x k matrix: Q of a Gaussian matrix's QR, column signs fixed
+    Q, R = np.linalg.qr(rng.standard_normal((k, k)))
+    return Q * np.where(np.diag(R) < 0, -1.0, 1.0)
 
 
-def chordal(a, b):
-    # distance on the Riemann sphere, so copies of the point at infinity compare too
-    return abs(a - b) / (np.sqrt(1 + abs(a) ** 2) * np.sqrt(1 + abs(b) ** 2))
+class TestStructuralReduction:
+    """The reduction's zeros do not depend on the bases of state, input and output."""
 
+    @given(Df=st.sampled_from([6, 4]), tau=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_planted_zero_survives_orthogonal_changes_of_basis(self, Df, tau, seed):
+        blk = block(planted_zero_system(Df), tau)
+        rng = np.random.default_rng(seed)
+        Qx, Qu, Qy = (orthogonal(rng, k) for k in (blk.A_tau.shape[0], *blk.D_tau.shape[::-1]))
+        moved = replace(blk, A_tau=Qx.T @ blk.A_tau @ Qx, B_tau=Qx.T @ blk.B_tau @ Qu,
+                        C_tau=Qy @ blk.C_tau @ Qx, D_tau=Qy @ blk.D_tau @ Qu)
+        [z] = finite_zero_candidates(system_pencil(moved), TolerancePolicy())
+        assert abs(z - (0.5 - 1 / Df) ** 2) < 1e-12
 
-def same_points(a, b, tol=1e-6):
-    return len(a) == len(b) and all(min(chordal(x, y) for y in b) < tol for x in a) \
-        and all(min(chordal(x, y) for x in a) < tol for y in b)
+    @pytest.mark.parametrize("Df,tau", [(6, 1), (6, 2), (4, 1), (4, 2)])
+    def test_planted_zero_is_reported(self, Df, tau, policy):
+        rep = report(planted_zero_system(Df), tau, policy, 0)
+        [(z, mult)] = rep.finite_nonzero_zeros
+        assert (abs(z - (0.5 - 1 / Df) ** 2), mult, rep.candidates_examined) \
+            == (pytest.approx(0, abs=1e-12), 1, 1)
 
-
-class TestReducedEigenproblem:
-    """The |J| x |J| eigenproblem gives the candidates of the rho x rho one."""
-
-    @given(dims=st.sampled_from([Dimensions(1, 3, 1, 5, 2), Dimensions(2, 2, 1, 3, 3),
-                                 Dimensions(3, 2, 2, 1, 4), Dimensions(2, 1, 3, 1, 4),
-                                 Dimensions(5, 5, 3, 24, 8)]),
-           seed=st.integers(0, 10**6), data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_system_pencils(self, dims, seed, data, policy):
-        self.check(dims, seed, data.draw(st.integers(1, dims.N)), policy)
-
-    @pytest.mark.parametrize("dims,seed,tau", [(Dimensions(2, 2, 1, 3, 3), 5022, 2),
-                                               (Dimensions(5, 5, 3, 24, 8), 756908, 3)])
-    def test_system_pencils_the_plain_reference_misread(self, dims, seed, tau, policy):
-        # 5022: undeflated, M's chain at 0 read as a pair near +-(27741 - 35745j);
-        # 756908: the first compression is past the condition cap, and is redrawn
-        self.check(dims, seed, tau, policy)
-
-    @staticmethod
-    def check(dims, seed, tau, policy):
-        pencil = system_pencil(block(random_generic(dims, seed), tau))
-        rho = normal_rank(pencil, policy, seed)
-        assert same_points(finite_zero_candidates(pencil, policy, seed, rho),
-                           full_size_candidates(pencil, policy, seed, rho))
-
-    def test_eigenproblem_is_n_by_n_on_a_system_pencil(self, monkeypatch, policy):
-        dims = Dimensions(5, 5, 3, 24, 8)
-        pencil = system_pencil(block(random_generic(dims, 0), 3))
-        shapes = []
-        monkeypatch.setattr(zeros, "eigenvalues",
-                            lambda M: shapes.append(M.shape) or eigenvalues(M))
-        finite_zero_candidates(pencil, policy, 0, normal_rank(pencil, policy, 0))
-        assert shapes == [(dims.n, dims.n)]
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_noise_floor_reads_the_norm_of_the_full_product(self, monkeypatch, seed, policy):
-        # the floor's norm(G^-1 H, 2) comes from the thin factors, and equals
-        # the norm of the rho x rho product
-        pencil = system_pencil(block(random_generic(Dimensions(3, 2, 1, 4, 3), seed), 2))
-        rho = normal_rank(pencil, policy, seed)
-        norms = []
-        norm = np.linalg.norm
-        monkeypatch.setattr(np.linalg, "norm", lambda M, *a, **k: norms.append(
-            (a, k, norm(M, *a, **k))) or norms[-1][2])
-        finite_zero_candidates(pencil, policy, seed, rho)
-        monkeypatch.undo()
-        rng = _rng(seed)
-        rows, cols = pencil.shape
-        U, V = rng.standard_normal((rho, rows)), rng.standard_normal((cols, rho))
-        s = complex(*rng.standard_normal(2))
-        full = np.linalg.solve(U @ (pencil.F - s * pencil.E) @ V, U @ pencil.E @ V)
-        [got] = [value for a, k, value in norms if a == (2,)]
-        assert got == pytest.approx(np.linalg.norm(full, 2), rel=1e-10)
-
-    @pytest.mark.parametrize("draw", range(12))
-    def test_planted_pencil_with_a_full_E(self, draw, policy):
-        # E and F share an inner factorization, so the pencil loses rank
-        # exactly at the planted nonzero points; E has no zero column
-        rng = np.random.default_rng(draw)
-        rows, cols = rng.integers(3, 8, 2)
-        inner = int(rng.integers(2, min(rows, cols) + 1))
-        U, V = rng.standard_normal((rows, inner)), rng.standard_normal((inner, cols))
-        E0 = rng.standard_normal((inner, inner))
-        planted = rng.uniform(0.5, 3.0, inner) * rng.choice([-1.0, 1.0], inner)
-        pencil = MatrixPencil(E=U @ E0 @ V, F=U @ (E0 * planted) @ V)
-        assert np.all(np.any(pencil.E != 0, axis=0))
-        rho = normal_rank(pencil, policy, draw)
-        assert rho == inner
-        cands = finite_zero_candidates(pencil, policy, draw, rho)
-        assert same_points(cands, full_size_candidates(pencil, policy, draw, rho))
-        for z in planted:
-            assert min(abs(z - c) for c in cands) < 1e-6
+    @given(n=st.integers(1, 3), m=st.integers(1, 2), N=st.integers(2, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_square_fast_systems_give_powers_of_the_unblocked_zeros(self, n, m, N, seed):
+        sys = random_generic(Dimensions(n=n, m=m, p1=m, p2=1, N=N), seed)
+        assume(np.linalg.cond(sys.Df) < 1e3)
+        want = powers_of_unblocked_zeros(sys)
+        # a nearly singular Df puts a zero so far out that the rank
+        # threshold reads it at infinity, and clustering merges zeros
+        # closer than cluster_tol
+        assume(np.abs(want).max() < 1e3)
+        assume(min((abs(a - b) for i, a in enumerate(want) for b in want[i + 1:]),
+                   default=1.0) > 1e-4)
+        assert matched_rel_err(fast_block_zeros(sys, TolerancePolicy()), want) <= 1e-8
 
 
 class TestVerifyZero:
@@ -217,8 +202,9 @@ class TestVerifyZero:
         for tau in (1, dims.N):
             pencil = system_pencil(block(sys, tau))
             rho = normal_rank(pencil, policy, seed=seed)
-            cands = finite_zero_candidates(pencil, policy, seed=seed, normal_rank=rho)
-            for z in cands + [0j]:
+            # the reduction's points are few, so fixed points off them are read too
+            cands = finite_zero_candidates(pencil, policy)
+            for z in cands + [0j, 1e-3, 0.6 - 0.8j, -2.5]:
                 assert verify_zero(pencil, z, policy, rho) == every_reference(pencil, z, rho)
 
 
@@ -301,42 +287,35 @@ class TestMultiplicities:
 
 
 class TestSquareBlockedZeros:
-    def test_scalar_square_of_unblocked_zero(self):
+    """The reduction on square fast-only blocked systems, as AC9 reads it."""
+
+    def test_scalar_square_of_unblocked_zero(self, policy):
         a, b, c, d = 0.7, 1.3, -0.4, 2.0
         sys = MultirateSystem(dims=Dimensions(1, 1, 1, 1, 2), A=[[a]], B=[[b]],
                               Cf=[[c]], Cs=[[0.0]], Df=[[d]], Ds=[[0.0]])
-        blk = fast_subsystem(block(sys, 1))
-        got = square_blocked_zeros(blk)
+        got = fast_block_zeros(sys, policy)
         unblocked = a - b * c / d
-        assert np.allclose(sorted(got.real), [unblocked ** 2])
+        assert np.allclose(sorted(np.real(got)), [unblocked ** 2])
 
-    def test_singular_feedthrough_refused(self):
+    def test_singular_feedthrough_has_no_finite_zero(self, policy):
+        # 1/(z - 1) has no finite zero; blocked at N = 2 its D_tau is
+        # [[0, 0], [1, 0]], singular, and det P(Z) is the constant -1
         sys = MultirateSystem(dims=Dimensions(1, 1, 1, 1, 2), A=[[1.0]], B=[[1.0]],
                               Cf=[[1.0]], Cs=[[0.0]], Df=[[0.0]], Ds=[[0.0]])
-        blk = fast_subsystem(block(sys, 1))
-        with pytest.raises(SingularD):
-            square_blocked_zeros(blk)
+        assert fast_block_zeros(sys, policy) == []
 
-    def test_nonsquare_feedthrough_refused(self, example1_sys):
-        with pytest.raises(SingularD):
-            square_blocked_zeros(block(example1_sys, 1))
-
-    def test_stack_refused(self):
-        # a stack's D_tau.shape[0] counts delays, not rows: here 2 delays of
-        # 2 x 2 square feedthroughs, which is no square D_tau
+    def test_stack_refused(self, policy):
+        # a stack of pencils is no one system pencil: here 2 delays of
+        # 2 x 2 square feedthroughs
         sys = random_generic(Dimensions(2, 1, 1, 1, 2), seed=0)
-        with pytest.raises(ValueError, match=r"one delay, got a stack at delays \(1, 2\)"):
-            square_blocked_zeros(fast_subsystem(block_all(sys)))
+        with pytest.raises(ValueError, match="one system pencil"):
+            finite_zero_candidates(system_pencil(fast_subsystem(block_all(sys))), policy)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_blocked_zeros_are_powers(self, seed):
+    def test_blocked_zeros_are_powers(self, seed, policy):
         sys = random_generic(Dimensions(2, 1, 1, 1, 2), seed=seed)
-        blk = fast_subsystem(block(sys, 1))
-        got = sorted(square_blocked_zeros(blk), key=lambda z: (z.real, z.imag))
-        unblocked = eigenvalues(sys.A - sys.B @ np.linalg.solve(sys.Df, sys.Cf))
-        want = sorted(unblocked ** 2, key=lambda z: (z.real, z.imag))
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-8 * max(1.0, abs(w))
+        got = fast_block_zeros(sys, policy)
+        assert matched_rel_err(got, powers_of_unblocked_zeros(sys)) <= 1e-8
 
 
 class TestSerialization:
