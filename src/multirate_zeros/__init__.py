@@ -11,15 +11,14 @@ from ._version import __version__
 from .blocking import (BlockedSystem, MatrixPencil, block, fast_subsystem,
                        lift_relation_residual, system_pencil, transfer_eval)
 from .errors import (ConvergenceFailure, MultirateError, NotTallClass,
-                     ResolventSingular, SingularA, TauOutOfRange,
-                     UnsupportedDims, ZeroZ)
+                     ResolventSingular, TauOutOfRange, UnsupportedDims,
+                     ZeroZ)
 from .harness import (GridSpec, TrialRecord, VerificationReport, analyze,
                       emit_report, grid_spec_from_dict, run_fixture_suite,
                       run_grid, run_trial)
 from .model import (Dimensions, MultirateSystem, SystemClass, TolerancePolicy,
                     classify, fixture, load_system, random_generic,
-                    reverse_time, save_system, system_from_dict,
-                    system_to_dict)
+                    save_system, system_from_dict, system_to_dict)
 from .numerics import eigenvalues, normal_rank, numerical_rank, rank_at
 from .oracle import (TableRow, TheoryPrediction, dual_index, predict,
                      predict_controllability_rank, predict_mult_infinity,
@@ -32,13 +31,13 @@ __all__ = [
     "__version__",
     "BlockedSystem", "MatrixPencil", "block", "fast_subsystem", "lift_relation_residual", "system_pencil", "transfer_eval",
     "ConvergenceFailure", "MultirateError", "NotTallClass",
-    "ResolventSingular", "SingularA", "TauOutOfRange", "UnsupportedDims",
+    "ResolventSingular", "TauOutOfRange", "UnsupportedDims",
     "ZeroZ",
     "GridSpec", "TrialRecord", "VerificationReport", "analyze", "emit_report",
     "grid_spec_from_dict", "run_fixture_suite", "run_grid", "run_trial",
     "Dimensions", "MultirateSystem", "SystemClass",
     "TolerancePolicy", "classify", "fixture",
-    "load_system", "random_generic", "reverse_time", "save_system",
+    "load_system", "random_generic", "save_system",
     "system_from_dict", "system_to_dict",
     "eigenvalues", "normal_rank", "numerical_rank", "rank_at",
     "TableRow", "TheoryPrediction", "dual_index", "predict",

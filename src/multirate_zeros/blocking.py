@@ -17,6 +17,10 @@ import numpy as np
 from .errors import ResolventSingular, TauOutOfRange, ZeroZ
 from .model import Dimensions, MultirateSystem, TolerancePolicy, _is_int
 
+# the byte budget of one stacked product of lift transfer functions: points
+# share a stack while their N transfer functions fit it
+LIFT_STACK_BYTES = 32 * 1024
+
 
 @dataclass(frozen=True)
 class BlockedSystem:
@@ -193,10 +197,11 @@ def lift_relation_residual(blk: BlockedSystem, Z,
     for every Z != 0. Z is one point or a nonempty sequence of them, whose
     result is the max of the one-point values. A_tau and B_tau do not
     depend on the delay, so one stacked resolvent solve serves every point
-    and all N transfer functions, formed at each point in one stacked
-    product; the N - 1 residuals come from one rotation of that stack. The
-    harness reads it at real points, where X, V and the residuals are all
-    real.
+    and all N transfer functions. The transfer functions are formed for
+    as many points at once as fit LIFT_STACK_BYTES (at least one), in one
+    stacked product, and their residuals come from one rotation of that
+    stack; a larger stack outgrows the cache and runs slower. The harness
+    reads it at real points, where X, V and the residuals are all real.
     """
     if blk.tau != tuple(range(1, blk.dims.N + 1)):
         raise ValueError("the lifting relation needs one system blocked at every "
@@ -205,23 +210,26 @@ def lift_relation_residual(blk: BlockedSystem, Z,
     if any(z == 0 for z in points):
         raise ZeroZ("the lifting relation involves 1/Z and is undefined at Z=0")
     m, p1, N = blk.dims.m, blk.dims.p1, blk.dims.N
-
-    def residual(Z, X):
-        V = blk.C_tau @ X + blk.D_tau
-        lo, hi = V[:-1], V[1:]
-        rows = np.concatenate([lo[:, p1:N * p1], Z * lo[:, :p1], lo[:, N * p1:]], axis=1)
-        rotated = np.concatenate([rows[:, :, m:], rows[:, :, :m] / Z], axis=2)
-        return float(np.sqrt(np.max(_squared_norms(hi - rotated) / _squared_norms(hi),
-                                    initial=0.0)))
-
     Xs = _solve_resolvent(blk, points, policy or TolerancePolicy())
-    return max(residual(Z, X) for Z, X in zip(points, Xs))
+    step = max(1, LIFT_STACK_BYTES // blk.D_tau.nbytes)
+    worst = []
+    for i in range(0, len(points), step):
+        Z = np.array(points[i:i + step])[:, None, None, None]
+        V = blk.C_tau @ Xs[i:i + step, None] + blk.D_tau
+        lo, hi = V[:, :-1], V[:, 1:]
+        rows = np.concatenate([lo[..., p1:N * p1, :], Z * lo[..., :p1, :],
+                               lo[..., N * p1:, :]], axis=2)
+        rotated = np.concatenate([rows[..., m:], rows[..., :m] / Z], axis=3)
+        ratios = _squared_norms(hi - rotated) / _squared_norms(hi)
+        worst += np.sqrt(np.max(ratios, axis=1, initial=0.0)).tolist()
+    return max(worst)
 
 
 def _squared_norms(V: np.ndarray) -> np.ndarray:
-    # squared Frobenius norm of each matrix in a stack; einsum reads the stack
-    # once, where norm(V, axis=(1, 2)) is several times slower at these sizes
-    return np.einsum("kij,kij->k", V, V.conj()).real
+    # squared Frobenius norm of each matrix in a stack (..., rows, cols);
+    # einsum reads the stack once, where norm(V, axis=(-2, -1)) is several
+    # times slower at these sizes
+    return np.einsum("...ij,...ij->...", V, V.conj()).real
 
 
 def fast_subsystem(blk: BlockedSystem) -> BlockedSystem:

@@ -14,10 +14,6 @@ class TauOutOfRange(MultirateError):
         self.N = N
 
 
-class SingularA(MultirateError):
-    """A is singular or too ill-conditioned to invert."""
-
-
 class ResolventSingular(MultirateError):
     """Z*I - A_tau is too ill-conditioned to solve against."""
 

@@ -31,8 +31,8 @@ from .model import (Dimensions, MultirateSystem, TolerancePolicy, _check_fields,
                     classify, fixture, policy_from_dict, random_generic)
 # normal_rank is not called here (run_trial reads through normal_ranks), but
 # perfbench's tracer reads and wraps harness.normal_rank, so it stays bound
-from .numerics import (_sample_uniforms, normal_rank,  # noqa: F401
-                       normal_ranks, numerical_rank)
+from .numerics import (_evaluate, _ranks, _sample_points, _sample_uniforms,  # noqa: F401
+                       normal_rank, normal_ranks, numerical_rank)
 from .oracle import dual_index, predict, predict_controllability_rank, predict_rank_D
 from .zeros import multiplicities, zero_report, zero_report_to_dict
 
@@ -304,33 +304,52 @@ def _escalate(sys: MultirateSystem, rank: dict) -> dict:
 
 
 def _read(sys: MultirateSystem, taus, policy: TolerancePolicy, seed: int,
-          bound: int | None) -> tuple[BlockedSystem, MatrixPencil, dict]:
-    """The blocked systems of sys at every delay, their pencils, and their float rank readings.
+          bound: int | None) -> tuple[BlockedSystem, MatrixPencil, dict, dict]:
+    """The blocked systems of sys at every delay, their pencils, their float rank readings,
+    and the 2-norm of each requested delay's F where a reading gives it.
 
     One `block_all` stack holds the N blocked systems, and its pencils are
     one stack sharing E: delay t has C_tau[t - 1], D_tau[t - 1] and F[t - 1].
-    One stacked `normal_ranks` sweep of it, stopped at bound, reads the
-    normal rank at every delay. rank(D_t) at the delays t in taus is one
-    stacked `numerical_rank` call, and the rank at Z = 0 (0.0 * E - F, as
-    `rank_at` reads it) one more: all real points in real arithmetic. rank
-    maps (quantity, delay) to a reading, as `_delay_fields` and `_escalate`
-    take it. A system whose blocked matrices overflow is refused with a
-    ValueError, since every float reading of it would be meaningless.
+    One stacked svd call reads the N pencils at the first normal-rank
+    sample point together with the rank at Z = 0 (0.0 * E - F, as `rank_at`
+    reads it) at the delays t in taus. `normal_ranks`, stopped at bound,
+    carries the normal-rank sweep on from the second point for the pencils
+    it leaves open, so a generic trial reads every pencil once. rank(D_t)
+    at those delays is one more stacked `numerical_rank` call: all real
+    points in real arithmetic. rank maps (quantity, delay) to a reading,
+    as `_delay_fields` and `_escalate` take it.
+
+    norm maps each delay in taus to norm(F[t - 1], 2), the threshold scale
+    `zero_report` takes, or to None. The svd is odd in its matrix, so
+    sigma_1 of -F is norm(F, 2) bit for bit, and 0.0 * E - F is -F except
+    that it turns a -0.0 of -F into +0.0. A zero's sign can steer a
+    Householder reflection, so sigma_1 of the rank-at-zero reading is
+    passed on only where F holds no +0.0, as in every random system; at
+    the other delays (structured systems) norm is None and the reduction
+    takes the norm itself. A system whose blocked matrices overflow is
+    refused with a ValueError, since every float reading of it would be
+    meaningless; the overflow warns nothing on the way.
     """
     # in order, each delay once
     taus = list(dict.fromkeys(_check_tau(t, sys.dims.N) for t in taus))
-    blocks = block_all(sys)
-    pencils = system_pencil(blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = block_all(sys)
+        pencils = system_pencil(blocks)
     if not np.isfinite(pencils.F).all():
         raise ValueError("the blocked matrices overflow: the pencils hold non-finite entries")
-    rho = normal_ranks(pencils, policy, seed, bound)
-    rank = {("normal_rank", t): r for t, r in enumerate(rho, 1)}
+    E, F, N = pencils.E, pencils.F, len(pencils.F)
     at = [t - 1 for t in taus]
+    F_at = F[at]
+    Z = _sample_points(seed, policy.normal_rank_samples)[0]
+    ranks, s = _ranks(np.concatenate([_evaluate(E, F, Z), 0.0 * E - F_at]), policy)
+    rho = normal_ranks(pencils, policy, seed, bound, first=ranks[:N])
+    rank = {("normal_rank", t): r for t, r in enumerate(rho, 1)}
     rank_D = numerical_rank(blocks.D_tau[at], policy)
-    rank_0 = numerical_rank(0.0 * pencils.E - pencils.F[at], policy)
-    for t, r_D, r_0 in zip(taus, rank_D, rank_0):
+    for t, r_D, r_0 in zip(taus, rank_D, ranks[N:].tolist()):
         rank["rank_D", t], rank["rank_at_zero", t] = r_D, r_0
-    return blocks, pencils, rank
+    plus_zero = ((F_at == 0) & ~np.signbit(F_at)).any(axis=(1, 2))
+    norm = {t: None if z else x for t, z, x in zip(taus, plus_zero, s[N:, 0].tolist())}
+    return blocks, pencils, rank, norm
 
 
 def run_trial(dims: Dimensions, tau: int, seed: int,
@@ -346,12 +365,13 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     sample points; there X, the transfer functions and the residuals are
     real. One `lift_relation_residual` call takes every point, with one
     stacked solve for all their resolvents. The finite-zero reduction runs at
-    tau only. Every rank field is derived by `_rank_fields` from the
-    readings `_read` takes: the normal rank at every delay, and the ranks
-    of D_tau and at Z = 0 at tau and at the dual delay, one stacked svd
-    call for each kind. Its stacked normal-rank sweep costs one svd call
-    per sample point, and each delay's sweep stops at the predicted normal
-    rank, which no instance exceeds, so a generic trial costs one call.
+    tau only, its threshold scaled by the norm `_read` hands on. Every rank
+    field is derived by `_rank_fields` from the readings `_read` takes: the
+    normal rank at every delay, and the ranks of D_tau and at Z = 0 at tau
+    and at the dual delay. Its stacked normal-rank sweep costs one svd call
+    per sample point, the first also reading the ranks at Z = 0, and each
+    delay's sweep stops at the predicted normal rank, which no instance
+    exceeds, so a generic trial costs that one call and one for rank(D_tau).
     Numerical failures (e.g. an SVD or eigensolver that does not converge)
     are captured in the record, not raised. A numpy integer tau or seed is
     recorded as its Python int.
@@ -375,10 +395,10 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     escalated = ()
     agreement = dict.fromkeys(AGREEMENT_KEYS, False)
     try:
-        blocks, pencils, rank = _read(sys, (tau, dual_index(tau, dims.N)), policy, seed,
-                                      pred.normal_rank)
+        blocks, pencils, rank, norm = _read(sys, (tau, dual_index(tau, dims.N)), policy,
+                                            seed, pred.normal_rank)
         rep = zero_report(MatrixPencil(pencils.E, pencils.F[tau - 1]), tau, policy, seed,
-                          rank["normal_rank", tau])
+                          rank["normal_rank", tau], norm[tau])
         # real points of either sign with |Z| in [2**-0.5, 2**0.5], from the
         # first uniforms behind the normal-rank points; a scalar 2.0 ** x,
         # since numpy's vectorized power can differ from it in the last bit
@@ -444,13 +464,13 @@ def analyze(sys: MultirateSystem, tau: int | str = "all",
         predictions = {}
     # the generic normal rank, the same at every delay, bounds this system's
     bound = predictions[taus[0]].normal_rank if predictions else None
-    _, pencils, rank = _read(sys, taus, policy, ANALYZE_SEED, bound)
+    _, pencils, rank, norm = _read(sys, taus, policy, ANALYZE_SEED, bound)
     readings = {(q, t): v for (q, t), v in rank.items() if t in taus}
     settled = _escalate(sys, readings) if predictions else readings
     results = []
     for t in taus:
         rep = zero_report(MatrixPencil(pencils.E, pencils.F[t - 1]), t, policy, ANALYZE_SEED,
-                          rank["normal_rank", t])
+                          rank["normal_rank", t], norm[t])
         measured = {**zero_report_to_dict(rep), **_delay_fields(readings, dims.n, t)}
         pred = predictions.get(t)
         predicted = agreement = None

@@ -9,13 +9,12 @@ every N steps:
     y^s(k)  = Cs x(k) + Ds u(k)        k = 0, N, 2N, ...
 
 This module holds the dimension bookkeeping, the tallness classification,
-seeded generic instance generation, the reverse-time transform, structured
-fixture systems, and JSON serialization. Each value object checks its own
-input when it is built: `Dimensions`, `TolerancePolicy` and
-`MultirateSystem` refuse bad values with a `ValueError` naming the field,
-so every path that makes one (a file, the Python API, `random_generic`,
-`reverse_time`, a fixture) gets the same checks. The file readers add only
-the JSON checks of `_check_fields`.
+seeded generic instance generation, structured fixture systems, and JSON
+serialization. Each value object checks its own input when it is built:
+`Dimensions`, `TolerancePolicy` and `MultirateSystem` refuse bad values
+with a `ValueError` naming the field, so every path that makes one (a
+file, the Python API, `random_generic`, a fixture) gets the same checks.
+The file readers add only the JSON checks of `_check_fields`.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SingularA, UnsupportedDims
+from .errors import UnsupportedDims
 
 
 def _is_int(v) -> bool:
@@ -198,39 +197,19 @@ def _rng(seed: int, purpose: int = 0) -> np.random.Generator:
 def random_generic(dims: Dimensions, seed: int) -> MultirateSystem:
     """Draw all entries i.i.d. standard normal from a Philox stream keyed by seed.
 
-    Matrices are drawn in the fixed order A, B, Cf, Cs, Df, Ds, so identical
-    (dims, seed) pairs reproduce bit-identical systems. Any absolutely
+    One draw gives every entry, split into A, B, Cf, Cs, Df, Ds in that
+    fixed order: the values a draw of each matrix in turn would give. So
+    identical (dims, seed) pairs reproduce bit-identical systems. Any absolutely
     continuous distribution avoids the measure-zero exceptional sets of the
     genericity statements; standard normal is the conventional choice.
     """
-    rng = _rng(seed)
-    mats = {name: rng.standard_normal(shape_of(dims))
-            for name, shape_of in _MATRIX_SHAPES.items()}
+    shapes = [shape_of(dims) for shape_of in _MATRIX_SHAPES.values()]
+    entries = _rng(seed).standard_normal(sum(r * c for r, c in shapes))
+    mats, at = {}, 0
+    for name, (r, c) in zip(_MATRIX_SHAPES, shapes):
+        mats[name] = entries[at:at + r * c].reshape(r, c)
+        at += r * c
     return MultirateSystem(dims=dims, **mats)
-
-
-def reverse_time(sys: MultirateSystem, policy: TolerancePolicy | None = None) -> MultirateSystem:
-    """Reverse-time counterpart: dynamics run backwards through A inverse.
-
-    Returns {A~ = A^-1, B~ = -A^-1 B, Cf~ = Cf A^-1, Df~ = Df - Cf A^-1 B,
-    Cs~ = Cs A^-1, Ds~ = Ds - Cs A^-1 B}. Applying it twice recovers the
-    original system. Refuses ill-conditioned A rather than silently degrade.
-    """
-    policy = policy or TolerancePolicy()
-    cond = np.linalg.cond(sys.A)
-    if not np.isfinite(cond) or cond > policy.condition_cap:
-        raise SingularA(f"cond(A)={cond:.3e} exceeds cap {policy.condition_cap:.1e}")
-    Ainv = np.linalg.inv(sys.A)
-    AinvB = Ainv @ sys.B
-    return MultirateSystem(
-        dims=sys.dims,
-        A=Ainv,
-        B=-AinvB,
-        Cf=sys.Cf @ Ainv,
-        Cs=sys.Cs @ Ainv,
-        Df=sys.Df - sys.Cf @ AinvB,
-        Ds=sys.Ds - sys.Cs @ AinvB,
-    )
 
 
 def _shift_matrix(n: int, s: int) -> np.ndarray:

@@ -25,10 +25,11 @@ from .model import TolerancePolicy, _rng
 NORMAL_RANK_RADIUS = 1.372000091
 
 
-def _ranks(M: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
-    # the rank of each matrix in a stack (..., rows, cols), from one svd call
+def _ranks(M: np.ndarray, policy: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    # the rank and the singular values, largest first, of each matrix in a
+    # stack (..., rows, cols), from one svd call
     s = np.linalg.svd(M, compute_uv=False)
-    return np.sum(s > policy.rel_rank_tol * s[..., :1] * max(M.shape[-2:]), axis=-1)
+    return np.sum(s > policy.rel_rank_tol * s[..., :1] * max(M.shape[-2:]), axis=-1), s
 
 
 def numerical_rank(M: np.ndarray, policy: TolerancePolicy | None = None) -> int | list[int]:
@@ -36,7 +37,7 @@ def numerical_rank(M: np.ndarray, policy: TolerancePolicy | None = None) -> int 
 
     Given a stack (k, rows, cols), the list of the k ranks, from one svd call.
     """
-    ranks = _ranks(np.atleast_2d(M), policy or TolerancePolicy())
+    ranks = _ranks(np.atleast_2d(M), policy or TolerancePolicy())[0]
     return ranks.tolist() if ranks.ndim else int(ranks)
 
 
@@ -105,7 +106,7 @@ def _sample_points(seed: int, count: int) -> tuple[float, ...]:
 
 
 def normal_ranks(pencils: MatrixPencil, policy: TolerancePolicy | None = None,
-                 seed: int = 0, bound: int | None = None) -> list[int]:
+                 seed: int = 0, bound: int | None = None, first=None) -> list[int]:
     """`normal_rank` of each pencil of a stack sharing E, one svd call a point.
 
     pencils is a stack, as `system_pencil` builds it from a stack of blocked
@@ -113,18 +114,25 @@ def normal_ranks(pencils: MatrixPencil, policy: TolerancePolicy | None = None,
     stacked svd reads every pencil whose sweep is still open; a pencil's
     sweep closes as `_max_rank`'s does, on the first reading that brings
     its max to min(bound, rows, cols). So each value is the one
-    `normal_rank` gives for that pencil alone.
+    `normal_rank` gives for that pencil alone. first, when given, holds the
+    rank of each pencil at the first sample point, read by the caller
+    (`harness._read` reads them in one svd call with its ranks at Z = 0),
+    and the sweep carries on from the second point.
     """
     policy = policy or TolerancePolicy()
     E, F = pencils.E, pencils.F.reshape(-1, *pencils.shape)
     limit = _rank_limit(E.shape, bound)
-    best = np.full(len(F), -1)   # -1: no point read yet
-    for Z in _sample_points(seed, policy.normal_rank_samples):
+    points = _sample_points(seed, policy.normal_rank_samples)
+    if first is None:
+        best = np.full(len(F), -1)   # -1: no point read yet
+    else:
+        best, points = np.array(first), points[1:]
+    for Z in points:
         open_ = np.flatnonzero(best != limit)
         if open_.size == 0:
             break
-        M = _evaluate(E, F[open_], Z)
-        best[open_] = np.maximum(best[open_], _ranks(M, policy))
+        M = _evaluate(E, F if open_.size == len(F) else F[open_], Z)
+        best[open_] = np.maximum(best[open_], _ranks(M, policy)[0])
     return best.tolist()
 
 

@@ -67,12 +67,19 @@ def _reduce(A, B, C, D, thr: float):
     columns of N span the null space of D1: the finite zeros are the
     uncontrollable modes of (A - B K, B N). With no state left there is
     no finite zero, and A comes back empty. Every rank is the count of
-    singular values above thr.
+    singular values above thr. A system with no inputs (the dual run of
+    `finite_zero_candidates`) keeps a D with no columns at every step: it
+    has no singular value and its SVD's U is the identity, so no SVD is
+    taken and C2 is all of C.
     """
     while len(A):
-        U, s, Vt = np.linalg.svd(D)
+        if D.shape[1]:
+            U, s, Vt = np.linalg.svd(D)
+            C = U.T @ C
+        else:
+            s, Vt = np.zeros(0), np.zeros((0, 0))
         sigma = np.count_nonzero(s > thr)
-        C1, C2 = np.split(U.T @ C, [sigma])
+        C1, C2 = C[:sigma], C[sigma:]
         _, s_C2, W = np.linalg.svd(C2)      # C2 may have no rows
         rho = np.count_nonzero(s_C2 > thr)
         if rho == 0:
@@ -86,20 +93,24 @@ def _reduce(A, B, C, D, thr: float):
     return A, B
 
 
-def finite_zero_candidates(pencil: MatrixPencil, policy: TolerancePolicy) -> list[complex]:
+def finite_zero_candidates(pencil: MatrixPencil, policy: TolerancePolicy,
+                           norm: float | None = None) -> list[complex]:
     """The finite zeros of a system pencil, by structural reduction, clustered at cluster_tol.
 
     pencil is one system pencil, as `system_pencil` builds it: E is
     [[I, 0], [0, 0]] with n the nonzero rows of E, and F is [[A, B],
     [-C, -D]]. Any other pencil is refused with a ValueError. Every rank
     decision counts singular values above one threshold,
-    rel_rank_tol * max(rows, cols) * norm(F, 2). `_reduce` deflates the
-    structure at infinity, leaving (A_K, B_N) whose uncontrollable modes
-    are the finite zeros. `_reduce` on the dual system (A_K^T, no inputs,
-    B_N^T) deflates the controllable part, and the eigenvalues of the A
-    that is left are the finite zeros, with algebraic multiplicity before
-    clustering. No random number is drawn. A failed SVD or eigensolver
-    raises ConvergenceFailure.
+    rel_rank_tol * max(rows, cols) * norm, where norm is norm(F, 2). A
+    caller that holds it passes it: the harness passes the largest singular
+    value of its rank-at-zero reading where that reading is -F bit for bit,
+    the same double, since the svd is odd in its matrix (see
+    `harness._read`). When norm is None it is computed here. `_reduce` deflates the structure at infinity, leaving (A_K, B_N)
+    whose uncontrollable modes are the finite zeros. `_reduce` on the dual
+    system (A_K^T, no inputs, B_N^T) deflates the controllable part, and
+    the eigenvalues of the A that is left are the finite zeros, with
+    algebraic multiplicity before clustering. No random number is drawn.
+    A failed SVD or eigensolver raises ConvergenceFailure.
     """
     E, F = pencil.E, pencil.F
     n = int(E.any(axis=1).sum())
@@ -109,7 +120,9 @@ def finite_zero_candidates(pencil: MatrixPencil, policy: TolerancePolicy) -> lis
         raise ValueError("finite_zero_candidates takes one system pencil, "
                          "E = [[I, 0], [0, 0]] and a 2-D F")
     try:
-        thr = policy.rel_rank_tol * max(E.shape) * np.linalg.norm(F, 2)
+        if norm is None:
+            norm = np.linalg.norm(F, 2)
+        thr = policy.rel_rank_tol * max(E.shape) * norm
         A_K, B_N = _reduce(F[:n, :n], F[:n, n:], -F[n:, :n], -F[n:, n:], thr)
         A = _reduce(A_K.T, np.zeros((len(A_K), 0)), B_N.T, np.zeros((B_N.shape[1], 0)), thr)[0]
     except np.linalg.LinAlgError as exc:
@@ -155,7 +168,7 @@ def multiplicities(rho: int, rank_at_zero: int, rank_D: int, n: int) -> tuple[in
 
 
 def zero_report(pencil: MatrixPencil, tau: int, policy: TolerancePolicy | None = None,
-                seed: int = 0, rho: int | None = None) -> ZeroReport:
+                seed: int = 0, rho: int | None = None, norm: float | None = None) -> ZeroReport:
     """Verified finite nonzero zeros of a blocked system.
 
     pencil is the system pencil of the system blocked at delay tau, as
@@ -172,12 +185,14 @@ def zero_report(pencil: MatrixPencil, tau: int, policy: TolerancePolicy | None =
     being silently attributed to the origin. candidates_examined counts the
     points the reduction returns. rho is the pencil's normal rank; when it
     is None, `normal_rank` reads it (the harness passes the reading of its
-    stacked sweep instead).
+    stacked sweep instead). norm is norm(F, 2), which
+    `finite_zero_candidates` computes when it is None (the harness passes
+    the largest singular value of its rank-at-zero reading instead).
     """
     policy = policy or TolerancePolicy()
     if rho is None:
         rho = normal_rank(pencil, policy, seed)
-    candidates = finite_zero_candidates(pencil, policy)
+    candidates = finite_zero_candidates(pencil, policy, norm)
     finite: list[tuple[complex, int]] = []
     boundary: list[tuple[complex, int]] = []
     for z in candidates:

@@ -8,17 +8,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multirate_zeros import blocking
 from multirate_zeros._exact import exact_block, modp_block
 from multirate_zeros.blocking import (_assemble, block, block_all, fast_subsystem,
                                       lift_relation_residual, system_pencil,
                                       transfer_eval)
 from multirate_zeros.errors import ResolventSingular, TauOutOfRange, ZeroZ
-from multirate_zeros.model import (Dimensions, MultirateSystem, fixture,
-                                   random_generic, reverse_time)
+from multirate_zeros.model import Dimensions, MultirateSystem, fixture, random_generic
 
 from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, at_delay
 
 SCALAR_DIMS = Dimensions(1, 1, 1, 1, 2)
+
+
+def reverse_time(sys: MultirateSystem) -> MultirateSystem:
+    """The time-reversed system: the dynamics run backwards through A^-1."""
+    Ainv = np.linalg.inv(sys.A)
+    AinvB = Ainv @ sys.B
+    return MultirateSystem(dims=sys.dims, A=Ainv, B=-AinvB, Cf=sys.Cf @ Ainv,
+                           Cs=sys.Cs @ Ainv, Df=sys.Df - sys.Cf @ AinvB,
+                           Ds=sys.Ds - sys.Cs @ AinvB)
 
 
 def scalar_system(a, b, cf, cs, df, ds):
@@ -378,6 +387,38 @@ class TestLiftRelation:
         for bs in (blocks, faulted):
             assert lift_relation_residual(bs, points) == max(
                 lift_relation_residual(bs, Z) for Z in points)
+
+    @pytest.mark.parametrize("dims", [LIFT_DIMS, LONG_HORIZON_DIMS])
+    @pytest.mark.parametrize("fit,chunks", [(1, [1] * 5), (2, [2, 2, 1]), (5, [5]), (9, [5])])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_points_stacked_to_the_byte_budget_read_as_one_by_one(self, monkeypatch, dims,
+                                                                   fit, chunks, seed):
+        # a budget that fits `fit` points' N transfer functions stacks that
+        # many at a time, and the residual is the max of the one-point values
+        # bit for bit; a fault on the last delay makes the points differ
+        blocks = block_all(random_generic(dims, seed))
+        D = blocks.D_tau.copy()
+        D[-1] *= 1 + 1e-9
+        faulted = replace(blocks, D_tau=D)
+        points = [0.9, -1.3, 0.75, 1.1, -0.8]
+        stacked = []
+        squared_norms = blocking._squared_norms
+        monkeypatch.setattr(blocking, "_squared_norms",
+                            lambda V: stacked.append(len(V)) or squared_norms(V))
+        monkeypatch.setattr(blocking, "LIFT_STACK_BYTES", fit * blocks.D_tau.nbytes)
+        for bs in (blocks, faulted):
+            one_by_one = [lift_relation_residual(bs, Z) for Z in points]
+            stacked.clear()
+            assert lift_relation_residual(bs, points) == max(one_by_one)
+            assert stacked[::2] == chunks     # two norms a chunk
+
+    def test_budget_fits_a_small_trials_three_points_and_one_large_point(self):
+        # the largest staircase cell's three lift points share one stack; one
+        # point of a 53x45 extreme pencil already outgrows the budget
+        def fits(dims):
+            return blocking.LIFT_STACK_BYTES // block_all(random_generic(dims, 0)).D_tau.nbytes
+        assert fits(Dimensions(5, 4, 1, 14, 4)) >= 3
+        assert fits(LONG_HORIZON_DIMS) == 0
 
     def test_one_cond_and_one_solve_for_every_point(self, monkeypatch):
         blocks = block_all(random_generic(LIFT_DIMS, seed=21))

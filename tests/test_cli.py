@@ -110,7 +110,7 @@ class TestAnalyze:
 
     # A**2 overflows: every float reading would be 0, and the zero search
     # would not run, yet the exact ranks would report zero-freeness
-    def test_overflowing_system_is_refused(self, example1_file, tmp_path, capsys):
+    def test_overflowing_system_is_refused(self, example1_file, tmp_path, capsys, recwarn):
         data = json.loads(example1_file.read_text())
         data["A"] = [[1e200]]
         bad = tmp_path / "overflow.json"
@@ -120,6 +120,8 @@ class TestAnalyze:
         assert code == 2
         assert "blocked matrices overflow" in capsys.readouterr().err
         assert not out.exists()
+        # numpy's overflow warning does not reach stderr ahead of the refusal
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
     def test_unknown_policy_field(self, example1_file, tmp_path, capsys):
         pol = tmp_path / "policy.json"
@@ -242,12 +244,12 @@ class TestAnalyze:
         # payload must be the one the unbounded sweep gives
         bounds = []
 
-        def bounded(pencils, policy, seed, bound):
+        def bounded(pencils, policy, seed, bound, first):
             bounds.append(bound)
-            return normal_ranks(pencils, policy, seed, bound)
+            return normal_ranks(pencils, policy, seed, bound, first)
 
         payloads = []
-        for sweep in (bounded, lambda pencils, policy, seed, bound: normal_ranks(
+        for sweep in (bounded, lambda pencils, policy, seed, bound, first: normal_ranks(
                 pencils, policy, seed)):
             monkeypatch.setattr(harness, "normal_ranks", sweep)
             out = tmp_path / f"report{len(payloads)}.json"
@@ -269,9 +271,9 @@ class TestAnalyze:
             assembled.append(list(taus))
             return assemble(d, assembled[-1], *args, **kwargs)
 
-        def counting_sweep(pencils, *args):
+        def counting_sweep(pencils, *args, **kwargs):
             sweeps.append(pencil_count(pencils))
-            return stacked(pencils, *args)
+            return stacked(pencils, *args, **kwargs)
 
         monkeypatch.setattr(blocking, "_assemble", counting_assembly)
         for module in (numerics, harness):     # normal_rank sweeps through numerics'

@@ -2,14 +2,18 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multirate_zeros import harness, numerics, zeros
-from multirate_zeros.blocking import block, lift_relation_residual, system_pencil
+from multirate_zeros.blocking import (MatrixPencil, block, block_all,
+                                      lift_relation_residual, system_pencil)
 from multirate_zeros.cli import main
 from multirate_zeros.errors import NotTallClass, TauOutOfRange
 from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, LIFT_SAMPLES, GridSpec,
@@ -17,12 +21,38 @@ from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, LIFT_SAMPLES, 
                                      grid_spec_to_dict, run_fixture_suite,
                                      run_grid, run_trial)
 from multirate_zeros.model import (Dimensions, MultirateSystem, TolerancePolicy,
-                                   random_generic, save_system)
+                                   fixture, random_generic, save_system)
 from multirate_zeros.numerics import normal_rank, normal_ranks, numerical_rank, rank_at
 from multirate_zeros.oracle import dual_index, predict_rank_D
-from multirate_zeros.zeros import finite_zero_candidates, multiplicities
+from multirate_zeros.zeros import finite_zero_candidates, multiplicities, zero_report
 
 from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, at_delay, pencil_count
+
+# the acceptance grid's staircase cells (p1 < m), the extreme cell, and the
+# dims of the seven escalating grid trials perfbench replays
+NORM_DIMS = list(dict.fromkeys(
+    [Dimensions(n, m, p1, N * (m - p1) + off, N) for n in range(1, 6) for m in (2, 3, 4)
+     for p1 in range(1, m) for off in (1, 2) for N in (2, 3, 4)]
+    + [Dimensions(5, 5, 3, 24, 8)]
+    + [Dimensions(*d) for d in ((1, 4, 4, 1, 4), (2, 4, 4, 1, 4), (2, 4, 4, 2, 4),
+                                (3, 2, 2, 1, 4), (3, 2, 2, 2, 3), (3, 3, 3, 1, 4),
+                                (3, 3, 3, 1, 4))]))
+
+
+def shift_fixture_cases() -> list[tuple[str, Dimensions, int]]:
+    """Every (name, dims, tau) of the fixture suite's shift fixtures."""
+    return [(r["fixture"], Dimensions(r["n"], r["m"], r["p1"], r["p2"], r["N"]), r["tau"])
+            for r in harness._fixture_rank_rows(TolerancePolicy())]
+
+
+def svd_module():
+    # the module whose svd numpy's norm and cond call: numpy.linalg._linalg
+    # from numpy 2, numpy.linalg.linalg before
+    try:
+        return importlib.import_module("numpy.linalg._linalg")
+    except ImportError:
+        return importlib.import_module("numpy.linalg.linalg")
+
 
 SINGLE_CELL = GridSpec(n_values=(1,), m_values=(2,), N_values=(2,),
                        p1_values=(1,), taus=(1,), trials_per_cell=2)
@@ -104,9 +134,9 @@ class TestRunTrial:
         # N = 3: one stacked sweep reads every delay, the zero report at tau none
         sweeps, singles = [], []
 
-        def stacked(pencils, *args):
+        def stacked(pencils, *args, **kwargs):
             sweeps.append(pencil_count(pencils))
-            return normal_ranks(pencils, *args)
+            return normal_ranks(pencils, *args, **kwargs)
 
         monkeypatch.setattr(harness, "normal_ranks", stacked)
         monkeypatch.setattr(zeros, "normal_rank", lambda *a: singles.append(a) or normal_rank(*a))
@@ -122,16 +152,17 @@ class TestRunTrial:
     @pytest.mark.parametrize("tau", [1, 8])
     def test_generic_trial_samples_one_point_per_delay(self, monkeypatch, tau):
         # 53x45 pencils of generic normal rank 36: every delay's sweep stops
-        # at the first point, so the sweep is one svd call on a stack of N;
-        # rank(D_tau) and the rank at 0 at tau and its dual are one stack each
+        # at the first point, which one svd call reads on a stack of N, with
+        # the rank at 0 at tau and its dual; rank(D_tau) at both is one more
         stacks = []
         ranks = numerics._ranks
-        monkeypatch.setattr(numerics, "_ranks",
-                            lambda M, policy: stacks.append(M.shape) or ranks(M, policy))
+        for module in (numerics, harness):
+            monkeypatch.setattr(module, "_ranks",
+                                lambda M, policy: stacks.append(M.shape) or ranks(M, policy))
         rec = run_trial(LONG_HORIZON_DIMS, tau=tau, seed=0)
         assert rec.agree_all and not rec.escalated
         assert [shape for shape in stacks if len(shape) == 3] == [
-            (LONG_HORIZON_DIMS.N, 53, 45), (2, 48, 40), (2, 53, 45)]
+            (LONG_HORIZON_DIMS.N + 2, 53, 45), (2, 48, 40)]
 
     @pytest.mark.parametrize("tau", [1, 2, 3])
     def test_finite_zero_search_runs_once(self, monkeypatch, tau):
@@ -225,6 +256,29 @@ class TestRunTrial:
                              numerical_rank(blk.D_tau, policy), dims.n)
         assert (rec.measured["dual_mult_at_zero"], rec.measured["dual_mult_at_infinity"]) == ref
 
+    @pytest.mark.parametrize("dims,tau,svds", [
+        (Dimensions(3, 3, 1, 9, 4), 2, 7), (Dimensions(5, 5, 3, 24, 8), 3, 7),
+        (Dimensions(2, 4, 4, 2, 4), 1, 5)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_svd_calls_per_generic_trial(self, monkeypatch, dims, tau, svds, seed):
+        # one svd reads every pencil at the first sample point and the rank at
+        # 0 at tau and its dual, one rank(D_tau) at both, and one sits inside
+        # the lift check's cond; the rest are the reduction's: its row
+        # compression of D and of C2 in each step, where the dual run has no
+        # D to compress. No norm is taken: the reduction's threshold reuses
+        # the rank-at-zero sigma_1
+        svds_seen, norms = [], []
+        linalg = svd_module()
+        svd, norm = linalg.svd, linalg.norm
+        for module in (linalg, np.linalg):
+            monkeypatch.setattr(module, "svd", lambda *a, **k: svds_seen.append(1) or svd(*a, **k))
+            monkeypatch.setattr(module, "norm",
+                                lambda *a, **k: norms.append(1) or norm(*a, **k))
+        rec = run_trial(dims, tau, seed)
+        assert rec.agree_all and not rec.escalated
+        assert len(svds_seen) == svds
+        assert norms == []
+
     def test_deterministic_except_elapsed(self):
         a = run_trial(Dimensions(2, 3, 1, 5, 2), tau=2, seed=7)
         b = run_trial(Dimensions(2, 3, 1, 5, 2), tau=2, seed=7)
@@ -252,21 +306,64 @@ class TestRead:
                              ids=["default", "coarse"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_one_stack_per_kind_of_reading(self, monkeypatch, dims, taus, policy, seed):
-        stacks = []
+        # rank(D_t) is one stack; the N pencils at the first sample point and
+        # the rank at 0 at the requested delays are one more
+        stacks, first = [], []
+        ranks = numerics._ranks
         monkeypatch.setattr(harness, "numerical_rank",
                             lambda M, pol: stacks.append(M.shape[0]) or numerical_rank(M, pol))
-        blocks, pencils, rank = harness._read(random_generic(dims, seed), taus, policy, seed,
-                                              None)
+        monkeypatch.setattr(harness, "_ranks",
+                            lambda M, pol: first.append(M.shape[0]) or ranks(M, pol))
+        blocks, pencils, rank, norm = harness._read(random_generic(dims, seed), taus, policy,
+                                                    seed, None)
         delays = list(dict.fromkeys(taus))
-        assert stacks == [len(delays)] * 2
-        assert {t for q, t in rank if q != "normal_rank"} == set(delays)
+        assert stacks == [len(delays)]
+        assert first == [dims.N + len(delays)]
+        assert {t for q, t in rank if q != "normal_rank"} == set(delays) == set(norm)
         for t in delays:
             pencil = system_pencil(at_delay(blocks, t - 1))
             assert rank["rank_D", t] == numerical_rank(blocks.D_tau[t - 1], policy)
             assert rank["rank_at_zero", t] == rank_at(pencil, 0.0, policy)
             assert rank["normal_rank", t] == normal_rank(pencil, policy, seed)
+            assert norm[t] == np.linalg.norm(pencil.F, 2)
             assert np.array_equal(pencils.E, pencil.E)
             assert np.array_equal(pencils.F[t - 1], pencil.F)
+
+
+    @given(dims=st.sampled_from(NORM_DIMS), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_norm_is_the_two_norm_of_each_pencil(self, dims, seed):
+        # sigma_1 of the rank-at-zero reading of 0.0 * E - F is the same double
+        # as norm(F, 2), so the zero report reads the same with it as without
+        norm = assert_norms_reused(random_generic(dims, seed), seed)
+        assert None not in norm.values()
+
+    @pytest.mark.parametrize("name,dims,tau", shift_fixture_cases())
+    def test_norm_is_the_two_norm_of_each_shift_fixture_pencil(self, name, dims, tau):
+        # a +0.0 in F (a zero of A_tau or B_tau) leaves the norm to the
+        # reduction: sigma_1 of 0.0 * E - F can then differ from norm(F, 2)
+        # in the last bit, as it does for several of these cases
+        sys = fixture(name, dims, tau, 0)
+        norm = assert_norms_reused(sys, 0)
+        F = system_pencil(block_all(sys)).F
+        for t, value in norm.items():
+            assert (value is None) == bool(((F[t - 1] == 0) & ~np.signbit(F[t - 1])).any())
+
+
+def assert_norms_reused(sys, seed) -> dict:
+    # every norm _read passes on is norm(F, 2) bit for bit, and the zero
+    # report is the one the reduction gives taking the norm itself
+    policy = TolerancePolicy()
+    taus = range(1, sys.dims.N + 1)
+    _, pencils, rank, norm = harness._read(sys, taus, policy, seed, None)
+    assert list(norm) == list(taus)
+    for t in taus:
+        pencil = MatrixPencil(pencils.E, pencils.F[t - 1])
+        assert norm[t] is None or norm[t] == np.linalg.norm(pencil.F, 2)
+        rho = rank["normal_rank", t]
+        assert zero_report(pencil, t, policy, seed, rho, norm[t]) \
+            == zero_report(pencil, t, policy, seed, rho)
+    return norm
 
 
 class TestAnalyze:
@@ -313,10 +410,12 @@ class TestAnalyze:
     # A**2 overflows, so every float reading would be 0 and the zero search
     # would never run; the exact ranks would then pass for zero-freeness
     @pytest.mark.parametrize("tau", ["all", 1, 2])
-    def test_overflowing_blocked_matrices_are_refused(self, example1_sys, tau):
+    def test_overflowing_blocked_matrices_are_refused(self, example1_sys, tau, recwarn):
+        # the refusal is the only report: numpy's overflow warning does not escape
         sys_ = dataclasses.replace(example1_sys, A=np.array([[1e200]]))
         with pytest.raises(ValueError, match="blocked matrices overflow"):
             harness.analyze(sys_, tau)
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestGridSpecValidation:

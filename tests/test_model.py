@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multirate_zeros.errors import SingularA, UnsupportedDims
+from multirate_zeros.errors import UnsupportedDims
 from multirate_zeros.model import (Dimensions, MultirateSystem, SystemClass,
                                    TolerancePolicy, _rng, classify, fixture,
                                    load_system, policy_from_dict,
-                                   random_generic, reverse_time,
-                                   save_system, system_from_dict,
-                                   system_to_dict)
+                                   random_generic, save_system,
+                                   system_from_dict, system_to_dict)
 
 from conftest import EXAMPLE1_DIMS
 
@@ -200,6 +199,19 @@ class TestRandomGeneric:
         gaps = [abs(eig[i] - eig[j]) for i in range(4) for j in range(i + 1, 4)]
         assert min(gaps) > policy.cluster_tol
 
+    @given(dims=st.builds(Dimensions, n=st.integers(1, 6), m=st.integers(1, 5),
+                          p1=st.integers(1, 5), p2=st.integers(1, 24), N=st.integers(2, 8)),
+           seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_one_draw_gives_the_matrices_drawn_one_by_one(self, dims, seed):
+        # the entries come from one standard_normal call, split in the order
+        # A, B, Cf, Cs, Df, Ds; a draw of each matrix in turn gives the same bits
+        rng = _rng(seed)
+        sys = random_generic(dims, seed)
+        for name in ("A", "B", "Cf", "Cs", "Df", "Ds"):
+            want = rng.standard_normal(getattr(sys, name).shape)
+            assert getattr(sys, name).tobytes() == want.tobytes()
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25)
     def test_pure_function_of_seed(self, seed):
@@ -236,46 +248,6 @@ class TestSeeds:
                 want = np.random.Generator(np.random.Philox(key=key)).uniform(size=3)
                 assert np.array_equal(_rng(seed, purpose).uniform(size=3), want)
         assert _rng(0, 1).uniform() != _rng(0).uniform()
-
-
-class TestReverseTime:
-    def test_identity_state_matrix(self):
-        d = Dimensions(2, 2, 1, 1, 2)
-        base = random_generic(d, seed=5)
-        sys = MultirateSystem(dims=d, A=np.eye(2), B=base.B, Cf=base.Cf,
-                              Cs=base.Cs, Df=base.Df, Ds=base.Ds)
-        rev = reverse_time(sys)
-        assert np.allclose(rev.A, np.eye(2))
-        assert np.allclose(rev.B, -base.B)
-        assert np.allclose(rev.Cf, base.Cf)
-        assert np.allclose(rev.Cs, base.Cs)
-        assert np.allclose(rev.Df, base.Df - base.Cf @ base.B)
-        assert np.allclose(rev.Ds, base.Ds - base.Cs @ base.B)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_involution(self, seed):
-        sys = random_generic(Dimensions(3, 2, 1, 3, 2), seed=seed)
-        back = reverse_time(reverse_time(sys))
-        for name in ("A", "B", "Cf", "Cs", "Df", "Ds"):
-            orig = getattr(sys, name)
-            again = getattr(back, name)
-            assert np.allclose(again, orig, rtol=1e-10, atol=1e-10)
-
-    def test_singular_A_refused(self):
-        d = Dimensions(2, 1, 1, 1, 2)
-        base = random_generic(d, seed=0)
-        sys = MultirateSystem(dims=d, A=np.diag([1.0, 0.0]), B=base.B,
-                              Cf=base.Cf, Cs=base.Cs, Df=base.Df, Ds=base.Ds)
-        with pytest.raises(SingularA):
-            reverse_time(sys)
-
-    def test_condition_cap_enforced(self):
-        d = Dimensions(2, 1, 1, 1, 2)
-        base = random_generic(d, seed=0)
-        sys = MultirateSystem(dims=d, A=np.diag([1.0, 1e-12]), B=base.B,
-                              Cf=base.Cf, Cs=base.Cs, Df=base.Df, Ds=base.Ds)
-        with pytest.raises(SingularA):
-            reverse_time(sys)
 
 
 class TestFixtures:

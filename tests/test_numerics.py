@@ -344,6 +344,27 @@ class TestNormalRanks:
             == [normal_rank(system_pencil(at_delay(blocks, i)), policy, seed, bound)
                 for i in range(dims.N)]
 
+    @given(rows=st.integers(1, 7), cols=st.integers(1, 7), inner=st.integers(0, 7),
+           plants=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                           min_size=1, max_size=4),
+           bound=st.one_of(st.none(), st.integers(0, 7)),
+           draw=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_first_point_read_by_the_caller_gives_the_same_values(
+            self, rows, cols, inner, plants, bound, draw, seed):
+        # the ranks at the first sample point, read outside, carry the sweep
+        # on from the second point to the same values, with one svd call less
+        policy = TolerancePolicy()
+        stack = planted_stack(rows, cols, inner, plants, draw, seed, policy)
+        Z = every_sample_point(policy, seed)[0]
+        first = [rank_at(MatrixPencil(E=stack.E, F=F), Z, policy) for F in stack.F]
+        with mock.patch.object(numerics, "_ranks", wraps=numerics._ranks) as spy:
+            got = numerics.normal_ranks(stack, policy, seed, bound, first=first)
+        after = spy.call_count
+        with mock.patch.object(numerics, "_ranks", wraps=numerics._ranks) as spy:
+            assert got == numerics.normal_ranks(stack, policy, seed, bound)
+        assert after == spy.call_count - 1
+
     def test_one_svd_call_per_sample_point(self, monkeypatch, policy):
         # every delay of a generic system meets its bound at the first point
         dims = Dimensions(5, 5, 3, 24, 8)

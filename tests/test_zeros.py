@@ -25,7 +25,7 @@ from conftest import LONG_HORIZON_DIMS, at_delay, planted_zero_system
 
 def delay_fields(sys, tau, policy, seed=0):
     # the rank fields at tau as trials and analyze derive them, unbounded
-    _, _, rank = harness._read(sys, (tau,), policy, seed, None)
+    _, _, rank, _ = harness._read(sys, (tau,), policy, seed, None)
     return harness._delay_fields(rank, sys.dims.n, tau)
 
 
@@ -167,6 +167,61 @@ class TestStructuralReduction:
         assert matched_rel_err(fast_block_zeros(sys, TolerancePolicy()), want) <= 1e-8
 
 
+def reduce_factoring_every_D(A, B, C, D, thr):
+    """`zeros._reduce` with an SVD of every D, one with no columns included."""
+    while len(A):
+        U, s, Vt = np.linalg.svd(D)
+        sigma = np.count_nonzero(s > thr)
+        C1, C2 = np.split(U.T @ C, [sigma])
+        _, s_C2, W = np.linalg.svd(C2)
+        rho = np.count_nonzero(s_C2 > thr)
+        if rho == 0:
+            K = Vt[:sigma].T @ (C1 / s[:sigma, None])
+            return A - B @ K, B @ Vt[sigma:].T
+        A, B = W @ A @ W.T, W @ B
+        A, B, C, D = (A[rho:, rho:], B[rho:],
+                      np.concatenate([A[:rho, rho:], C1 @ W[rho:].T]),
+                      np.concatenate([B[:rho], s[:sigma, None] * Vt[:sigma]]))
+    return A, B
+
+
+class TestReduceWithoutInputs:
+    """A system with no inputs skips the SVD of its empty D and reduces bit for bit the same."""
+
+    @given(seen=st.integers(0, 4), unseen=st.integers(0, 3), q=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_loop_that_factors_every_D(self, seen, unseen, q, seed):
+        # (A, C) with `unseen` modes C cannot see, in a random orthogonal
+        # basis, as the dual run of finite_zero_candidates takes them
+        assume(seen + unseen > 0)
+        rng = np.random.default_rng(seed)
+        n = seen + unseen
+        A = rng.standard_normal((n, n))
+        A[:seen, seen:] = 0.0
+        C = np.zeros((q, n))
+        C[:, :seen] = rng.standard_normal((q, seen))
+        Q = orthogonal(rng, n)
+        A, C = Q @ A @ Q.T, C @ Q.T
+        thr = 1e-9 * (n + q) * np.linalg.norm(np.vstack([A, C]), 2)
+        got = zeros._reduce(A, np.zeros((n, 0)), C, np.zeros((q, 0)), thr)
+        want = reduce_factoring_every_D(A, np.zeros((n, 0)), C, np.zeros((q, 0)), thr)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        # the modes C sees are deflated and those it cannot see are left
+        assert len(got[0]) == (unseen if q else n)
+
+    def test_no_svd_of_an_empty_D(self, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **k: shapes.append(M.shape)
+                            or svd(M, *a, **k))
+        rng = np.random.default_rng(5)
+        zeros._reduce(rng.standard_normal((3, 3)), np.zeros((3, 0)),
+                      rng.standard_normal((1, 3)), np.zeros((1, 0)), 1e-9)
+        assert shapes and all(0 not in shape for shape in shapes)
+
+
 class TestVerifyZero:
     def test_scalar_zero_confirmed(self, policy):
         assert verify_zero(scalar_pencil(1, 2), 2.0, policy, normal_rank=1) == 1
@@ -274,7 +329,7 @@ class TestMultiplicities:
         policy = TolerancePolicy()
         sys = random_generic(dims, seed)
         taus = range(1, dims.N + 1)
-        blocks, _, rank = harness._read(sys, taus, policy, seed, None)
+        blocks, _, rank, _ = harness._read(sys, taus, policy, seed, None)
         for tau in taus:
             blk = at_delay(blocks, tau - 1)
             fields = harness._delay_fields(rank, dims.n, tau)
