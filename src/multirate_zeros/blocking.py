@@ -194,7 +194,9 @@ def lift_relation_residual(blk: BlockedSystem, Z,
     Z, and leaves the slow rows alone; R rotates the input blocks left by
     one, the first picking up a factor 1/Z. Both are applied as block
     rotations, and the Frobenius-norm residual is zero in exact arithmetic
-    for every Z != 0. Z is one point or a nonempty sequence of them, whose
+    for every Z != 0. A pair whose V_tau+1 is zero reads 0 when its
+    residual is zero too, and inf otherwise. Z is one point or a nonempty
+    sequence of them (an empty one is refused with a ValueError), whose
     result is the max of the one-point values. A_tau and B_tau do not
     depend on the delay, so one stacked resolvent solve serves every point
     and all N transfer functions. The transfer functions are formed for
@@ -207,6 +209,8 @@ def lift_relation_residual(blk: BlockedSystem, Z,
         raise ValueError("the lifting relation needs one system blocked at every "
                          f"delay 1..N, in order, as block_all returns it, got tau={blk.tau}")
     points = [Z] if np.ndim(Z) == 0 else list(Z)
+    if not points:
+        raise ValueError("the lifting relation needs at least one point, got an empty sequence")
     if any(z == 0 for z in points):
         raise ZeroZ("the lifting relation involves 1/Z and is undefined at Z=0")
     m, p1, N = blk.dims.m, blk.dims.p1, blk.dims.N
@@ -220,7 +224,8 @@ def lift_relation_residual(blk: BlockedSystem, Z,
         rows = np.concatenate([lo[..., p1:N * p1, :], Z * lo[..., :p1, :],
                                lo[..., N * p1:, :]], axis=2)
         rotated = np.concatenate([rows[..., m:], rows[..., :m] / Z], axis=3)
-        ratios = _squared_norms(hi - rotated) / _squared_norms(hi)
+        res, ref = _squared_norms(hi - rotated), _squared_norms(hi)
+        ratios = np.divide(res, ref, out=np.where(res > 0, np.inf, 0.0), where=ref > 0)
         worst += np.sqrt(np.max(ratios, axis=1, initial=0.0)).tolist()
     return max(worst)
 

@@ -303,30 +303,24 @@ def _escalate(sys: MultirateSystem, rank: dict) -> dict:
     return settle(sys, rank, generic)
 
 
-def _read(sys: MultirateSystem, taus, policy: TolerancePolicy, seed: int,
-          bound: int | None) -> tuple[BlockedSystem, MatrixPencil, dict, dict]:
-    """The blocked systems of sys at every delay, their pencils, their float rank readings,
-    and the 2-norm of each requested delay's F where a reading gives it.
+def _read(sys: MultirateSystem, taus, zeros_at, policy: TolerancePolicy, seed: int,
+          bound: int | None) -> tuple[BlockedSystem, dict, dict]:
+    """The blocked systems of sys at every delay, their float rank readings, and the zero
+    reports at the delays in zeros_at, which are among taus.
 
     One `block_all` stack holds the N blocked systems, and its pencils are
     one stack sharing E: delay t has C_tau[t - 1], D_tau[t - 1] and F[t - 1].
     One stacked svd call reads the N pencils at the first normal-rank
-    sample point together with the rank at Z = 0 (0.0 * E - F, as `rank_at`
-    reads it) at the delays t in taus. `normal_ranks`, stopped at bound,
-    carries the normal-rank sweep on from the second point for the pencils
-    it leaves open, so a generic trial reads every pencil once. rank(D_t)
-    at those delays is one more stacked `numerical_rank` call: all real
-    points in real arithmetic. rank maps (quantity, delay) to a reading,
-    as `_delay_fields` and `_escalate` take it.
-
-    norm maps each delay in taus to norm(F[t - 1], 2), the threshold scale
-    `zero_report` takes, or to None. The svd is odd in its matrix, so
-    sigma_1 of -F is norm(F, 2) bit for bit, and 0.0 * E - F is -F except
-    that it turns a -0.0 of -F into +0.0. A zero's sign can steer a
-    Householder reflection, so sigma_1 of the rank-at-zero reading is
-    passed on only where F holds no +0.0, as in every random system; at
-    the other delays (structured systems) norm is None and the reduction
-    takes the norm itself. A system whose blocked matrices overflow is
+    sample point together with the rank at Z = 0 at the delays t in taus,
+    on F[t - 1]: the pencil at 0 is -F, whose singular values are F's.
+    `normal_ranks`, stopped at bound, carries the normal-rank sweep on from
+    the second point for the pencils it leaves open, so a generic trial
+    reads every pencil once. rank(D_t) at those delays is one more stacked
+    `numerical_rank` call: all real points in real arithmetic. rank maps
+    (quantity, delay) to a reading, as `_delay_fields` and `_escalate` take
+    it. reports maps each delay in zeros_at to its `zero_report`, given the
+    normal rank of the sweep and, as norm(F, 2), the largest singular value
+    of the rank-at-zero reading. A system whose blocked matrices overflow is
     refused with a ValueError, since every float reading of it would be
     meaningless; the overflow warns nothing on the way.
     """
@@ -339,17 +333,17 @@ def _read(sys: MultirateSystem, taus, policy: TolerancePolicy, seed: int,
         raise ValueError("the blocked matrices overflow: the pencils hold non-finite entries")
     E, F, N = pencils.E, pencils.F, len(pencils.F)
     at = [t - 1 for t in taus]
-    F_at = F[at]
     Z = _sample_points(seed, policy.normal_rank_samples)[0]
-    ranks, s = _ranks(np.concatenate([_evaluate(E, F, Z), 0.0 * E - F_at]), policy)
+    ranks, s = _ranks(np.concatenate([_evaluate(E, F, Z), F[at]]), policy)
     rho = normal_ranks(pencils, policy, seed, bound, first=ranks[:N])
     rank = {("normal_rank", t): r for t, r in enumerate(rho, 1)}
-    rank_D = numerical_rank(blocks.D_tau[at], policy)
-    for t, r_D, r_0 in zip(taus, rank_D, ranks[N:].tolist()):
-        rank["rank_D", t], rank["rank_at_zero", t] = r_D, r_0
-    plus_zero = ((F_at == 0) & ~np.signbit(F_at)).any(axis=(1, 2))
-    norm = {t: None if z else x for t, z, x in zip(taus, plus_zero, s[N:, 0].tolist())}
-    return blocks, pencils, rank, norm
+    norm = {}
+    for t, r_D, r_0, s_1 in zip(taus, numerical_rank(blocks.D_tau[at], policy),
+                                ranks[N:].tolist(), s[N:, 0].tolist()):
+        rank["rank_D", t], rank["rank_at_zero", t], norm[t] = r_D, r_0, s_1
+    reports = {t: zero_report(MatrixPencil(E, F[t - 1]), t, policy, seed,
+                              rank["normal_rank", t], norm[t]) for t in zeros_at}
+    return blocks, rank, reports
 
 
 def run_trial(dims: Dimensions, tau: int, seed: int,
@@ -364,14 +358,14 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     [2**-0.5, 2**0.5], drawn from the first uniforms behind the normal-rank
     sample points; there X, the transfer functions and the residuals are
     real. One `lift_relation_residual` call takes every point, with one
-    stacked solve for all their resolvents. The finite-zero reduction runs at
-    tau only, its threshold scaled by the norm `_read` hands on. Every rank
-    field is derived by `_rank_fields` from the readings `_read` takes: the
-    normal rank at every delay, and the ranks of D_tau and at Z = 0 at tau
-    and at the dual delay. Its stacked normal-rank sweep costs one svd call
-    per sample point, the first also reading the ranks at Z = 0, and each
-    delay's sweep stops at the predicted normal rank, which no instance
-    exceeds, so a generic trial costs that one call and one for rank(D_tau).
+    stacked solve for all their resolvents. `_read` gives the zero report at
+    tau only, and every rank field is derived by `_rank_fields` from the
+    readings it takes: the normal rank at every delay, and the ranks of
+    D_tau and at Z = 0 at tau and at the dual delay. Its stacked
+    normal-rank sweep costs one svd call per sample point, the first also
+    reading the ranks at Z = 0, and each delay's sweep stops at the
+    predicted normal rank, which no instance exceeds, so a generic trial
+    costs that one call and one for rank(D_tau).
     Numerical failures (e.g. an SVD or eigensolver that does not converge)
     are captured in the record, not raised. A numpy integer tau or seed is
     recorded as its Python int.
@@ -395,10 +389,9 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     escalated = ()
     agreement = dict.fromkeys(AGREEMENT_KEYS, False)
     try:
-        blocks, pencils, rank, norm = _read(sys, (tau, dual_index(tau, dims.N)), policy,
-                                            seed, pred.normal_rank)
-        rep = zero_report(MatrixPencil(pencils.E, pencils.F[tau - 1]), tau, policy, seed,
-                          rank["normal_rank", tau], norm[tau])
+        blocks, rank, reports = _read(sys, (tau, dual_index(tau, dims.N)), (tau,), policy,
+                                      seed, pred.normal_rank)
+        rep = reports[tau]
         # real points of either sign with |Z| in [2**-0.5, 2**0.5], from the
         # first uniforms behind the normal-rank points; a scalar 2.0 ** x,
         # since numpy's vectorized power can differ from it in the last bit
@@ -441,16 +434,16 @@ def analyze(sys: MultirateSystem, tau: int | str = "all",
     """Zero structure of one system at delay tau, or at every delay for "all".
 
     Returns the payload `analyze --out` writes, timestamp included. The
-    readings come from `_read`, as in a trial, with ANALYZE_SEED for the
-    sample points, and every rank field at a delay
-    from `_delay_fields`. For a tall system the normal-rank sweep stops at
-    the generic normal rank, one `_escalate` call settles every reading at
-    the requested delays that is not at its generic value, the fields are
-    derived again, and measured["screen"] keeps the float value of each
-    field that changed. A system that is not tall has no predictions: its
+    readings and the zero report at each delay come from `_read`, as in a
+    trial, with ANALYZE_SEED for the sample points, and every rank field at
+    a delay from `_delay_fields`. For a tall system the normal-rank sweep
+    stops at the generic normal rank, one `_escalate` call settles every
+    reading at the requested delays that is not at its generic value, the
+    fields are derived again, and measured["screen"] keeps the float value
+    of each field that changed. A system that is not tall has no predictions: its
     float readings stand, and predicted and agreement are None. The finite
     nonzero zeros stay a float reading, as in trials: their list and
-    multiplicities are those of `zero_report`, and no_finite_nonzero
+    multiplicities are those of the zero report, and no_finite_nonzero
     compares their float count.
     """
     if tau != "all" and not _is_int(tau):
@@ -464,13 +457,12 @@ def analyze(sys: MultirateSystem, tau: int | str = "all",
         predictions = {}
     # the generic normal rank, the same at every delay, bounds this system's
     bound = predictions[taus[0]].normal_rank if predictions else None
-    _, pencils, rank, norm = _read(sys, taus, policy, ANALYZE_SEED, bound)
+    _, rank, reports = _read(sys, taus, taus, policy, ANALYZE_SEED, bound)
     readings = {(q, t): v for (q, t), v in rank.items() if t in taus}
     settled = _escalate(sys, readings) if predictions else readings
     results = []
     for t in taus:
-        rep = zero_report(MatrixPencil(pencils.E, pencils.F[t - 1]), t, policy, ANALYZE_SEED,
-                          rank["normal_rank", t], norm[t])
+        rep = reports[t]
         measured = {**zero_report_to_dict(rep), **_delay_fields(readings, dims.n, t)}
         pred = predictions.get(t)
         predicted = agreement = None

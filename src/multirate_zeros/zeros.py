@@ -101,15 +101,14 @@ def finite_zero_candidates(pencil: MatrixPencil, policy: TolerancePolicy,
     [[I, 0], [0, 0]] with n the nonzero rows of E, and F is [[A, B],
     [-C, -D]]. Any other pencil is refused with a ValueError. Every rank
     decision counts singular values above one threshold,
-    rel_rank_tol * max(rows, cols) * norm, where norm is norm(F, 2). A
-    caller that holds it passes it: the harness passes the largest singular
-    value of its rank-at-zero reading where that reading is -F bit for bit,
-    the same double, since the svd is odd in its matrix (see
-    `harness._read`). When norm is None it is computed here. `_reduce` deflates the structure at infinity, leaving (A_K, B_N)
-    whose uncontrollable modes are the finite zeros. `_reduce` on the dual
-    system (A_K^T, no inputs, B_N^T) deflates the controllable part, and
-    the eigenvalues of the A that is left are the finite zeros, with
-    algebraic multiplicity before clustering. No random number is drawn.
+    rel_rank_tol * max(rows, cols) * norm, where norm is norm(F, 2),
+    computed here when it is None (`harness._read` passes the largest
+    singular value of its rank-at-zero reading of F). `_reduce` deflates
+    the structure at infinity, leaving (A_K, B_N) whose uncontrollable
+    modes are the finite zeros. `_reduce` on the dual system (A_K^T, no
+    inputs, B_N^T) deflates the controllable part, and the eigenvalues of
+    the A that is left are the finite zeros, with algebraic multiplicity
+    before clustering. No random number is drawn.
     A failed SVD or eigensolver raises ConvergenceFailure.
     """
     E, F = pencil.E, pencil.F
@@ -173,9 +172,9 @@ def zero_report(pencil: MatrixPencil, tau: int, policy: TolerancePolicy | None =
 
     pencil is the system pencil of the system blocked at delay tau, as
     `system_pencil` builds it. This is the only caller of
-    `finite_zero_candidates`, and a verification trial calls it at tau
-    alone, on its entry of the stack the harness reads. The points the
-    reduction returns are sorted into bands: those within zero_radius of
+    `finite_zero_candidates`; `harness._read` calls it on its entries of
+    the stack it reads, at tau alone in a verification trial. The points
+    the reduction returns are sorted into bands: those within zero_radius of
     the origin are the origin's, and those beyond 1/zero_radius are not
     separable from infinity at the working tolerance, so both are skipped;
     `verify_zero` reads the geometric multiplicity of every other point.
@@ -183,11 +182,10 @@ def zero_report(pencil: MatrixPencil, tau: int, policy: TolerancePolicy | None =
     nonzero zeros when the rank test confirms them; those in the band
     between zero_radius and cluster_tol are reported separately instead of
     being silently attributed to the origin. candidates_examined counts the
-    points the reduction returns. rho is the pencil's normal rank; when it
-    is None, `normal_rank` reads it (the harness passes the reading of its
-    stacked sweep instead). norm is norm(F, 2), which
-    `finite_zero_candidates` computes when it is None (the harness passes
-    the largest singular value of its rank-at-zero reading instead).
+    points the reduction returns. rho is the pencil's normal rank, read by
+    `normal_rank` when it is None, and norm is norm(F, 2), computed by
+    `finite_zero_candidates` when it is None; `harness._read` passes the
+    readings it holds for both.
     """
     policy = policy or TolerancePolicy()
     if rho is None:

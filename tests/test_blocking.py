@@ -1,6 +1,7 @@
 """Blocked system assembly, the pencil, transfer evaluation, lifting recursion."""
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -450,6 +451,25 @@ class TestLiftRelation:
     def test_empty_sequence_refused(self):
         with pytest.raises(ValueError, match="empty"):
             lift_relation_residual(block_all(random_generic(LIFT_DIMS, seed=21)), [])
+
+    @pytest.mark.parametrize("points", [[0.9, -1.1], [-1.1, 0.9]])
+    def test_zero_transfer_function_reads_zero(self, points):
+        # this fixture has all-zero outputs, so every V_tau and every
+        # residual is zero: 0 in either point order, with no 0/0 warning
+        blocks = block_all(fixture("shift_controllability", Dimensions(2, 1, 1, 1, 2), 1, 0))
+        assert not blocks.C_tau.any() and not blocks.D_tau.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lift_relation_residual(blocks, points) == 0.0
+
+    def test_zero_reference_with_a_residual_reads_inf(self):
+        # V_2 is zero but L V_1 R is not
+        blocks = block_all(fixture("shift_controllability", Dimensions(2, 1, 1, 1, 2), 1, 0))
+        D = blocks.D_tau.copy()
+        D[0] += 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lift_relation_residual(replace(blocks, D_tau=D), [0.9, -1.1]) == np.inf
 
     def test_systems_must_match(self):
         # a system blocked at one delay is refused; a stack holds one

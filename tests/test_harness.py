@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multirate_zeros import harness, numerics, zeros
-from multirate_zeros.blocking import (MatrixPencil, block, block_all,
-                                      lift_relation_residual, system_pencil)
+from multirate_zeros.blocking import block, lift_relation_residual, system_pencil
 from multirate_zeros.cli import main
 from multirate_zeros.errors import NotTallClass, TauOutOfRange
 from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, LIFT_SAMPLES, GridSpec,
@@ -292,78 +291,86 @@ class TestRunTrial:
             run_trial(Dimensions(1, 2, 1, 2, 2), tau=1, seed=0)
 
 
+def random_read_cases():
+    # (system maker taking the seed, delays) for random systems
+    return [pytest.param(lambda seed, d=dims: random_generic(d, seed), taus, id=name)
+            for name, dims, taus in [
+                ("own-dual", Dimensions(2, 2, 1, 4, 3), (2, 2)),  # tau = 2 is its own dual at N = 3
+                ("dual-pair", Dimensions(2, 2, 1, 4, 3), (3, 1)),
+                ("example1", EXAMPLE1_DIMS, (1, 2)),
+                ("long-pair", LONG_HORIZON_DIMS, (1, 8)),
+                ("long-all", LONG_HORIZON_DIMS, range(1, 9))]]  # analyze's --tau all
+
+
+def shift_fixture_read_cases():
+    # (system maker ignoring the seed, every delay) for the shift fixtures
+    return [pytest.param(lambda seed, c=(name, dims, tau): fixture(*c, 0),
+                         range(1, dims.N + 1), id=f"{name}-{dims.n}{dims.m}{dims.p1}{dims.p2}"
+                         f"{dims.N}-tau{tau}")
+            for name, dims, tau in shift_fixture_cases()]
+
+
 class TestRead:
     """`_read`'s stacked readings are the one-matrix readings at each delay."""
 
-    @pytest.mark.parametrize("dims,taus", [
-        (Dimensions(2, 2, 1, 4, 3), (2, 2)),          # tau = 2 is its own dual at N = 3
-        (Dimensions(2, 2, 1, 4, 3), (3, 1)),
-        (EXAMPLE1_DIMS, (1, 2)),
-        (LONG_HORIZON_DIMS, (1, 8)),
-        (LONG_HORIZON_DIMS, range(1, 9))],            # analyze's --tau all
-        ids=["own-dual", "dual-pair", "example1", "long-pair", "long-all"])
+    @pytest.mark.parametrize("make,taus", random_read_cases() + shift_fixture_read_cases())
     @pytest.mark.parametrize("policy", [TolerancePolicy(), TolerancePolicy(rel_rank_tol=0.1)],
                              ids=["default", "coarse"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_one_stack_per_kind_of_reading(self, monkeypatch, dims, taus, policy, seed):
+    def test_one_stack_per_kind_of_reading(self, monkeypatch, make, taus, policy, seed):
         # rank(D_t) is one stack; the N pencils at the first sample point and
-        # the rank at 0 at the requested delays are one more
+        # the rank at 0, read on F, at the requested delays are one more
         stacks, first = [], []
         ranks = numerics._ranks
         monkeypatch.setattr(harness, "numerical_rank",
                             lambda M, pol: stacks.append(M.shape[0]) or numerical_rank(M, pol))
         monkeypatch.setattr(harness, "_ranks",
                             lambda M, pol: first.append(M.shape[0]) or ranks(M, pol))
-        blocks, pencils, rank, norm = harness._read(random_generic(dims, seed), taus, policy,
-                                                    seed, None)
+        sys = make(seed)
+        blocks, rank, reports = harness._read(sys, taus, taus, policy, seed, None)
         delays = list(dict.fromkeys(taus))
         assert stacks == [len(delays)]
-        assert first == [dims.N + len(delays)]
-        assert {t for q, t in rank if q != "normal_rank"} == set(delays) == set(norm)
+        assert first == [sys.dims.N + len(delays)]
+        assert {t for q, t in rank if q != "normal_rank"} == set(delays) == set(reports)
         for t in delays:
             pencil = system_pencil(at_delay(blocks, t - 1))
             assert rank["rank_D", t] == numerical_rank(blocks.D_tau[t - 1], policy)
             assert rank["rank_at_zero", t] == rank_at(pencil, 0.0, policy)
             assert rank["normal_rank", t] == normal_rank(pencil, policy, seed)
-            assert norm[t] == np.linalg.norm(pencil.F, 2)
-            assert np.array_equal(pencils.E, pencil.E)
-            assert np.array_equal(pencils.F[t - 1], pencil.F)
+            assert reports[t] == zero_report(pencil, t, policy, seed)
 
+    def test_reports_only_at_the_delays_asked_for(self):
+        # a trial reads ranks at tau and its dual, and the zero report at tau
+        sys = random_generic(Dimensions(2, 2, 1, 4, 3), 0)
+        _, rank, reports = harness._read(sys, (1, 3), (1,), TolerancePolicy(), 0, None)
+        assert {t for q, t in rank if q != "normal_rank"} == {1, 3}
+        assert list(reports) == [1]
 
     @given(dims=st.sampled_from(NORM_DIMS), seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=60, deadline=None)
     def test_norm_is_the_two_norm_of_each_pencil(self, dims, seed):
-        # sigma_1 of the rank-at-zero reading of 0.0 * E - F is the same double
-        # as norm(F, 2), so the zero report reads the same with it as without
-        norm = assert_norms_reused(random_generic(dims, seed), seed)
-        assert None not in norm.values()
+        assert_norms_reused(random_generic(dims, seed), seed)
 
     @pytest.mark.parametrize("name,dims,tau", shift_fixture_cases())
     def test_norm_is_the_two_norm_of_each_shift_fixture_pencil(self, name, dims, tau):
-        # a +0.0 in F (a zero of A_tau or B_tau) leaves the norm to the
-        # reduction: sigma_1 of 0.0 * E - F can then differ from norm(F, 2)
-        # in the last bit, as it does for several of these cases
-        sys = fixture(name, dims, tau, 0)
-        norm = assert_norms_reused(sys, 0)
-        F = system_pencil(block_all(sys)).F
-        for t, value in norm.items():
-            assert (value is None) == bool(((F[t - 1] == 0) & ~np.signbit(F[t - 1])).any())
+        # F holds +0.0 entries here, where 0.0 * E - F would read a -0.0 and
+        # sigma_1 could differ from norm(F, 2) in the last bit
+        assert_norms_reused(fixture(name, dims, tau, 0), 0)
 
 
-def assert_norms_reused(sys, seed) -> dict:
-    # every norm _read passes on is norm(F, 2) bit for bit, and the zero
-    # report is the one the reduction gives taking the norm itself
-    policy = TolerancePolicy()
-    taus = range(1, sys.dims.N + 1)
-    _, pencils, rank, norm = harness._read(sys, taus, policy, seed, None)
-    assert list(norm) == list(taus)
-    for t in taus:
-        pencil = MatrixPencil(pencils.E, pencils.F[t - 1])
-        assert norm[t] is None or norm[t] == np.linalg.norm(pencil.F, 2)
-        rho = rank["normal_rank", t]
-        assert zero_report(pencil, t, policy, seed, rho, norm[t]) \
-            == zero_report(pencil, t, policy, seed, rho)
-    return norm
+def assert_norms_reused(sys, seed):
+    # sigma_1 of the rank-at-zero reading, which _read hands zero_report at
+    # every delay, is norm(F, 2) bit for bit, and each report is the one the
+    # reduction gives taking the norm itself
+    policy, taus, calls = TolerancePolicy(), range(1, sys.dims.N + 1), []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "zero_report", lambda *a: calls.append(a) or zero_report(*a))
+        blocks, _, reports = harness._read(sys, taus, taus, policy, seed, None)
+    assert [a[1] for a in calls] == list(taus)
+    for pencil, t, _, _, rho, norm in calls:
+        assert np.array_equal(pencil.F, system_pencil(at_delay(blocks, t - 1)).F)
+        assert isinstance(norm, float) and norm == np.linalg.norm(pencil.F, 2)
+        assert reports[t] == zero_report(pencil, t, policy, seed, rho)
 
 
 class TestAnalyze:
