@@ -20,10 +20,8 @@ from .model import (Dimensions, MultirateSystem, SystemClass, TolerancePolicy,
                     classify, fixture, load_system, random_generic,
                     save_system, system_from_dict, system_to_dict)
 from .numerics import eigenvalues, normal_rank, numerical_rank, rank_at
-from .oracle import (TableRow, TheoryPrediction, dual_index, predict,
-                     predict_controllability_rank, predict_mult_infinity,
-                     predict_mult_zero, predict_normal_rank, predict_rank_D,
-                     summary_table)
+from .oracle import (TheoryPrediction, dual_index, predict,
+                     predict_controllability_rank)
 from .zeros import (ZeroReport, finite_zero_candidates, verify_zero,
                     zero_report, zero_report_to_dict)
 
@@ -40,10 +38,7 @@ __all__ = [
     "load_system", "random_generic", "save_system",
     "system_from_dict", "system_to_dict",
     "eigenvalues", "normal_rank", "numerical_rank", "rank_at",
-    "TableRow", "TheoryPrediction", "dual_index", "predict",
-    "predict_controllability_rank", "predict_mult_infinity",
-    "predict_mult_zero", "predict_normal_rank", "predict_rank_D",
-    "summary_table",
+    "TheoryPrediction", "dual_index", "predict", "predict_controllability_rank",
     "ZeroReport", "finite_zero_candidates", "verify_zero", "zero_report",
     "zero_report_to_dict",
 ]

@@ -18,7 +18,7 @@ from ._version import __version__
 from .errors import MultirateError
 from .harness import analyze, emit_report, grid_spec_from_dict, run_fixture_suite, run_grid
 from .model import Dimensions, TolerancePolicy, load_system, policy_from_dict
-from .oracle import summary_table
+from .oracle import predict
 
 
 def _load_policy(path: str | None) -> TolerancePolicy:
@@ -88,17 +88,20 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     dims = args.dims
-    rows = [summary_table(dims, tau) for tau in range(1, dims.N + 1)]
+    preds = [predict(dims, tau) for tau in range(1, dims.N + 1)]
     header = (f"zero structure for n={dims.n} m={dims.m} p1={dims.p1} "
-              f"p2={dims.p2} N={dims.N} ({rows[0].system_class.value})\n"
-              f"normal rank {rows[0].normal_rank} "
+              f"p2={dims.p2} N={dims.N} ({preds[0].system_class.value})\n"
+              f"normal rank {preds[0].normal_rank} "
               f"(full column rank would be {dims.n + dims.N * dims.m})\n\n")
     cols = ("tau", "rank_D", "finite_nonzero", "at_origin", "at_infinity")
     widths = [5, 8, 16, 12, 13]
     lines = ["".join(c.rjust(w) for c, w in zip(cols, widths))]
-    for row in rows:
-        cells = (str(row.tau), str(row.rank_D), row.finite_nonzero,
-                 row.at_zero, row.at_infinity)
+    for pred in preds:
+        # a tall system generically has no finite nonzero zero, at any delay
+        # (the source paper's theorem), so that column is always "No"
+        cells = (str(pred.tau), str(pred.rank_D), "No",
+                 *(f"Yes ({k})" if k else "No"
+                   for k in (pred.mult_at_zero, pred.mult_at_infinity)))
         lines.append("".join(c.rjust(w) for c, w in zip(cells, widths)))
     _write(args.out, header + "\n".join(lines) + "\n")
     return 0

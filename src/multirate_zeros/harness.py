@@ -33,7 +33,7 @@ from .model import (Dimensions, MultirateSystem, TolerancePolicy, _check_fields,
 # perfbench's tracer reads and wraps harness.normal_rank, so it stays bound
 from .numerics import (_evaluate, _ranks, _sample_points, _sample_uniforms,  # noqa: F401
                        normal_rank, normal_ranks, numerical_rank)
-from .oracle import dual_index, predict, predict_controllability_rank, predict_rank_D
+from .oracle import dual_index, predict, predict_controllability_rank
 from .zeros import multiplicities, zero_report, zero_report_to_dict
 
 LIFT_RESIDUAL_TOL = 1e-9
@@ -146,6 +146,9 @@ class GridSpec:
                 raise ValueError(f"{_grid_field(name)} must be an integer >= {least}, "
                                  f"got {v!r}")
             object.__setattr__(self, name, int(v))
+        if not isinstance(self.policy, TolerancePolicy):
+            raise ValueError(f"{_grid_field('policy')} must be a TolerancePolicy, "
+                             f"got {self.policy!r}")
         n_cells = sum(1 for _ in cells(self))
         # a sweep of no trials would report vacuous agreement
         if n_cells == 0:
@@ -608,7 +611,7 @@ def _fixture_rank_rows(policy: TolerancePolicy) -> list[dict]:
                         cases += [("shift_large_n", T + q) for q in (1, 2)]
                     for name, n in cases:
                         dims = Dimensions(n=n, m=m, p1=p1, p2=p2, N=N)
-                        expected = predict_rank_D(dims, tau)[0]
+                        expected = predict(dims, tau).rank_D
                         sys = fixture(name, dims, tau, 0)
                         meas = numerical_rank(block(sys, tau).D_tau, policy)
                         rows.append({

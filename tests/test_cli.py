@@ -403,6 +403,20 @@ class TestTable:
         assert "Yes (5)" in rows[-1]     # five zeros at infinity at tau=8
         assert rows[3].split()[2:] == ["No", "No", "No"]  # tau=4 is zero free
 
+    # the finite_nonzero, at_origin and at_infinity cells of the tau = 1 row
+    @pytest.mark.parametrize("dims,cells", [
+        (Dimensions(2, 1, 2, 1, 3), ["No", "No", "No"]),        # fast tall
+        (LONG_HORIZON_DIMS, ["No", "Yes (5)", "No"]),            # origin heavy
+        (Dimensions(3, 2, 2, 1, 2), ["No", "No", "No"]),        # square rate
+    ])
+    def test_first_row(self, tmp_path, dims, cells):
+        out = tmp_path / "table.txt"
+        assert main(["table", "--dims", f"{dims.n},{dims.m},{dims.p1},{dims.p2},{dims.N}",
+                     "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[-dims.N]
+        # the columns are right-aligned in widths 5, 8, 16, 12 and 13
+        assert [row[a:b].strip() for a, b in ((13, 29), (29, 41), (41, 54))] == cells
+
     def test_not_tall_dims_rejected(self, tmp_path, capsys):
         code = main(["table", "--dims", "1,2,1,2,2",
                      "--out", str(tmp_path / "t.txt")])

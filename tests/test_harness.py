@@ -22,7 +22,7 @@ from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, LIFT_SAMPLES, 
 from multirate_zeros.model import (Dimensions, MultirateSystem, TolerancePolicy,
                                    fixture, random_generic, save_system)
 from multirate_zeros.numerics import normal_rank, normal_ranks, numerical_rank, rank_at
-from multirate_zeros.oracle import dual_index, predict_rank_D
+from multirate_zeros.oracle import dual_index, predict
 from multirate_zeros.zeros import finite_zero_candidates, multiplicities, zero_report
 
 from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, at_delay, pencil_count
@@ -463,6 +463,13 @@ class TestGridSpecValidation:
         with pytest.raises(ValueError, match="taus"):
             GridSpec(n_values=(1,), m_values=(2,), N_values=(2,), taus=(1.5,))
 
+    # a dict failed in the first trial, and None only once every trial had
+    # run, when the report was serialized
+    @pytest.mark.parametrize("policy", [{"rel_rank_tol": 1e-9}, None])
+    def test_policy_must_be_a_tolerance_policy(self, policy):
+        with pytest.raises(ValueError, match=re.escape("grid field 'policy'")):
+            GridSpec(n_values=(1,), m_values=(2,), N_values=(2,), policy=policy)
+
     # a non-integer axis value would fail mid-sweep, in the cell that uses it
     def test_float_axis_value(self):
         with pytest.raises(ValueError, match="n_values"):
@@ -699,21 +706,21 @@ class TestFixtureSuite:
         assert row["expected"] == row["measured"] == 6
 
     def test_expected_ranks_are_the_oracles(self, monkeypatch, policy):
-        # every row's expected value is predict_rank_D's, and the rows reach
-        # both of its cases
+        # every row's expected value is the oracle's rank_D, and the rows
+        # reach both of its cases
         labels = []
 
         def recording(dims, tau):
-            labels.append(predict_rank_D(dims, tau)[1])
-            return predict_rank_D(dims, tau)
+            labels.append(predict(dims, tau).case_labels["rank_D"])
+            return predict(dims, tau)
 
-        monkeypatch.setattr(harness, "predict_rank_D", recording)
+        monkeypatch.setattr(harness, "predict", recording)
         rows = harness._fixture_rank_rows(policy)
         assert len(labels) == len(rows) == 31
         assert set(labels) == {"small-state", "large-state"}
         for row in rows:
             dims = Dimensions(row["n"], row["m"], row["p1"], row["p2"], row["N"])
-            assert row["expected"] == predict_rank_D(dims, row["tau"])[0]
+            assert row["expected"] == predict(dims, row["tau"]).rank_D
 
     def test_controllability_rows(self, fixture_report):
         report = fixture_report

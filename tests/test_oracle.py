@@ -1,20 +1,104 @@
 """Closed-form predictions: values, case labels, and integer identities."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multirate_zeros.blocking import _check_tau
 from multirate_zeros.errors import NotTallClass, TauOutOfRange
-from multirate_zeros.model import Dimensions, SystemClass
-from multirate_zeros.oracle import (dual_index, predict,
-                                    predict_controllability_rank,
-                                    predict_mult_infinity, predict_mult_zero,
-                                    predict_normal_rank, predict_rank_D,
-                                    summary_table)
+from multirate_zeros.model import Dimensions, SystemClass, classify
+from multirate_zeros.oracle import dual_index, predict, predict_controllability_rank
 
 from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS
+
+
+# The reference: each quantity's formula written out on its own, the origin's
+# multiplicity mirrored from the infinity one by hand, as the oracle once
+# stated them. `predict` must give their values, labels and refusals.
+
+def ref_require_tall(dims: Dimensions) -> SystemClass:
+    cls = classify(dims)
+    if cls is SystemClass.NOT_TALL:
+        raise NotTallClass(
+            f"dims {dims} give N*p1+p2 = {dims.N * dims.p1 + dims.p2} "
+            f"<= N*m = {dims.N * dims.m}")
+    return cls
+
+
+def ref_rank_D(dims: Dimensions, tau: int) -> tuple[int, str]:
+    cls = ref_require_tall(dims)
+    tau = _check_tau(tau, dims.N)
+    n, m, p1, N = dims.n, dims.m, dims.p1, dims.N
+    if cls is SystemClass.FAST_TALL:
+        return N * m, "full-column"
+    if n <= (N - tau) * (m - p1):
+        return (N - 1) * p1 + m + n, "small-state"
+    return (tau - 1) * p1 + (N - tau + 1) * m, "large-state"
+
+
+def ref_normal_rank(dims: Dimensions) -> tuple[int, str]:
+    ref_require_tall(dims)
+    n, m, p1, N = dims.n, dims.m, dims.p1, dims.N
+    if p1 >= m:
+        return n + N * m, "full-column"
+    if n < (N - 1) * (m - p1):
+        return (N - 1) * p1 + m + 2 * n, "deficient"
+    return n + N * m, "full-column"
+
+
+def ref_mult_infinity(dims: Dimensions, tau: int) -> tuple[int, str]:
+    cls = ref_require_tall(dims)
+    tau = _check_tau(tau, dims.N)
+    n, m, p1, N = dims.n, dims.m, dims.p1, dims.N
+    w = m - p1
+    if cls is SystemClass.FAST_TALL or w == 0 or n <= (N - tau) * w:
+        return 0, "none"
+    if n <= (N - 1) * w:
+        return n - (N - tau) * w, "partial"
+    return (tau - 1) * w, "saturated"
+
+
+def ref_mult_zero(dims: Dimensions, tau: int) -> tuple[int, str]:
+    cls = ref_require_tall(dims)
+    tau = _check_tau(tau, dims.N)
+    n, m, p1, N = dims.n, dims.m, dims.p1, dims.N
+    w = m - p1
+    if cls is SystemClass.FAST_TALL or w == 0 or n <= (tau - 1) * w:
+        return 0, "none"
+    if n <= (N - 1) * w:
+        return n - (tau - 1) * w, "partial"
+    return (N - tau) * w, "saturated"
+
+
+def reference(dims: Dimensions, tau: int) -> dict[str, tuple[int, str]]:
+    return {"rank_D": ref_rank_D(dims, tau), "normal_rank": ref_normal_rank(dims),
+            "mult_at_zero": ref_mult_zero(dims, tau),
+            "mult_at_infinity": ref_mult_infinity(dims, tau)}
+
+
+def part(dims: Dimensions, tau: int, key: str) -> tuple[int, str]:
+    """One predicted quantity with its case label."""
+    pred = predict(dims, tau)
+    return getattr(pred, key), pred.case_labels[key]
+
+
+def predicted(dims: Dimensions, tau: int) -> dict[str, tuple[int, str]]:
+    """predict's quantities in the reference's form."""
+    pred = predict(dims, tau)
+    assert (pred.dims, pred.tau, pred.system_class) == (dims, tau, classify(dims))
+    return {key: (getattr(pred, key), label) for key, label in pred.case_labels.items()}
+
+
+def outcome(f, dims: Dimensions, tau: int):
+    """f's value, or the type and message of its refusal."""
+    try:
+        return f(dims, tau)
+    except (NotTallClass, TauOutOfRange) as exc:
+        return type(exc), str(exc)
 
 
 @st.composite
@@ -33,50 +117,66 @@ def tall_dims_and_tau(draw):
     return dims, draw(st.integers(1, dims.N))
 
 
+class TestReference:
+    def test_equals_the_reference_exhaustively(self):
+        # every dims with n <= 12, m <= 4, p1 <= m + 2, N <= 7 and
+        # p2 <= N*m + 2, tall or not, at its 95 064 delays in 1..N and at
+        # 0 and N + 1
+        in_range = 0
+        for n, m, N in itertools.product(range(1, 13), range(1, 5), range(2, 8)):
+            for p1, p2 in itertools.product(range(1, m + 3), range(1, N * m + 3)):
+                dims = Dimensions(n, m, p1, p2, N)
+                for tau in range(N + 2):
+                    assert outcome(predicted, dims, tau) == outcome(reference, dims, tau)
+                in_range += N
+        assert in_range == 95064
+
+
 class TestRankD:
     def test_small_state_case(self):
-        assert predict_rank_D(EXAMPLE1_DIMS, 1) == (5, "small-state")
+        assert part(EXAMPLE1_DIMS, 1, "rank_D") == (5, "small-state")
 
     def test_large_state_case(self):
-        assert predict_rank_D(EXAMPLE1_DIMS, 2) == (4, "large-state")
+        assert part(EXAMPLE1_DIMS, 2, "rank_D") == (4, "large-state")
 
     def test_boundary_formulas_coincide(self):
         dims = Dimensions(2, 3, 1, 5, 2)  # n = (N - tau)(m - p1) exactly
-        value, _ = predict_rank_D(dims, 1)
+        value = predict(dims, 1).rank_D
         n, m, p1, N, tau = dims.n, dims.m, dims.p1, dims.N, 1
         assert value == (N - 1) * p1 + m + n == (tau - 1) * p1 + (N - tau + 1) * m == 6
 
     def test_fast_tall_full_column(self):
-        assert predict_rank_D(Dimensions(2, 1, 2, 1, 3), 2) == (3, "full-column")
+        assert part(Dimensions(2, 1, 2, 1, 3), 2, "rank_D") == (3, "full-column")
 
     def test_not_tall_rejected(self):
         with pytest.raises(NotTallClass):
-            predict_rank_D(Dimensions(1, 2, 1, 2, 2), 1)
+            predict(Dimensions(1, 2, 1, 2, 2), 1)
 
     def test_tau_out_of_range(self):
         with pytest.raises(TauOutOfRange):
-            predict_rank_D(EXAMPLE1_DIMS, 3)
+            predict(EXAMPLE1_DIMS, 3)
 
     @given(dt=tall_dims_and_tau())
     def test_bounded_by_full_column(self, dt):
         dims, tau = dt
-        value, _ = predict_rank_D(dims, tau)
-        assert 0 <= value <= dims.N * dims.m
+        assert 0 <= predict(dims, tau).rank_D <= dims.N * dims.m
 
 
 class TestNormalRank:
     def test_worked_instance_deficient(self):
-        assert predict_normal_rank(EXAMPLE1_DIMS) == (6, "deficient")
+        assert part(EXAMPLE1_DIMS, 1, "normal_rank") == (6, "deficient")
 
     def test_large_state_full_column(self):
-        assert predict_normal_rank(Dimensions(4, 2, 1, 3, 2)) == (8, "full-column")
+        assert part(Dimensions(4, 2, 1, 3, 2), 1, "normal_rank") == (8, "full-column")
 
     def test_square_rate_full_column(self):
-        assert predict_normal_rank(Dimensions(3, 2, 2, 1, 2)) == (7, "full-column")
+        assert part(Dimensions(3, 2, 2, 1, 2), 1, "normal_rank") == (7, "full-column")
 
     @given(dims=tall_dims())
     def test_bounded_by_pencil_shape(self, dims):
-        value, _ = predict_normal_rank(dims)
+        values = {part(dims, tau, "normal_rank") for tau in range(1, dims.N + 1)}
+        assert len(values) == 1
+        (value, _), = values
         rows = dims.n + dims.N * dims.p1 + dims.p2
         cols = dims.n + dims.N * dims.m
         assert 0 < value <= min(rows, cols)
@@ -84,33 +184,35 @@ class TestNormalRank:
 
 class TestMultiplicities:
     def test_zero_free_delay(self):
-        assert predict_mult_infinity(LONG_HORIZON_DIMS, 4) == (0, "none")
-        assert predict_mult_zero(LONG_HORIZON_DIMS, 5) == (0, "none")
+        assert part(LONG_HORIZON_DIMS, 4, "mult_at_infinity") == (0, "none")
+        assert part(LONG_HORIZON_DIMS, 5, "mult_at_zero") == (0, "none")
 
     def test_extreme_delays(self):
-        assert predict_mult_infinity(LONG_HORIZON_DIMS, 8) == (5, "partial")
-        assert predict_mult_zero(LONG_HORIZON_DIMS, 1) == (5, "partial")
+        assert part(LONG_HORIZON_DIMS, 8, "mult_at_infinity") == (5, "partial")
+        assert part(LONG_HORIZON_DIMS, 1, "mult_at_zero") == (5, "partial")
 
     def test_wide_rate_full_sweep(self):
         # w = 2: multiplicity at infinity climbs only past tau = 5
         expected_inf = {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 1, 7: 3, 8: 5}
         expected_zero = {1: 5, 2: 3, 3: 1, 4: 0, 5: 0, 6: 0, 7: 0, 8: 0}
         for tau in range(1, 9):
-            assert predict_mult_infinity(LONG_HORIZON_DIMS, tau)[0] == expected_inf[tau]
-            assert predict_mult_zero(LONG_HORIZON_DIMS, tau)[0] == expected_zero[tau]
+            pred = predict(LONG_HORIZON_DIMS, tau)
+            assert pred.mult_at_infinity == expected_inf[tau]
+            assert pred.mult_at_zero == expected_zero[tau]
 
     @pytest.mark.parametrize("tau", [1, 2])
     def test_square_rate_always_clear(self, tau):
         dims = Dimensions(3, 2, 2, 1, 2)
-        assert predict_mult_infinity(dims, tau) == (0, "none")
-        assert predict_mult_zero(dims, tau) == (0, "none")
+        assert part(dims, tau, "mult_at_infinity") == (0, "none")
+        assert part(dims, tau, "mult_at_zero") == (0, "none")
 
     @given(dt=tall_dims_and_tau())
     def test_duality_identity(self, dt):
+        # predict reads the origin at the dual delay; the reference states
+        # the origin's formula on its own
         dims, tau = dt
-        mz, _ = predict_mult_zero(dims, tau)
-        minf_dual, _ = predict_mult_infinity(dims, dual_index(tau, dims.N))
-        assert mz == minf_dual
+        assert ref_mult_zero(dims, tau) == ref_mult_infinity(dims, dual_index(tau, dims.N))
+        assert part(dims, tau, "mult_at_zero") == ref_mult_zero(dims, tau)
 
     @given(dt=tall_dims_and_tau())
     def test_generic_ranks_give_the_predicted_multiplicities(self, dt):
@@ -125,14 +227,15 @@ class TestMultiplicities:
     def test_fast_tall_has_no_special_zeros(self, dt):
         dims, tau = dt
         if dims.p1 >= dims.m:
-            assert predict_mult_zero(dims, tau)[0] == 0
-            assert predict_mult_infinity(dims, tau)[0] == 0
+            pred = predict(dims, tau)
+            assert pred.mult_at_zero == 0
+            assert pred.mult_at_infinity == 0
 
     @given(dt=tall_dims_and_tau())
     def test_extreme_delay_sides_are_clear(self, dt):
         dims, tau = dt
-        assert predict_mult_infinity(dims, 1)[0] == 0
-        assert predict_mult_zero(dims, dims.N)[0] == 0
+        assert predict(dims, 1).mult_at_infinity == 0
+        assert predict(dims, dims.N).mult_at_zero == 0
 
     @given(dims=tall_dims(), data=st.data())
     def test_constant_sum_in_saturated_regime(self, dims, data):
@@ -140,8 +243,8 @@ class TestMultiplicities:
         if w <= 0 or dims.n <= (dims.N - 1) * w:
             return
         tau = data.draw(st.integers(1, dims.N))
-        total = predict_mult_zero(dims, tau)[0] + predict_mult_infinity(dims, tau)[0]
-        assert total == (dims.N - 1) * w
+        pred = predict(dims, tau)
+        assert pred.mult_at_zero + pred.mult_at_infinity == (dims.N - 1) * w
 
     @given(dims=tall_dims(), data=st.data())
     def test_case_boundary_continuity(self, dims, data):
@@ -155,14 +258,13 @@ class TestMultiplicities:
             d = Dimensions(n_boundary, dims.m, dims.p1, dims.p2, dims.N)
             small = (d.N - 1) * d.p1 + d.m + d.n
             large = (tau - 1) * d.p1 + (d.N - tau + 1) * d.m
-            assert predict_rank_D(d, tau)[0] == small == large
+            assert predict(d, tau).rank_D == small == large
         n_sat = (dims.N - 1) * w
         if n_sat >= 1:
             d = Dimensions(n_sat, dims.m, dims.p1, dims.p2, dims.N)
-            assert predict_mult_infinity(d, tau)[0] == \
-                min(d.n - (d.N - tau) * w, (tau - 1) * w)
-            assert predict_mult_zero(d, tau)[0] == \
-                min(d.n - (tau - 1) * w, (d.N - tau) * w)
+            pred = predict(d, tau)
+            assert pred.mult_at_infinity == min(d.n - (d.N - tau) * w, (tau - 1) * w)
+            assert pred.mult_at_zero == min(d.n - (tau - 1) * w, (d.N - tau) * w)
 
 
 class TestControllability:
@@ -178,6 +280,17 @@ class TestControllability:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             predict_controllability_rank(0, 1, 1)
+
+    # (1.5, 2, 1) was predicted as rank 1.5 and (True, 1, 1) as rank True
+    @pytest.mark.parametrize("args", [(1.5, 2, 1), (True, 1, 1), (2, 1, np.float64(2.0)),
+                                      (2, "1", 1)])
+    def test_rejects_non_integers(self, args):
+        with pytest.raises(ValueError, match="must all be integers >= 1"):
+            predict_controllability_rank(*args)
+
+    def test_numpy_integers_give_an_int(self):
+        value = predict_controllability_rank(np.int64(5), np.int32(2), np.int64(2))
+        assert (value, type(value)) == (4, int)
 
 
 class TestDualIndex:
@@ -214,34 +327,15 @@ class TestPredictBundle:
         assert set(pred.case_labels) == {
             "rank_D", "normal_rank", "mult_at_zero", "mult_at_infinity"}
 
-    @given(dt=tall_dims_and_tau())
+    @given(n=st.integers(1, 60), m=st.integers(1, 8), data=st.data())
     @settings(max_examples=150)
-    def test_consistent_with_parts(self, dt):
-        dims, tau = dt
+    def test_equals_the_reference_past_the_exhaustive_range(self, n, m, data):
+        p1 = data.draw(st.integers(1, m + 2))
+        N = data.draw(st.integers(2, 16))
+        p2 = max(N * (m - p1), 0) + data.draw(st.integers(1, 3))
+        dims = Dimensions(n, m, p1, p2, N)
+        tau = data.draw(st.integers(1, N))
+        assert predicted(dims, tau) == reference(dims, tau)
         pred = predict(dims, tau)
-        assert pred.rank_D == predict_rank_D(dims, tau)[0]
-        assert pred.normal_rank == predict_normal_rank(dims)[0]
-        assert pred.mult_at_zero == predict_mult_zero(dims, tau)[0]
-        assert pred.mult_at_infinity == predict_mult_infinity(dims, tau)[0]
         assert pred.mult_at_zero <= pred.normal_rank
         assert pred.mult_at_infinity <= pred.normal_rank
-
-
-class TestSummaryTable:
-    def test_fast_tall_row(self):
-        row = summary_table(Dimensions(2, 1, 2, 1, 3), 1)
-        assert (row.finite_nonzero, row.at_zero, row.at_infinity) == ("No", "No", "No")
-
-    def test_origin_heavy_row(self):
-        row = summary_table(LONG_HORIZON_DIMS, 1)
-        assert (row.finite_nonzero, row.at_zero, row.at_infinity) == ("No", "Yes (5)", "No")
-
-    def test_square_rate_row(self):
-        row = summary_table(Dimensions(3, 2, 2, 1, 2), 1)
-        assert (row.finite_nonzero, row.at_zero, row.at_infinity) == ("No", "No", "No")
-
-    @given(dt=tall_dims_and_tau())
-    @settings(max_examples=60)
-    def test_finite_nonzero_never_predicted(self, dt):
-        dims, tau = dt
-        assert summary_table(dims, tau).finite_nonzero == "No"
