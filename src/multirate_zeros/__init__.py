@@ -11,8 +11,7 @@ from ._version import __version__
 from .blocking import (BlockedSystem, MatrixPencil, block, fast_subsystem,
                        lift_relation_residual, system_pencil, transfer_eval)
 from .errors import (ConvergenceFailure, MultirateError, NotTallClass,
-                     ResolventSingular, TauOutOfRange, UnsupportedDims,
-                     ZeroZ)
+                     ResolventSingular, TauOutOfRange)
 from .harness import (GridSpec, TrialRecord, VerificationReport, analyze,
                       emit_report, grid_spec_from_dict, run_fixture_suite,
                       run_grid, run_trial)
@@ -29,8 +28,7 @@ __all__ = [
     "__version__",
     "BlockedSystem", "MatrixPencil", "block", "fast_subsystem", "lift_relation_residual", "system_pencil", "transfer_eval",
     "ConvergenceFailure", "MultirateError", "NotTallClass",
-    "ResolventSingular", "TauOutOfRange", "UnsupportedDims",
-    "ZeroZ",
+    "ResolventSingular", "TauOutOfRange",
     "GridSpec", "TrialRecord", "VerificationReport", "analyze", "emit_report",
     "grid_spec_from_dict", "run_fixture_suite", "run_grid", "run_trial",
     "Dimensions", "MultirateSystem", "SystemClass",

@@ -10,9 +10,9 @@ undecidable in float arithmetic: the same reading is produced by a genuine
 rank drop and by an unlucky but full-rank draw.
 
 `settle` settles such rank readings in two stages. The verification
-harness calls it only for trials whose float rank measurement disagrees
-with the closed-form prediction, and it re-reads only the ranks that
-differ from their generic value, which no instance's exact rank exceeds.
+harness calls it on the readings of every trial and of every `analyze`
+of a tall system, and it re-reads only the ranks that differ from their
+generic value, which no instance's exact rank exceeds.
 It reads ranks only, at real rational points: a genuine finite zero almost
 never sits exactly at its float location, so a rank read there settles
 nothing.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ResolventSingular, TauOutOfRange, ZeroZ
+from .errors import ResolventSingular, TauOutOfRange
 from .model import Dimensions, MultirateSystem, TolerancePolicy, _is_int
 
 # the byte budget of one stacked product of lift transfer functions: points
@@ -196,8 +196,8 @@ def lift_relation_residual(blk: BlockedSystem, Z,
     rotations, and the Frobenius-norm residual is zero in exact arithmetic
     for every Z != 0. A pair whose V_tau+1 is zero reads 0 when its
     residual is zero too, and inf otherwise. Z is one point or a nonempty
-    sequence of them (an empty one is refused with a ValueError), whose
-    result is the max of the one-point values. A_tau and B_tau do not
+    sequence of them, whose result is the max of the one-point values; an
+    empty sequence, or a point at 0, is refused with a ValueError. A_tau and B_tau do not
     depend on the delay, so one stacked resolvent solve serves every point
     and all N transfer functions. The transfer functions are formed for
     as many points at once as fit LIFT_STACK_BYTES (at least one), in one
@@ -212,7 +212,7 @@ def lift_relation_residual(blk: BlockedSystem, Z,
     if not points:
         raise ValueError("the lifting relation needs at least one point, got an empty sequence")
     if any(z == 0 for z in points):
-        raise ZeroZ("the lifting relation involves 1/Z and is undefined at Z=0")
+        raise ValueError("the lifting relation involves 1/Z and is undefined at Z=0")
     m, p1, N = blk.dims.m, blk.dims.p1, blk.dims.N
     Xs = _solve_resolvent(blk, points, policy or TolerancePolicy())
     step = max(1, LIFT_STACK_BYTES // blk.D_tau.nbytes)

@@ -18,14 +18,6 @@ class ResolventSingular(MultirateError):
     """Z*I - A_tau is too ill-conditioned to solve against."""
 
 
-class ZeroZ(MultirateError):
-    """The lifting relation is undefined at Z = 0."""
-
-
-class UnsupportedDims(MultirateError):
-    """Fixture block structure is inconsistent with the requested dimensions."""
-
-
 class NotTallClass(MultirateError):
     """The closed-form predictions only cover tall systems."""
 

@@ -65,6 +65,10 @@ CSV_COLUMNS = (
 )
 
 
+# the ranges the fixture suite sweeps, as its report lists them
+FIXTURE_GRID = {"shift_m": (2, 3), "shift_N": (2, 3), "controllability_n": tuple(range(1, 7)),
+                "controllability_m": (1, 2, 3), "controllability_nu": (1, 2, 3, 4)}
+
 # the keys of a grid spec file and the GridSpec attributes that hold them
 GRID_FIELDS = {
     "n": "n_values",
@@ -286,28 +290,29 @@ def _rank_fields(rank: dict, dims: Dimensions, tau: int) -> dict:
             "dual_mult_at_infinity": dual["mult_at_infinity"]}
 
 
-def _escalate(sys: MultirateSystem, rank: dict) -> dict:
+def _escalate(sys: MultirateSystem, rank: dict, preds: dict) -> dict:
     """The rank readings, those not at their generic value re-read exactly.
 
     rank maps (quantity, delay) to a reading of "normal_rank", "rank_D" or
-    "rank_at_zero", at any delays. The generic value of each comes from
-    `predict` at its delay, and `settle` re-reads every reading off it: a
-    mod-P screen, and Bareiss for what the screen leaves short. Finite
-    zeros are not re-read: a rank at a zero's float location settles
-    nothing, since a genuine zero almost never sits exactly at a float
-    value.
+    "rank_at_zero", and preds each delay of a "rank_D" or "rank_at_zero"
+    reading to its `predict` result; the generic normal rank is the same at
+    every delay. This is the one settlement rule, of trials and `analyze`
+    alike: `settle` re-reads every reading off its generic value (a mod-P
+    screen, and Bareiss for what it leaves short), and returns the readings
+    unchanged when none is off. The exact value either clears a
+    disagreement (a tolerance collision) or stands as one. Finite zeros are
+    not re-read: a genuine zero almost never sits exactly at a float value,
+    so a rank read there settles nothing.
     """
-    generic = {}
-    for t in {t for _, t in rank}:
-        pred = predict(sys.dims, t)
-        generic["normal_rank", t] = pred.normal_rank
-        generic["rank_D", t] = pred.rank_D
-        generic["rank_at_zero", t] = pred.normal_rank - pred.mult_at_zero
+    rho = next(iter(preds.values())).normal_rank
+    generic = {("normal_rank", t): rho for q, t in rank if q == "normal_rank"}
+    for t, pred in preds.items():
+        generic["rank_D", t], generic["rank_at_zero", t] = pred.rank_D, rho - pred.mult_at_zero
     return settle(sys, rank, generic)
 
 
 def _read(sys: MultirateSystem, taus, zeros_at, policy: TolerancePolicy, seed: int,
-          bound: int | None) -> tuple[BlockedSystem, dict, dict]:
+          preds: dict) -> tuple[BlockedSystem, dict, dict]:
     """The blocked systems of sys at every delay, their float rank readings, and the zero
     reports at the delays in zeros_at, which are among taus.
 
@@ -316,8 +321,9 @@ def _read(sys: MultirateSystem, taus, zeros_at, policy: TolerancePolicy, seed: i
     One stacked svd call reads the N pencils at the first normal-rank
     sample point together with the rank at Z = 0 at the delays t in taus,
     on F[t - 1]: the pencil at 0 is -F, whose singular values are F's.
-    `normal_ranks`, stopped at bound, carries the normal-rank sweep on from
-    the second point for the pencils it leaves open, so a generic trial
+    `normal_ranks`, stopped at the normal rank of the `predict` results in
+    preds (unstopped when preds is empty), carries the normal-rank sweep on
+    from the second point for the pencils it leaves open, so a generic trial
     reads every pencil once. rank(D_t) at those delays is one more stacked
     `numerical_rank` call: all real points in real arithmetic. rank maps
     (quantity, delay) to a reading, as `_delay_fields` and `_escalate` take
@@ -338,6 +344,7 @@ def _read(sys: MultirateSystem, taus, zeros_at, policy: TolerancePolicy, seed: i
     at = [t - 1 for t in taus]
     Z = _sample_points(seed, policy.normal_rank_samples)[0]
     ranks, s = _ranks(np.concatenate([_evaluate(E, F, Z), F[at]]), policy)
+    bound = next((pred.normal_rank for pred in preds.values()), None)
     rho = normal_ranks(pencils, policy, seed, bound, first=ranks[:N])
     rank = {("normal_rank", t): r for t, r in enumerate(rho, 1)}
     norm = {}
@@ -369,22 +376,18 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     reading the ranks at Z = 0, and each delay's sweep stops at the
     predicted normal rank, which no instance exceeds, so a generic trial
     costs that one call and one for rank(D_tau).
+    The record is derived from the readings `_escalate` settles; escalated
+    lists the checks with rank content (any but FLOAT_ONLY_KEYS) that
+    disagreed on the float readings, and only then is measured["screen"] kept.
     Numerical failures (e.g. an SVD or eigensolver that does not converge)
     are captured in the record, not raised. A numpy integer tau or seed is
     recorded as its Python int.
-
-    When a check with rank content disagrees (any but FLOAT_ONLY_KEYS), the
-    trial escalates: every reading not at its generic value is re-read
-    exactly by `_escalate` (a mod-P screen, with Bareiss for what it leaves
-    short), and the record is derived again. The exact value either clears
-    the flag (a tolerance collision) or stands as a disagreement.
-    n_finite_nonzero stays the float count of verified finite nonzero
-    zeros: a no_finite_nonzero disagreement neither escalates nor is
-    cleared by an escalation.
     """
     policy = policy or TolerancePolicy()
     pred = predict(dims, tau)
     tau = pred.tau      # checked, and a Python int
+    dual = dual_index(tau, dims.N)
+    preds = {tau: pred, dual: predict(dims, dual)}
     t0 = time.perf_counter()
     sys = random_generic(dims, seed)
     measured = None
@@ -392,8 +395,7 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     escalated = ()
     agreement = dict.fromkeys(AGREEMENT_KEYS, False)
     try:
-        blocks, rank, reports = _read(sys, (tau, dual_index(tau, dims.N)), (tau,), policy,
-                                      seed, pred.normal_rank)
+        blocks, rank, reports = _read(sys, (tau, dual), (tau,), policy, seed, preds)
         rep = reports[tau]
         # real points of either sign with |Z| in [2**-0.5, 2**0.5], from the
         # first uniforms behind the normal-rank points; a scalar 2.0 ** x,
@@ -409,14 +411,13 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
             "candidates_examined": rep.candidates_examined,
             "lift_residual_max": worst,
         }
-        agreement = _agreement_from(measured, pred)
-        escalated = tuple(sorted(k for k in AGREEMENT_KEYS
-                                 if k not in FLOAT_ONLY_KEYS and not agreement[k]))
+        escalated = tuple(sorted(k for k, agree in _agreement_from(measured, pred).items()
+                                 if not agree and k not in FLOAT_ONLY_KEYS))
+        screen = measured
+        measured = {**screen, **_rank_fields(_escalate(sys, rank, preds), dims, tau)}
         if escalated:
-            screen = measured
-            measured = {**screen, **_rank_fields(_escalate(sys, rank), dims, tau)}
             measured["screen"] = {k: v for k, v in screen.items() if measured[k] != v}
-            agreement = _agreement_from(measured, pred)
+        agreement = _agreement_from(measured, pred)
     except MultirateError as exc:
         error = f"{type(exc).__name__}: {exc}"
     return TrialRecord(
@@ -439,15 +440,13 @@ def analyze(sys: MultirateSystem, tau: int | str = "all",
     Returns the payload `analyze --out` writes, timestamp included. The
     readings and the zero report at each delay come from `_read`, as in a
     trial, with ANALYZE_SEED for the sample points, and every rank field at
-    a delay from `_delay_fields`. For a tall system the normal-rank sweep
-    stops at the generic normal rank, one `_escalate` call settles every
-    reading at the requested delays that is not at its generic value, the
-    fields are derived again, and measured["screen"] keeps the float value
-    of each field that changed. A system that is not tall has no predictions: its
-    float readings stand, and predicted and agreement are None. The finite
-    nonzero zeros stay a float reading, as in trials: their list and
-    multiplicities are those of the zero report, and no_finite_nonzero
-    compares their float count.
+    a delay from `_delay_fields`. For a tall system the readings at the
+    requested delays are settled by `_escalate`, and measured["screen"]
+    keeps the float value of each field that changed. A system that is not
+    tall has no predictions: its float readings stand, and predicted and
+    agreement are None. The finite nonzero zeros stay a float reading, as
+    in trials: their list and multiplicities are those of the zero report,
+    and no_finite_nonzero compares their float count.
     """
     if tau != "all" and not _is_int(tau):
         raise ValueError(f'tau must be an integer or "all", got {tau!r}')
@@ -455,31 +454,27 @@ def analyze(sys: MultirateSystem, tau: int | str = "all",
     dims = sys.dims
     taus = range(1, dims.N + 1) if tau == "all" else [int(tau)]
     try:
-        predictions = {t: predict(dims, t) for t in taus}
+        preds = {t: predict(dims, t) for t in taus}
     except NotTallClass:
-        predictions = {}
-    # the generic normal rank, the same at every delay, bounds this system's
-    bound = predictions[taus[0]].normal_rank if predictions else None
-    _, rank, reports = _read(sys, taus, taus, policy, ANALYZE_SEED, bound)
+        preds = {}
+    _, rank, reports = _read(sys, taus, taus, policy, ANALYZE_SEED, preds)
     readings = {(q, t): v for (q, t), v in rank.items() if t in taus}
-    settled = _escalate(sys, readings) if predictions else readings
+    settled = _escalate(sys, readings, preds) if preds else readings
     results = []
     for t in taus:
         rep = reports[t]
         measured = {**zero_report_to_dict(rep), **_delay_fields(readings, dims.n, t)}
-        pred = predictions.get(t)
-        predicted = agreement = None
-        if pred is not None:
-            fields = _delay_fields(settled, dims.n, t)
-            screen = {k: measured[k] for k, v in fields.items() if measured[k] != v}
-            measured.update(fields)
-            if screen:
-                measured["screen"] = screen
-            predicted = _predicted_dict(pred)
-            agreement = _headline_agreement(
-                dict(measured, n_finite_nonzero=len(rep.finite_nonzero_zeros)), pred)
+        fields = _delay_fields(settled, dims.n, t)
+        screen = {k: measured[k] for k, v in fields.items() if measured[k] != v}
+        measured.update(fields)
+        if screen:
+            measured["screen"] = screen
+        pred = preds.get(t)
         results.append({"tau": t, "measured": measured,
-                        "predicted": predicted, "agreement": agreement})
+                        "predicted": pred and _predicted_dict(pred),
+                        "agreement": pred and _headline_agreement(
+                            dict(measured, n_finite_nonzero=len(rep.finite_nonzero_zeros)),
+                            pred)})
     return {
         "system": {**asdict(dims), "class": classify(dims).value},
         "policy": asdict(policy),
@@ -571,12 +566,9 @@ def run_grid(spec: GridSpec) -> VerificationReport:
             "trials": spec.trials_per_cell, "agree": agree,
         })
 
-    counts = dict.fromkeys(AGREEMENT_KEYS, 0)
-    for rec in records:
-        for key in AGREEMENT_KEYS:
-            counts[key] += bool(rec.agreement.get(key))
+    counts = {k: sum(rec.agreement[k] for rec in records) for k in AGREEMENT_KEYS}
     total = len(records)
-    rates = {k: (counts[k] / total if total else 1.0) for k in AGREEMENT_KEYS}
+    rates = {k: counts[k] / total for k in AGREEMENT_KEYS}
     return VerificationReport(
         suite="grid",
         grid=grid_spec_to_dict(spec),
@@ -598,10 +590,10 @@ def run_grid(spec: GridSpec) -> VerificationReport:
 
 def _fixture_rank_rows(policy: TolerancePolicy) -> list[dict]:
     rows = []
-    for m in (2, 3):
+    for m in FIXTURE_GRID["shift_m"]:
         for p1 in range(1, m):
             w = m - p1
-            for N in (2, 3):
+            for N in FIXTURE_GRID["shift_N"]:
                 p2 = N * w + 1
                 for tau in range(1, N + 1):
                     T = (N - tau) * w
@@ -625,10 +617,10 @@ def _fixture_rank_rows(policy: TolerancePolicy) -> list[dict]:
 
 def _controllability_rows(policy: TolerancePolicy) -> list[dict]:
     rows = []
-    for n in range(1, 7):
-        for m in range(1, 4):
+    for n in FIXTURE_GRID["controllability_n"]:
+        for m in FIXTURE_GRID["controllability_m"]:
             sys = fixture("shift_controllability", Dimensions(n=n, m=m, p1=1, p2=1, N=2), 1, 0)
-            for nu in range(1, 5):
+            for nu in FIXTURE_GRID["controllability_nu"]:
                 ctrb = np.hstack([
                     np.linalg.matrix_power(sys.A, k) @ sys.B for k in range(nu)])
                 meas = numerical_rank(ctrb, policy)
@@ -646,8 +638,8 @@ def run_fixture_suite(policy: TolerancePolicy | None = None) -> VerificationRepo
     """Exact-rank checks on the structured 0/1 fixtures.
 
     The shift fixtures are swept over every admissible (n, m, p1, N, tau)
-    with m <= 3, N <= 3 and p2 at the tallness threshold plus one; the
-    controllability fixture over n <= 6, m <= 3, nu <= 4. All ranks must
+    with m and N in FIXTURE_GRID and p2 at the tallness threshold plus one;
+    the controllability fixture over its n, m and nu there. All ranks must
     match the closed forms exactly, with no genericity caveat: these
     matrices attain the generic values by construction.
     """
@@ -657,16 +649,13 @@ def run_fixture_suite(policy: TolerancePolicy | None = None) -> VerificationRepo
     total = len(rows)
     return VerificationReport(
         suite="fixtures",
-        grid={"shift_m": [2, 3], "shift_N": [2, 3],
-              "controllability_n": [1, 2, 3, 4, 5, 6],
-              "controllability_m": [1, 2, 3],
-              "controllability_nu": [1, 2, 3, 4]},
+        grid={k: list(v) for k, v in FIXTURE_GRID.items()},
         policy=asdict(policy),
         total_trials=total,
         failed_trials=0,
         escalated_trials=0,
         agreement_counts={"rank": agree},
-        agreement_rates={"rank": agree / total if total else 1.0},
+        agreement_rates={"rank": agree / total},
         all_agree=agree == total,
         cells=(),
         trials=tuple(rows),

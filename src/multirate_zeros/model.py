@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import UnsupportedDims
 
 
 def _is_int(v) -> bool:
@@ -93,6 +92,11 @@ class TolerancePolicy:
         if self.rel_rank_tol < eps:
             raise ValueError(f"rel_rank_tol must be at least machine epsilon {eps!r}, "
                              f"got {self.rel_rank_tol!r}")
+        # zero_report lists a zero only at max(zero_radius, cluster_tol) < |z| < 1/zero_radius
+        if max(self.zero_radius, self.cluster_tol) >= 1 / self.zero_radius:
+            raise ValueError(f"zero_radius {self.zero_radius!r} and cluster_tol "
+                             f"{self.cluster_tol!r} leave no room for a finite nonzero zero: "
+                             "both must be below 1/zero_radius")
         v = self.normal_rank_samples
         if not _is_int(v) or v < 3:
             raise ValueError(f"normal_rank_samples must be an integer >= 3, got {v!r}")
@@ -222,7 +226,7 @@ def _shift_matrix(n: int, s: int) -> np.ndarray:
 
 def _fixture_example1(dims: Dimensions, tau: int, seed: int) -> MultirateSystem:
     if (dims.n, dims.m, dims.p1, dims.p2, dims.N) != (1, 3, 1, 5, 2):
-        raise UnsupportedDims(f"example1 is defined for dims (1,3,1,5,2), got {dims}")
+        raise ValueError(f"example1 is defined for dims (1,3,1,5,2), got {dims}")
     # all 28 scalar parameters are generic; draw them from the seeded stream
     return random_generic(dims, seed)
 
@@ -251,14 +255,14 @@ def _fixture_shift_small_n(dims: Dimensions, tau: int, seed: int) -> MultirateSy
     n, m, p1, p2, N = dims.n, dims.m, dims.p1, dims.p2, dims.N
     w = m - p1
     if w < 1:
-        raise UnsupportedDims(f"shift_small_n needs p1 < m, got p1={p1}, m={m}")
+        raise ValueError(f"shift_small_n needs p1 < m, got p1={p1}, m={m}")
     if n > (N - tau) * w:
-        raise UnsupportedDims(
+        raise ValueError(
             f"shift_small_n needs n <= (N-tau)(m-p1) = {(N - tau) * w}, got n={n}")
     if n < w:
-        raise UnsupportedDims(f"shift_small_n needs n >= m-p1 = {w}, got n={n}")
+        raise ValueError(f"shift_small_n needs n >= m-p1 = {w}, got n={n}")
     if p2 < n or p2 + p1 - n - m < 0:
-        raise UnsupportedDims(
+        raise ValueError(
             f"shift_small_n needs p2 >= n and p2+p1 >= n+m, got p2={p2}")
     return _shift_system(dims, n)    # every state is cycled
 
@@ -267,15 +271,15 @@ def _fixture_shift_large_n(dims: Dimensions, tau: int, seed: int) -> MultirateSy
     n, m, p1, p2, N = dims.n, dims.m, dims.p1, dims.p2, dims.N
     w = m - p1
     if w < 1:
-        raise UnsupportedDims(f"shift_large_n needs p1 < m, got p1={p1}, m={m}")
+        raise ValueError(f"shift_large_n needs p1 < m, got p1={p1}, m={m}")
     T = (N - tau) * w       # size of the cycled part of the state
     if n - T < 1:
-        raise UnsupportedDims(
+        raise ValueError(
             f"shift_large_n needs n > (N-tau)(m-p1) = {T}, got n={n}")
     if N - tau - 1 < 0:
-        raise UnsupportedDims(f"shift_large_n block layout needs tau <= N-1, got tau={tau}")
+        raise ValueError(f"shift_large_n block layout needs tau <= N-1, got tau={tau}")
     if p2 < T or p2 + p1 - m - T < 0:
-        raise UnsupportedDims(
+        raise ValueError(
             f"shift_large_n needs p2 >= (N-tau)(m-p1) and p2+p1 >= m+(N-tau)(m-p1), got p2={p2}")
     return _shift_system(dims, T)
 
@@ -315,7 +319,8 @@ def fixture(name: str, dims: Dimensions, tau: int, seed: int) -> MultirateSystem
     shift_controllability: the (A, B) pair whose controllability matrix
     [B AB ... A^(nu-1)B] attains rank min(n, nu*m), with all-zero outputs.
 
-    Raises UnsupportedDims when the block layout is inconsistent with dims.
+    Raises ValueError for an unknown name, and when the block layout is
+    inconsistent with dims.
     """
     if name not in _FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; choose from {sorted(_FIXTURES)}")

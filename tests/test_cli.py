@@ -140,6 +140,21 @@ class TestAnalyze:
         assert code == 2
         assert "unknown policy field 'resample_limit'" in capsys.readouterr().err
 
+    def test_policy_that_leaves_no_room_for_a_zero_is_refused(self, tmp_path, capsys):
+        # the planted zero at 1/9 is reported under the default policy; with
+        # zero_radius 0.5 and cluster_tol 2.0 no point could be listed
+        sys_path = tmp_path / "planted.json"
+        save_system(planted_zero_system(6), sys_path)
+        pol = tmp_path / "policy.json"
+        pol.write_text(json.dumps({"zero_radius": 0.5, "cluster_tol": 2.0}))
+        out = tmp_path / "r.json"
+        code = main(["analyze", "--system", str(sys_path), "--policy", str(pol),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "zero_radius" in err and "cluster_tol" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [{"rel_rank_tol": "x"}, {"normal_rank_samples": 7.5},
                                      {"rel_rank_tol": 1e-17}])
     def test_mistyped_policy_value_names_field(self, bad, example1_file, tmp_path, capsys):

@@ -400,7 +400,7 @@ class TestModpBlock:
 
 
 class TestEscalation:
-    """The float screen is settled in exact arithmetic when it disagrees."""
+    """Rank readings off their generic value are settled in exact arithmetic."""
 
     def test_borderline_trial_settles_clean(self):
         # this seed's smallest true singular value sits inside float noise;
@@ -439,22 +439,51 @@ class TestEscalation:
         assert rec.agree_all
 
     def test_only_the_delays_to_re_read_are_assembled(self, monkeypatch):
-        # delay 2 of 3 has the one reading off its generic value
+        # delay 2 of 3 has the one reading off its generic value; the generic
+        # values come from the caller's predictions, with no predict call
         dims = Dimensions(2, 2, 1, 4, 3)
         sys_ = random_generic(dims, 1)
+        preds = {t: predict(dims, t) for t in (1, 2, 3)}
         rank = {}
-        for t in (1, 2, 3):
-            pred = predict(dims, t)
+        for t, pred in preds.items():
             rank["normal_rank", t] = pred.normal_rank
             rank["rank_D", t] = pred.rank_D
             rank["rank_at_zero", t] = pred.normal_rank - pred.mult_at_zero
         rank["rank_D", 2] -= 1
-        assembled = []
+        assembled, predicted = [], []
         monkeypatch.setattr(_exact, "modp_block",
                             lambda s, taus: assembled.append(list(taus)) or modp_block(s, taus))
-        settled = harness._escalate(sys_, rank)
+        monkeypatch.setattr(harness, "predict",
+                            lambda *args: predicted.append(args) or predict(*args))
+        settled = harness._escalate(sys_, rank, preds)
         assert assembled == [[2]]
         assert settled["rank_D", 2] == predict(dims, 2).rank_D
+        assert predicted == []
+
+    def test_hidden_reading_above_its_generic_value_is_reread(self, monkeypatch):
+        # rank(D) at the dual delay reads one above its generic value, which
+        # the max(0, .) of `multiplicities` hides: no check disagrees, yet
+        # every trial settles its readings, so this one is re-read once
+        dims, tau = EXAMPLE1_DIMS, 2
+        assert dual_index(tau, dims.N) == 1
+
+        def inflated(M, policy):
+            ranks = numerical_rank(M, policy)
+            # the D stack holds tau's D, then the dual delay's
+            return [ranks[0], ranks[1] + 1] if np.ndim(M) == 3 else ranks
+
+        monkeypatch.setattr(harness, "numerical_rank", inflated)
+        screened, predicted = [], []
+        monkeypatch.setattr(_exact, "modp_rank",
+                            lambda M: screened.append(M.shape) or modp_rank(M))
+        monkeypatch.setattr(harness, "predict",
+                            lambda *args: predicted.append(args[1]) or predict(*args))
+        rec = run_trial(dims, tau=tau, seed=0)
+        assert screened == [(dims.N * dims.p1 + dims.p2, dims.N * dims.m)]
+        assert predicted == [tau, 1]
+        assert rec.escalated == ()
+        assert "screen" not in rec.measured
+        assert rec.agree_all
 
     def test_bareiss_assembles_only_the_delays_the_screen_leaves_short(self, monkeypatch):
         # rank(D) reads one short at delays 1 and 2; the screen settles

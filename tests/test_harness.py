@@ -327,7 +327,7 @@ class TestRead:
         monkeypatch.setattr(harness, "_ranks",
                             lambda M, pol: first.append(M.shape[0]) or ranks(M, pol))
         sys = make(seed)
-        blocks, rank, reports = harness._read(sys, taus, taus, policy, seed, None)
+        blocks, rank, reports = harness._read(sys, taus, taus, policy, seed, {})
         delays = list(dict.fromkeys(taus))
         assert stacks == [len(delays)]
         assert first == [sys.dims.N + len(delays)]
@@ -342,7 +342,7 @@ class TestRead:
     def test_reports_only_at_the_delays_asked_for(self):
         # a trial reads ranks at tau and its dual, and the zero report at tau
         sys = random_generic(Dimensions(2, 2, 1, 4, 3), 0)
-        _, rank, reports = harness._read(sys, (1, 3), (1,), TolerancePolicy(), 0, None)
+        _, rank, reports = harness._read(sys, (1, 3), (1,), TolerancePolicy(), 0, {})
         assert {t for q, t in rank if q != "normal_rank"} == {1, 3}
         assert list(reports) == [1]
 
@@ -365,7 +365,7 @@ def assert_norms_reused(sys, seed):
     policy, taus, calls = TolerancePolicy(), range(1, sys.dims.N + 1), []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "zero_report", lambda *a: calls.append(a) or zero_report(*a))
-        blocks, _, reports = harness._read(sys, taus, taus, policy, seed, None)
+        blocks, _, reports = harness._read(sys, taus, taus, policy, seed, {})
     assert [a[1] for a in calls] == list(taus)
     for pencil, t, _, _, rho, norm in calls:
         assert np.array_equal(pencil.F, system_pencil(at_delay(blocks, t - 1)).F)

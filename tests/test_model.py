@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multirate_zeros.errors import UnsupportedDims
 from multirate_zeros.model import (Dimensions, MultirateSystem, SystemClass,
                                    TolerancePolicy, _rng, classify, fixture,
                                    load_system, policy_from_dict,
@@ -95,6 +94,14 @@ class TestTolerancePolicy:
         pol = TolerancePolicy(normal_rank_samples=np.int64(9))
         assert type(pol.normal_rank_samples) is int
         assert pol == TolerancePolicy(normal_rank_samples=9)
+
+    @pytest.mark.parametrize("kwargs", [dict(zero_radius=1.0),
+                                        dict(zero_radius=0.5, cluster_tol=2.0)])
+    def test_bands_must_leave_room_for_a_finite_nonzero_zero(self, kwargs):
+        # zero_report lists only cluster_tol < |z| < 1/zero_radius and skips
+        # |z| <= zero_radius: such a policy could never report a zero
+        with pytest.raises(ValueError, match="zero_radius .* and cluster_tol .* leave no room"):
+            TolerancePolicy(**kwargs)
 
     def test_retired_resample_limit_is_an_unknown_field(self):
         with pytest.raises(ValueError, match="unknown policy field 'resample_limit'"):
@@ -268,16 +275,16 @@ class TestFixtures:
 
     def test_shift_small_n_gate(self):
         d = Dimensions(3, 3, 1, 5, 2)  # n = 3 > (N - tau)(m - p1) = 2
-        with pytest.raises(UnsupportedDims):
+        with pytest.raises(ValueError, match=r"shift_small_n needs n <= \(N-tau\)\(m-p1\) = 2"):
             fixture("shift_small_n", d, tau=1, seed=0)
 
     def test_shift_large_n_gate(self):
         d = Dimensions(2, 3, 1, 5, 2)  # n = 2 <= (N - tau)(m - p1): not large
-        with pytest.raises(UnsupportedDims):
+        with pytest.raises(ValueError, match=r"shift_large_n needs n > \(N-tau\)\(m-p1\) = 2"):
             fixture("shift_large_n", d, tau=1, seed=0)
 
     def test_example1_dims_are_fixed(self):
-        with pytest.raises(UnsupportedDims):
+        with pytest.raises(ValueError, match=r"example1 is defined for dims \(1,3,1,5,2\)"):
             fixture("example1", Dimensions(2, 3, 1, 5, 2), tau=1, seed=0)
 
     def test_unknown_name(self):

@@ -25,7 +25,7 @@ from conftest import LONG_HORIZON_DIMS, at_delay, planted_zero_system
 
 def delay_fields(sys, tau, policy, seed=0):
     # the rank fields at tau as trials and analyze derive them, unbounded
-    _, rank, _ = harness._read(sys, (tau,), (), policy, seed, None)
+    _, rank, _ = harness._read(sys, (tau,), (), policy, seed, {})
     return harness._delay_fields(rank, sys.dims.n, tau)
 
 
@@ -329,7 +329,7 @@ class TestMultiplicities:
         policy = TolerancePolicy()
         sys = random_generic(dims, seed)
         taus = range(1, dims.N + 1)
-        blocks, rank, _ = harness._read(sys, taus, (), policy, seed, None)
+        blocks, rank, _ = harness._read(sys, taus, (), policy, seed, {})
         for tau in taus:
             blk = at_delay(blocks, tau - 1)
             fields = harness._delay_fields(rank, dims.n, tau)
