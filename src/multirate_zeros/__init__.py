@@ -8,8 +8,8 @@ against the closed-form values that hold for generic parameters.
 from __future__ import annotations
 
 from ._version import __version__
-from .blocking import (BlockedSystem, MatrixPencil, block, fast_subsystem,
-                       lift_relation_residual, system_pencil, transfer_eval)
+from .blocking import (BlockedSystem, MatrixPencil, block, lift_relation_residual,
+                       system_pencil, transfer_eval)
 from .errors import (ConvergenceFailure, MultirateError, NotTallClass,
                      ResolventSingular, TauOutOfRange)
 from .harness import (GridSpec, TrialRecord, VerificationReport, analyze,
@@ -26,7 +26,7 @@ from .zeros import (ZeroReport, finite_zero_candidates, verify_zero,
 
 __all__ = [
     "__version__",
-    "BlockedSystem", "MatrixPencil", "block", "fast_subsystem", "lift_relation_residual", "system_pencil", "transfer_eval",
+    "BlockedSystem", "MatrixPencil", "block", "lift_relation_residual", "system_pencil", "transfer_eval",
     "ConvergenceFailure", "MultirateError", "NotTallClass",
     "ResolventSingular", "TauOutOfRange",
     "GridSpec", "TrialRecord", "VerificationReport", "analyze", "emit_report",

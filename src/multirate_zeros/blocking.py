@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ResolventSingular, TauOutOfRange
+from .errors import ConvergenceFailure, ResolventSingular, TauOutOfRange
 from .model import Dimensions, MultirateSystem, TolerancePolicy, _is_int
 
 # the byte budget of one stacked product of lift transfer functions: points
@@ -165,14 +165,18 @@ def system_pencil(blk: BlockedSystem) -> MatrixPencil:
 
 def _solve_resolvent(blk: BlockedSystem, points, policy: TolerancePolicy) -> np.ndarray:
     """X_i = (Z_i*I - A_tau)^-1 B_tau at each point Z_i, from one stacked cond
-    and one stacked solve; the first ill-conditioned resolvent is refused."""
+    and one stacked solve; the first ill-conditioned resolvent is refused, and
+    a failed cond or solve raises ConvergenceFailure."""
     n = blk.A_tau.shape[0]
     resolvents = np.multiply.outer(points, np.eye(n)) - blk.A_tau
-    for Z, cond in zip(points, np.linalg.cond(resolvents)):
-        if not np.isfinite(cond) or cond > policy.condition_cap:
-            raise ResolventSingular(
-                f"Z*I - A_tau at Z={Z} has condition {cond:.3e}, cap {policy.condition_cap:.1e}")
-    return np.linalg.solve(resolvents, blk.B_tau)
+    try:
+        for Z, cond in zip(points, np.linalg.cond(resolvents)):
+            if not np.isfinite(cond) or cond > policy.condition_cap:
+                raise ResolventSingular(f"Z*I - A_tau at Z={Z} has condition {cond:.3e}, "
+                                        f"cap {policy.condition_cap:.1e}")
+        return np.linalg.solve(resolvents, blk.B_tau)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"the resolvent's cond or solve failed: {exc}") from None
 
 
 def transfer_eval(blk: BlockedSystem, Z: complex,
@@ -235,13 +239,3 @@ def _squared_norms(V: np.ndarray) -> np.ndarray:
     # einsum reads the stack once, where norm(V, axis=(-2, -1)) is several
     # times slower at these sizes
     return np.einsum("...ij,...ij->...", V, V.conj()).real
-
-
-def fast_subsystem(blk: BlockedSystem) -> BlockedSystem:
-    """Drop the slow output rows, leaving the blocked fast-only system (of a
-    stack, the stack of them)."""
-    if blk.slow_rows == 0:
-        return blk
-    keep = blk.C_tau.shape[-2] - blk.slow_rows
-    return replace(blk, C_tau=blk.C_tau[..., :keep, :], D_tau=blk.D_tau[..., :keep, :],
-                   slow_rows=0)

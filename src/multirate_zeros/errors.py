@@ -27,4 +27,4 @@ class NotTallClass(MultirateError):
 
 
 class ConvergenceFailure(MultirateError):
-    """The eigensolver failed to converge."""
+    """An SVD, solve or eigensolver failed to converge."""

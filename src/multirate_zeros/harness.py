@@ -34,7 +34,7 @@ from .model import (Dimensions, MultirateSystem, TolerancePolicy, _check_fields,
 from .numerics import (_evaluate, _ranks, _sample_points, _sample_uniforms,  # noqa: F401
                        normal_rank, normal_ranks, numerical_rank)
 from .oracle import dual_index, predict, predict_controllability_rank
-from .zeros import multiplicities, zero_report, zero_report_to_dict
+from .zeros import ZeroReport, multiplicities, zero_report, zero_report_to_dict
 
 LIFT_RESIDUAL_TOL = 1e-9
 LIFT_SAMPLES = 3
@@ -212,9 +212,10 @@ def cells(spec: GridSpec):
 class TrialRecord:
     """One measured-vs-predicted comparison, with the extra structural checks.
 
-    escalated lists the agreement keys with rank content that disagreed on
-    the float readings (see run_trial); measured["screen"] keeps the float
-    value of each field that the exact readings changed. n_finite_nonzero
+    measured, agreement and escalated are derived by `_derive`:
+    measured["screen"] keeps the float value of each field that the settled
+    readings changed, by `_screened`, and escalated lists the agreement keys
+    with rank content that disagree on the float readings. n_finite_nonzero
     and lift_residual_max are float readings, never re-read.
     """
 
@@ -277,17 +278,46 @@ def _delay_fields(rank: dict, n: int, t: int) -> dict:
             "rank_at_zero": rho - mult0, "rank_at_infinity": rho - multinf}
 
 
-def _rank_fields(rank: dict, dims: Dimensions, tau: int) -> dict:
-    """Every rank field of a trial's measured dict, from its rank readings.
+def _screened(fields, rank: dict, settled: dict) -> dict:
+    """fields(settled), with "screen" holding fields(rank)'s value of each field
+    that settling changed, when any did: the one screen rule of trials and
+    `analyze`. fields maps readings, as `_escalate` takes and returns them,
+    to a dict of rank fields."""
+    measured, read = fields(settled), fields(rank)
+    screen = {k: v for k, v in read.items() if measured[k] != v}
+    return {**measured, "screen": screen} if screen else measured
 
-    rank maps (quantity, delay) to a reading: "normal_rank" at every delay,
-    "rank_D" and "rank_at_zero" at tau and at its dual delay.
+
+def _derive(dims: Dimensions, tau: int, pred, rank: dict, settled: dict,
+            report: ZeroReport, worst: float) -> tuple[dict, dict, tuple]:
+    """A trial's measured dict, agreement and escalated keys, from its readings alone.
+
+    rank holds the float readings, and settled the same readings as
+    `_escalate` returns them: "normal_rank" at every delay, "rank_D" and
+    "rank_at_zero" at tau and at its dual delay. The rank fields come from
+    `_delay_fields` at the two delays, by `_screened`; tau's zero report and
+    the lift residual worst are float readings, never re-read. The screen
+    holds the float value of each changed field, so laid over measured it
+    gives the float measurement; escalated lists the checks with rank content
+    (any but FLOAT_ONLY_KEYS) that disagree there. pred is tau's `predict`
+    result. No matrix is read.
     """
-    dual = _delay_fields(rank, dims.n, dual_index(tau, dims.N))
-    return {**_delay_fields(rank, dims.n, tau),
-            "normal_rank_by_tau": [rank["normal_rank", t] for t in range(1, dims.N + 1)],
-            "dual_mult_at_zero": dual["mult_at_zero"],
-            "dual_mult_at_infinity": dual["mult_at_infinity"]}
+    def fields(readings: dict) -> dict:
+        dual = _delay_fields(readings, dims.n, dual_index(tau, dims.N))
+        return {**_delay_fields(readings, dims.n, tau),
+                "normal_rank_by_tau": [readings["normal_rank", t] for t in range(1, dims.N + 1)],
+                "dual_mult_at_zero": dual["mult_at_zero"],
+                "dual_mult_at_infinity": dual["mult_at_infinity"]}
+
+    measured = {**_screened(fields, rank, settled),
+                "n_finite_nonzero": len(report.finite_nonzero_zeros),
+                "n_boundary_candidates": len(report.boundary_candidates),
+                "candidates_examined": report.candidates_examined,
+                "lift_residual_max": worst}
+    floats = {**measured, **measured.get("screen", {})}
+    escalated = tuple(sorted(k for k, agree in _agreement_from(floats, pred).items()
+                             if not agree and k not in FLOAT_ONLY_KEYS))
+    return measured, _agreement_from(measured, pred), escalated
 
 
 def _escalate(sys: MultirateSystem, rank: dict, preds: dict) -> dict:
@@ -366,21 +396,12 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     the one-step lifting relation between every pair of consecutive
     delays, at LIFT_SAMPLES random real points of either sign with |Z| in
     [2**-0.5, 2**0.5], drawn from the first uniforms behind the normal-rank
-    sample points; there X, the transfer functions and the residuals are
-    real. One `lift_relation_residual` call takes every point, with one
-    stacked solve for all their resolvents. `_read` gives the zero report at
-    tau only, and every rank field is derived by `_rank_fields` from the
-    readings it takes: the normal rank at every delay, and the ranks of
-    D_tau and at Z = 0 at tau and at the dual delay. Its stacked
-    normal-rank sweep costs one svd call per sample point, the first also
-    reading the ranks at Z = 0, and each delay's sweep stops at the
-    predicted normal rank, which no instance exceeds, so a generic trial
-    costs that one call and one for rank(D_tau).
-    The record is derived from the readings `_escalate` settles; escalated
-    lists the checks with rank content (any but FLOAT_ONLY_KEYS) that
-    disagreed on the float readings, and only then is measured["screen"] kept.
-    Numerical failures (e.g. an SVD or eigensolver that does not converge)
-    are captured in the record, not raised. A numpy integer tau or seed is
+    sample points, all in one `lift_relation_residual` call. A trial
+    predicts at tau and at the dual delay, reads both with `_read` (the zero
+    report at tau only), checks the lift, settles the readings with
+    `_escalate` and derives the record from them with `_derive`. Numerical
+    failures (an SVD, solve or eigensolver that does not converge) are
+    captured in the record, not raised. A numpy integer tau or seed is
     recorded as its Python int.
     """
     policy = policy or TolerancePolicy()
@@ -390,34 +411,18 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     preds = {tau: pred, dual: predict(dims, dual)}
     t0 = time.perf_counter()
     sys = random_generic(dims, seed)
-    measured = None
-    error = None
-    escalated = ()
+    measured, error, escalated = None, None, ()
     agreement = dict.fromkeys(AGREEMENT_KEYS, False)
     try:
         blocks, rank, reports = _read(sys, (tau, dual), (tau,), policy, seed, preds)
-        rep = reports[tau]
         # real points of either sign with |Z| in [2**-0.5, 2**0.5], from the
         # first uniforms behind the normal-rank points; a scalar 2.0 ** x,
         # since numpy's vectorized power can differ from it in the last bit
         points = [math.copysign(2.0 ** (abs(u) - 0.5), u)
                   for u in _sample_uniforms(seed, policy.normal_rank_samples)[:LIFT_SAMPLES]]
         worst = lift_relation_residual(blocks, points, policy)
-
-        measured = {
-            **_rank_fields(rank, dims, tau),
-            "n_finite_nonzero": len(rep.finite_nonzero_zeros),
-            "n_boundary_candidates": len(rep.boundary_candidates),
-            "candidates_examined": rep.candidates_examined,
-            "lift_residual_max": worst,
-        }
-        escalated = tuple(sorted(k for k, agree in _agreement_from(measured, pred).items()
-                                 if not agree and k not in FLOAT_ONLY_KEYS))
-        screen = measured
-        measured = {**screen, **_rank_fields(_escalate(sys, rank, preds), dims, tau)}
-        if escalated:
-            measured["screen"] = {k: v for k, v in screen.items() if measured[k] != v}
-        agreement = _agreement_from(measured, pred)
+        measured, agreement, escalated = _derive(dims, tau, pred, rank,
+                                                 _escalate(sys, rank, preds), reports[tau], worst)
     except MultirateError as exc:
         error = f"{type(exc).__name__}: {exc}"
     return TrialRecord(
@@ -441,8 +446,9 @@ def analyze(sys: MultirateSystem, tau: int | str = "all",
     readings and the zero report at each delay come from `_read`, as in a
     trial, with ANALYZE_SEED for the sample points, and every rank field at
     a delay from `_delay_fields`. For a tall system the readings at the
-    requested delays are settled by `_escalate`, and measured["screen"]
-    keeps the float value of each field that changed. A system that is not
+    requested delays are settled by `_escalate`, and `_screened` keeps the
+    float value of each field that changed in measured["screen"], by the
+    rule of `_derive`. A system that is not
     tall has no predictions: its float readings stand, and predicted and
     agreement are None. The finite nonzero zeros stay a float reading, as
     in trials: their list and multiplicities are those of the zero report,
@@ -463,12 +469,8 @@ def analyze(sys: MultirateSystem, tau: int | str = "all",
     results = []
     for t in taus:
         rep = reports[t]
-        measured = {**zero_report_to_dict(rep), **_delay_fields(readings, dims.n, t)}
-        fields = _delay_fields(settled, dims.n, t)
-        screen = {k: measured[k] for k, v in fields.items() if measured[k] != v}
-        measured.update(fields)
-        if screen:
-            measured["screen"] = screen
+        measured = {**zero_report_to_dict(rep),
+                    **_screened(lambda r: _delay_fields(r, dims.n, t), readings, settled)}
         pred = preds.get(t)
         results.append({"tau": t, "measured": measured,
                         "predicted": pred and _predicted_dict(pred),

@@ -28,7 +28,10 @@ NORMAL_RANK_RADIUS = 1.372000091
 def _ranks(M: np.ndarray, policy: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
     # the rank and the singular values, largest first, of each matrix in a
     # stack (..., rows, cols), from one svd call
-    s = np.linalg.svd(M, compute_uv=False)
+    try:
+        s = np.linalg.svd(M, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge: {exc}") from None
     return np.sum(s > policy.rel_rank_tol * s[..., :1] * max(M.shape[-2:]), axis=-1), s
 
 

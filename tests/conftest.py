@@ -1,5 +1,5 @@
-"""Shared fixtures: the worked 8x7 instance, a planted finite zero, common policies, and
-the one-delay entries of a stack of blocked systems."""
+"""Shared fixtures: the worked 8x7 instance, a planted finite zero, common policies, the
+one-delay entries of a stack of blocked systems, and its fast-only subsystem."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -38,6 +38,17 @@ def at_delay(stack: BlockedSystem, i: int) -> BlockedSystem:
     """Entry i of a stack of blocked systems, the system at delay stack.tau[i], as `block`
     returns one."""
     return replace(stack, tau=stack.tau[i], C_tau=stack.C_tau[i], D_tau=stack.D_tau[i])
+
+
+def fast_subsystem(blk: BlockedSystem) -> BlockedSystem:
+    """Drop the slow output rows, leaving the blocked fast-only system (of a
+    stack, the stack of them): the square system AC9 compares with the
+    unblocked one."""
+    if blk.slow_rows == 0:
+        return blk
+    keep = blk.C_tau.shape[-2] - blk.slow_rows
+    return replace(blk, C_tau=blk.C_tau[..., :keep, :], D_tau=blk.D_tau[..., :keep, :],
+                   slow_rows=0)
 
 
 def pencil_count(pencils) -> int:

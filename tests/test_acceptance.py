@@ -19,11 +19,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multirate_zeros.blocking import block, fast_subsystem, system_pencil
+from multirate_zeros.blocking import block, system_pencil
 from multirate_zeros.harness import (LIFT_RESIDUAL_TOL, GridSpec, grid_spec_to_dict,
                                      run_fixture_suite, run_grid)
 from multirate_zeros.model import Dimensions, TolerancePolicy, random_generic
 from multirate_zeros.zeros import finite_zero_candidates
+
+from conftest import fast_subsystem
 
 WORKED_SPEC = GridSpec(n_values=(1,), m_values=(3,), N_values=(2,),
                        p1_values=(1,), p2_offsets=(1,), taus=(1,),

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from multirate_zeros import blocking
 from multirate_zeros._exact import exact_block, modp_block
-from multirate_zeros.blocking import (_assemble, block, block_all, fast_subsystem,
-                                      lift_relation_residual, system_pencil,
-                                      transfer_eval)
+from multirate_zeros.blocking import (_assemble, block, block_all, lift_relation_residual,
+                                      system_pencil, transfer_eval)
 from multirate_zeros.errors import ResolventSingular, TauOutOfRange
 from multirate_zeros.model import Dimensions, MultirateSystem, fixture, random_generic
 
-from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, at_delay
+from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, at_delay, fast_subsystem
 
 SCALAR_DIMS = Dimensions(1, 1, 1, 1, 2)
 

@@ -1,6 +1,7 @@
 """Rational-arithmetic rank measurements used to settle borderline trials."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from multirate_zeros.model import (Dimensions, TolerancePolicy, fixture,
                                    random_generic)
 from multirate_zeros.numerics import _max_rank, numerical_rank
 from multirate_zeros.oracle import dual_index, predict
+from multirate_zeros.zeros import ZeroReport
 
 from conftest import EXAMPLE1_DIMS, at_delay, planted_zero_system
 
@@ -34,6 +36,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # agreement keys each escalates
 ESCALATION_CASES = json.loads(
     (SRC.parent / "perfbench" / "escalation_cases.json").read_text())["trials"]
+
+# the measured fields of a trial that are float readings, never re-read
+FLOAT_FIELDS = ("n_finite_nonzero", "n_boundary_candidates", "candidates_examined",
+                "lift_residual_max")
 
 # small rationals with non-dyadic denominators, zero often enough to leave
 # whole columns empty
@@ -600,6 +606,20 @@ class TestEscalation:
         assert rec.escalated == ()
         assert "screen" not in rec.measured
 
+    def test_standing_disagreement_keeps_no_screen(self, monkeypatch):
+        # with Df and Ds zeroed the readings are exact and off their generic
+        # values: the trial escalates, settling changes no field, and the
+        # record keeps no screen
+        dims = Dimensions(2, 2, 1, 4, 3)
+        sys_ = random_generic(dims, 1)
+        sys_ = dataclasses.replace(sys_, Df=np.zeros_like(sys_.Df), Ds=np.zeros_like(sys_.Ds))
+        monkeypatch.setattr(harness, "random_generic", lambda dims, seed: sys_)
+        rec = run_trial(dims, 2, 1)
+        assert rec.error is None
+        assert rec.escalated == ("duality", "mult_at_zero", "normal_rank", "rank_D")
+        assert "screen" not in rec.measured
+        assert not rec.agree_all
+
     def test_screen_that_falls_short_defers_to_bareiss(self, monkeypatch):
         # an unlucky prime only lowers a mod-P rank; every screened reading
         # made to fall one short must be re-read by Bareiss to the same record
@@ -631,7 +651,10 @@ class TestEscalation:
         for t in (tau, dual_index(tau, dims.N)):
             rank["rank_D", t] = exact_rank(blocks.D_tau[t - 1])
             rank["rank_at_zero", t] = exact_rank(pencils[t - 1].at(Fraction(0)))
-        reference = harness._rank_fields(rank, dims, tau)
+        report = ZeroReport(tau, (), (), 0, 0)
+        derived, _, _ = harness._derive(dims, tau, predict(dims, tau), rank, rank, report, 0.0)
+        # the rank fields; the rest are the planted report's and lift's
+        reference = {k: v for k, v in derived.items() if k not in FLOAT_FIELDS}
         assert {k: rec.measured[k] for k in reference} == reference
         assert rec.measured["n_finite_nonzero"] == 0
         assert rec.agree_all

@@ -23,7 +23,8 @@ from multirate_zeros.model import (Dimensions, MultirateSystem, TolerancePolicy,
                                    fixture, random_generic, save_system)
 from multirate_zeros.numerics import normal_rank, normal_ranks, numerical_rank, rank_at
 from multirate_zeros.oracle import dual_index, predict
-from multirate_zeros.zeros import finite_zero_candidates, multiplicities, zero_report
+from multirate_zeros.zeros import (ZeroReport, finite_zero_candidates, multiplicities,
+                                   zero_report)
 
 from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, at_delay, pencil_count
 
@@ -88,6 +89,20 @@ class TestRunTrial:
         del ref["elapsed"]
         assert json.dumps(payload, sort_keys=True) == json.dumps(ref, sort_keys=True)
         assert (type(rec.tau), type(rec.seed)) == (int, int)
+
+    @pytest.mark.parametrize("name", ["svd", "cond"])
+    def test_failed_svd_or_cond_is_recorded_and_the_sweep_goes_on(self, monkeypatch, name):
+        # an svd failing in the readings, or a cond in the lift check, is a
+        # ConvergenceFailure the record captures, so the sweep runs on
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{name} did not converge")
+
+        monkeypatch.setattr(np.linalg, name, fail)
+        rec = run_trial(Dimensions(2, 2, 1, 4, 3), 2, 1)
+        assert rec.error.startswith("ConvergenceFailure") and not rec.agree_all
+        report = run_grid(GridSpec(n_values=(2,), m_values=(2,), N_values=(3,), p1_values=(1,),
+                                   taus=(2,), trials_per_cell=2))
+        assert report.failed_trials == report.total_trials == 2
 
     # a float search read a shadow of the zero at infinity as a finite
     # nonzero zero in each of these held-out trials
@@ -289,6 +304,65 @@ class TestRunTrial:
     def test_not_tall_dims_rejected(self):
         with pytest.raises(NotTallClass):
             run_trial(Dimensions(1, 2, 1, 2, 2), tau=1, seed=0)
+
+
+def generic_readings(dims: Dimensions, tau: int) -> dict:
+    """The readings a trial takes, each at its generic value from `predict`."""
+    rank = {}
+    for t in (tau, dual_index(tau, dims.N)):
+        pred = predict(dims, t)
+        rank["rank_D", t] = pred.rank_D
+        rank["rank_at_zero", t] = pred.normal_rank - pred.mult_at_zero
+    rank.update({("normal_rank", t): pred.normal_rank for t in range(1, dims.N + 1)})
+    return rank
+
+
+class TestDerive:
+    """`_derive` on planted readings and a planted zero report: no matrix is read."""
+
+    DIMS, TAU = Dimensions(2, 2, 1, 4, 3), 1
+    REPORT = ZeroReport(TAU, (), (), 0, 0)
+
+    def derive(self, rank, settled):
+        return harness._derive(self.DIMS, self.TAU, predict(self.DIMS, self.TAU), rank,
+                               settled, self.REPORT, 0.0)
+
+    def test_generic_readings_agree_with_no_screen(self):
+        rank = generic_readings(self.DIMS, self.TAU)
+        measured, agreement, escalated = self.derive(rank, rank)
+        assert "screen" not in measured
+        assert escalated == ()
+        assert agreement == dict.fromkeys(AGREEMENT_KEYS, True)
+
+    def test_short_normal_rank_settled_back_is_screened(self):
+        # delay 2 is neither tau nor its dual: only the delay sweep reads it
+        assert 2 not in (self.TAU, dual_index(self.TAU, self.DIMS.N))
+        settled = generic_readings(self.DIMS, self.TAU)
+        rank = {**settled, ("normal_rank", 2): settled["normal_rank", 2] - 1}
+        measured, agreement, escalated = self.derive(rank, settled)
+        rho = settled["normal_rank", 1]
+        assert measured["screen"] == {"normal_rank_by_tau": [rho, rho - 1, rho]}
+        assert measured["normal_rank_by_tau"] == [rho] * 3
+        assert escalated == ("tau_independent",)
+        assert all(agreement.values())
+
+    def test_standing_disagreement_keeps_no_screen(self):
+        rank = generic_readings(self.DIMS, self.TAU)
+        rank["rank_D", self.TAU] -= 1
+        measured, agreement, escalated = self.derive(rank, rank)
+        assert "screen" not in measured
+        assert escalated == ("duality", "mult_at_infinity", "rank_D")
+        assert sorted(k for k, agree in agreement.items() if not agree) == list(escalated)
+
+    def test_float_only_disagreements_do_not_escalate(self):
+        rank = generic_readings(self.DIMS, self.TAU)
+        report = dataclasses.replace(self.REPORT, finite_nonzero_zeros=((0.5 + 0j, 1),))
+        measured, agreement, escalated = harness._derive(
+            self.DIMS, self.TAU, predict(self.DIMS, self.TAU), rank, rank, report, 1.0)
+        assert (measured["n_finite_nonzero"], measured["lift_residual_max"]) == (1, 1.0)
+        assert [k for k, agree in agreement.items() if not agree] == \
+            ["no_finite_nonzero", "lift_residual"]
+        assert escalated == ()
 
 
 def random_read_cases():

@@ -10,8 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multirate_zeros import harness, model, zeros
-from multirate_zeros.blocking import (MatrixPencil, block, block_all, fast_subsystem,
-                                      system_pencil)
+from multirate_zeros.blocking import MatrixPencil, block, block_all, system_pencil
 from multirate_zeros.errors import ConvergenceFailure
 from multirate_zeros.model import (Dimensions, MultirateSystem,
                                    TolerancePolicy, random_generic)
@@ -20,7 +19,7 @@ from multirate_zeros.zeros import (ZeroReport, finite_zero_candidates,
                                    multiplicities, verify_zero, zero_report,
                                    zero_report_to_dict)
 
-from conftest import LONG_HORIZON_DIMS, at_delay, planted_zero_system
+from conftest import LONG_HORIZON_DIMS, at_delay, fast_subsystem, planted_zero_system
 
 
 def delay_fields(sys, tau, policy, seed=0):
