@@ -53,7 +53,7 @@ def shift_fixture_digest() -> str:
     digests = []
     for row in harness._fixture_rank_rows(TolerancePolicy()):
         dims = Dimensions(*(row[k] for k in ("n", "m", "p1", "p2", "N")))
-        sys_ = fixture(row["fixture"], dims, row["tau"], 0)
+        sys_ = fixture(row["fixture"], dims, row["tau"])
         digests += [analyze_digest(sys_, t) for t in ("all", *range(1, dims.N + 1))]
     return sha256("".join(digests))
 
@@ -65,7 +65,7 @@ def workload_digest(name: str) -> str:
         return workloads.WORKLOADS[name](1).run_pass(Path(out)).digest
 
 
-EXAMPLE1 = lambda: fixture("example1", Dimensions(1, 3, 1, 5, 2), 1, 0)  # noqa: E731
+EXAMPLE1 = lambda: random_generic(Dimensions(1, 3, 1, 5, 2), 0)  # noqa: E731
 LONG_HORIZON = lambda: random_generic(Dimensions(5, 5, 3, 24, 8), 7)  # noqa: E731
 
 DIGESTS = {

@@ -10,15 +10,14 @@ from __future__ import annotations
 from ._version import __version__
 from .blocking import (BlockedSystem, MatrixPencil, block, lift_relation_residual,
                        system_pencil, transfer_eval)
-from .errors import (ConvergenceFailure, MultirateError, NotTallClass,
-                     ResolventSingular, TauOutOfRange)
+from .errors import ConvergenceFailure, MultirateError, ResolventSingular
 from .harness import (GridSpec, TrialRecord, VerificationReport, analyze,
                       emit_report, grid_spec_from_dict, run_fixture_suite,
                       run_grid, run_trial)
 from .model import (Dimensions, MultirateSystem, SystemClass, TolerancePolicy,
                     classify, fixture, load_system, random_generic,
                     save_system, system_from_dict, system_to_dict)
-from .numerics import eigenvalues, normal_rank, numerical_rank, rank_at
+from .numerics import normal_rank, numerical_rank, rank_at
 from .oracle import (TheoryPrediction, dual_index, predict,
                      predict_controllability_rank)
 from .zeros import (ZeroReport, finite_zero_candidates, verify_zero,
@@ -27,15 +26,14 @@ from .zeros import (ZeroReport, finite_zero_candidates, verify_zero,
 __all__ = [
     "__version__",
     "BlockedSystem", "MatrixPencil", "block", "lift_relation_residual", "system_pencil", "transfer_eval",
-    "ConvergenceFailure", "MultirateError", "NotTallClass",
-    "ResolventSingular", "TauOutOfRange",
+    "ConvergenceFailure", "MultirateError", "ResolventSingular",
     "GridSpec", "TrialRecord", "VerificationReport", "analyze", "emit_report",
     "grid_spec_from_dict", "run_fixture_suite", "run_grid", "run_trial",
     "Dimensions", "MultirateSystem", "SystemClass",
     "TolerancePolicy", "classify", "fixture",
     "load_system", "random_generic", "save_system",
     "system_from_dict", "system_to_dict",
-    "eigenvalues", "normal_rank", "numerical_rank", "rank_at",
+    "normal_rank", "numerical_rank", "rank_at",
     "TheoryPrediction", "dual_index", "predict", "predict_controllability_rank",
     "ZeroReport", "finite_zero_candidates", "verify_zero", "zero_report",
     "zero_report_to_dict",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceFailure, ResolventSingular, TauOutOfRange
+from .errors import ConvergenceFailure, ResolventSingular
 from .model import Dimensions, MultirateSystem, TolerancePolicy, _is_int
 
 # the byte budget of one stacked product of lift transfer functions: points
@@ -31,17 +31,14 @@ class BlockedSystem:
     tuple of them, and C_tau and D_tau carry a leading delay axis, C_tau[i]
     being the one at delay tau[i]. A_tau and B_tau do not depend on the
     delay, so a stack holds them once, as `MatrixPencil.F` shares its E.
-    slow_rows is p2 for a full blocked system and 0 after the slow outputs
-    have been discarded, so C_tau and D_tau have N*p1 + slow_rows rows.
     """
 
     dims: Dimensions
     tau: int | tuple[int, ...]
     A_tau: np.ndarray   # n x n
     B_tau: np.ndarray   # n x N*m
-    C_tau: np.ndarray   # ([delays,] N*p1 + slow_rows, n)
-    D_tau: np.ndarray   # ([delays,] N*p1 + slow_rows, N*m)
-    slow_rows: int
+    C_tau: np.ndarray   # ([delays,] N*p1 + p2, n)
+    D_tau: np.ndarray   # ([delays,] N*p1 + p2, N*m)
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ def _powers(A: np.ndarray, k: int, matmul=operator.matmul) -> np.ndarray:
 def _check_tau(tau, N: int) -> int:
     # tau as a Python int, refused unless it is an integer in 1..N
     if not _is_int(tau) or not 1 <= tau <= N:
-        raise TauOutOfRange(tau, N)
+        raise ValueError(f"blocking delay tau must be an integer in 1..{N}, got {tau!r}")
     return int(tau)
 
 
@@ -119,8 +116,7 @@ def _assemble(d: Dimensions, taus, A, B, Cf, Cs, Df, Ds,
                                           row_blocks(N - np.array(taus, dtype=np.intp), Cs, Ds))
     return BlockedSystem(dims=d, tau=taus, A_tau=Ak[N],
                          B_tau=matmul(Ak[N - 1::-1], B).transpose(1, 0, 2).reshape(n, N * m),
-                         C_tau=every_delay(C_fast, C_slow), D_tau=every_delay(D_fast, D_slow),
-                         slow_rows=d.p2)
+                         C_tau=every_delay(C_fast, C_slow), D_tau=every_delay(D_fast, D_slow))
 
 
 def block(sys: MultirateSystem, tau: int) -> BlockedSystem:

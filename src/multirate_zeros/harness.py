@@ -26,9 +26,9 @@ from ._exact import settle
 from ._version import __version__
 from .blocking import (BlockedSystem, MatrixPencil, _check_tau, block, block_all,
                        lift_relation_residual, system_pencil)
-from .errors import MultirateError, NotTallClass
-from .model import (Dimensions, MultirateSystem, TolerancePolicy, _check_fields, _is_int,
-                    classify, fixture, policy_from_dict, random_generic)
+from .errors import MultirateError
+from .model import (Dimensions, MultirateSystem, SystemClass, TolerancePolicy, _check_fields,
+                    _is_int, classify, fixture, policy_from_dict, random_generic)
 # normal_rank is not called here (run_trial reads through normal_ranks), but
 # perfbench's tracer reads and wraps harness.normal_rank, so it stays bound
 from .numerics import (_evaluate, _ranks, _sample_points, _sample_uniforms,  # noqa: F401
@@ -459,10 +459,8 @@ def analyze(sys: MultirateSystem, tau: int | str = "all",
     policy = policy or TolerancePolicy()
     dims = sys.dims
     taus = range(1, dims.N + 1) if tau == "all" else [int(tau)]
-    try:
-        preds = {t: predict(dims, t) for t in taus}
-    except NotTallClass:
-        preds = {}
+    preds = ({t: predict(dims, t) for t in taus}
+             if classify(dims) is not SystemClass.NOT_TALL else {})
     _, rank, reports = _read(sys, taus, taus, policy, ANALYZE_SEED, preds)
     readings = {(q, t): v for (q, t), v in rank.items() if t in taus}
     settled = _escalate(sys, readings, preds) if preds else readings
@@ -606,7 +604,7 @@ def _fixture_rank_rows(policy: TolerancePolicy) -> list[dict]:
                     for name, n in cases:
                         dims = Dimensions(n=n, m=m, p1=p1, p2=p2, N=N)
                         expected = predict(dims, tau).rank_D
-                        sys = fixture(name, dims, tau, 0)
+                        sys = fixture(name, dims, tau)
                         meas = numerical_rank(block(sys, tau).D_tau, policy)
                         rows.append({
                             "fixture": name,
@@ -621,7 +619,7 @@ def _controllability_rows(policy: TolerancePolicy) -> list[dict]:
     rows = []
     for n in FIXTURE_GRID["controllability_n"]:
         for m in FIXTURE_GRID["controllability_m"]:
-            sys = fixture("shift_controllability", Dimensions(n=n, m=m, p1=1, p2=1, N=2), 1, 0)
+            sys = fixture("shift_controllability", Dimensions(n=n, m=m, p1=1, p2=1, N=2), 1)
             for nu in FIXTURE_GRID["controllability_nu"]:
                 ctrb = np.hstack([
                     np.linalg.matrix_power(sys.A, k) @ sys.B for k in range(nu)])

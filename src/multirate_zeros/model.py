@@ -224,13 +224,6 @@ def _shift_matrix(n: int, s: int) -> np.ndarray:
     return A
 
 
-def _fixture_example1(dims: Dimensions, tau: int, seed: int) -> MultirateSystem:
-    if (dims.n, dims.m, dims.p1, dims.p2, dims.N) != (1, 3, 1, 5, 2):
-        raise ValueError(f"example1 is defined for dims (1,3,1,5,2), got {dims}")
-    # all 28 scalar parameters are generic; draw them from the seeded stream
-    return random_generic(dims, seed)
-
-
 def _shift_system(dims: Dimensions, T: int) -> MultirateSystem:
     # the first T states cycle through m - p1 positions a step, fed by the
     # first m - p1 inputs, and the slow outputs read them; the other n - T
@@ -251,7 +244,7 @@ def _shift_system(dims: Dimensions, T: int) -> MultirateSystem:
                            Cs=Cs, Df=Df, Ds=Ds)
 
 
-def _fixture_shift_small_n(dims: Dimensions, tau: int, seed: int) -> MultirateSystem:
+def _fixture_shift_small_n(dims: Dimensions, tau: int) -> MultirateSystem:
     n, m, p1, p2, N = dims.n, dims.m, dims.p1, dims.p2, dims.N
     w = m - p1
     if w < 1:
@@ -267,7 +260,7 @@ def _fixture_shift_small_n(dims: Dimensions, tau: int, seed: int) -> MultirateSy
     return _shift_system(dims, n)    # every state is cycled
 
 
-def _fixture_shift_large_n(dims: Dimensions, tau: int, seed: int) -> MultirateSystem:
+def _fixture_shift_large_n(dims: Dimensions, tau: int) -> MultirateSystem:
     n, m, p1, p2, N = dims.n, dims.m, dims.p1, dims.p2, dims.N
     w = m - p1
     if w < 1:
@@ -284,7 +277,7 @@ def _fixture_shift_large_n(dims: Dimensions, tau: int, seed: int) -> MultirateSy
     return _shift_system(dims, T)
 
 
-def _fixture_shift_controllability(dims: Dimensions, tau: int, seed: int) -> MultirateSystem:
+def _fixture_shift_controllability(dims: Dimensions, tau: int) -> MultirateSystem:
     n, m = dims.n, dims.m
     if n > m:
         # circular left-shift through m positions; B selects e_1..e_m
@@ -303,17 +296,15 @@ def _fixture_shift_controllability(dims: Dimensions, tau: int, seed: int) -> Mul
 
 
 _FIXTURES = {
-    "example1": _fixture_example1,
     "shift_small_n": _fixture_shift_small_n,
     "shift_large_n": _fixture_shift_large_n,
     "shift_controllability": _fixture_shift_controllability,
 }
 
 
-def fixture(name: str, dims: Dimensions, tau: int, seed: int) -> MultirateSystem:
+def fixture(name: str, dims: Dimensions, tau: int) -> MultirateSystem:
     """Instantiate a named structured system.
 
-    example1: the 8x7 worked instance with dims (1,3,1,5,2), scalars seeded.
     shift_small_n / shift_large_n: the explicit circular-shift systems that
     attain rank(D_tau) = (N-1)p1+m+n, respectively (tau-1)p1+(N-tau+1)m.
     shift_controllability: the (A, B) pair whose controllability matrix
@@ -324,7 +315,7 @@ def fixture(name: str, dims: Dimensions, tau: int, seed: int) -> MultirateSystem
     """
     if name not in _FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; choose from {sorted(_FIXTURES)}")
-    return _FIXTURES[name](dims, tau, seed)
+    return _FIXTURES[name](dims, tau)
 
 
 def system_to_dict(sys: MultirateSystem) -> dict:

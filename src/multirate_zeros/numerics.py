@@ -159,13 +159,3 @@ def normal_rank(pencil: MatrixPencil, policy: TolerancePolicy | None = None,
     """
     return normal_ranks(pencil, policy, seed, bound)[0]
 
-
-def eigenvalues(M: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a square matrix, with algebraic multiplicity, unordered."""
-    M = np.atleast_2d(M)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"eigenvalues needs a square matrix, got {M.shape}")
-    try:
-        return np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from None

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocking import _check_tau
-from .errors import NotTallClass
 from .model import Dimensions, SystemClass, _is_int, classify
 
 
@@ -62,9 +61,9 @@ def predict(dims: Dimensions, tau: int) -> TheoryPrediction:
     """All predictions for one (dims, tau) pair, each with the label of its case."""
     cls = classify(dims)
     if cls is SystemClass.NOT_TALL:
-        raise NotTallClass(
-            f"dims {dims} give N*p1+p2 = {dims.N * dims.p1 + dims.p2} "
-            f"<= N*m = {dims.N * dims.m}")
+        raise ValueError(
+            f"predictions require a tall system (N*p1 + p2 > N*m): dims {dims} give "
+            f"N*p1+p2 = {dims.N * dims.p1 + dims.p2} <= N*m = {dims.N * dims.m}")
     tau = _check_tau(tau, dims.N)
     n, m, p1, N = dims.n, dims.m, dims.p1, dims.N
     w = m - p1

@@ -8,7 +8,9 @@ the structure at infinity, and the finite zeros are the eigenvalues of the
 square matrix that is left. It draws no random numbers. Every point away
 from the origin and infinity is then re-verified by rank tests on the full
 pencil at and around it, so reported zeros are sound up to the rank
-tolerance. Multiplicities are geometric: the rank deficiency at the point,
+tolerance; those tests read float ranks, so a badly scaled system can
+still yield a confirmed spurious zero, one at which its exact rank is
+full. Multiplicities are geometric: the rank deficiency at the point,
 with the point at infinity measured through n + rank(D_tau). The
 multiplicities at 0 and infinity need no reduction: `multiplicities`
 derives them from rank readings, which the harness takes once per system
@@ -23,7 +25,7 @@ import numpy as np
 from .blocking import MatrixPencil
 from .errors import ConvergenceFailure
 from .model import TolerancePolicy
-from .numerics import eigenvalues, normal_rank, rank_at
+from .numerics import normal_rank, rank_at
 
 # reference points for the local rank comparison in verify_zero, one just
 # outside and one just inside the candidate modulus, phase-rotated so that
@@ -124,9 +126,10 @@ def finite_zero_candidates(pencil: MatrixPencil, policy: TolerancePolicy,
         thr = policy.rel_rank_tol * max(E.shape) * norm
         A_K, B_N = _reduce(F[:n, :n], F[:n, n:], -F[n:, :n], -F[n:, n:], thr)
         A = _reduce(A_K.T, np.zeros((len(A_K), 0)), B_N.T, np.zeros((B_N.shape[1], 0)), thr)[0]
+        zeros = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}") from None
-    return _cluster(eigenvalues(A), policy.cluster_tol)
+        raise ConvergenceFailure(f"SVD or eigensolver did not converge: {exc}") from None
+    return _cluster(zeros, policy.cluster_tol)
 
 
 def verify_zero(pencil: MatrixPencil, Z0: complex, policy: TolerancePolicy,

@@ -161,7 +161,7 @@ class TestFloatRankNeverExceedsExact:
     @settings(max_examples=20)
     def test_blocked_feedthrough_of_shift_fixtures(self, row):
         dims = Dimensions(row["n"], row["m"], row["p1"], row["p2"], row["N"])
-        sys = fixture(row["fixture"], dims, row["tau"], 0)
+        sys = fixture(row["fixture"], dims, row["tau"])
         assert numerical_rank(block(sys, row["tau"]).D_tau) <= \
             exact_rank(exact_block(sys).D_tau[row["tau"] - 1])
 
@@ -181,7 +181,7 @@ class TestExactBlock:
         sys = random_generic(Dimensions(2, 2, 1, 3, 3), seed=5)
         fl = block(sys, tau)
         ex = at_delay(exact_block(sys), tau - 1)
-        assert ex.dims == fl.dims and ex.tau == fl.tau and ex.slow_rows == fl.slow_rows
+        assert ex.dims == fl.dims and ex.tau == fl.tau
         for name in ("A_tau", "B_tau", "C_tau", "D_tau"):
             exact = getattr(ex, name).astype(float)
             assert np.allclose(exact, getattr(fl, name), rtol=1e-12, atol=1e-15)
@@ -371,7 +371,7 @@ class TestModpBlock:
         modp, exact = modp_block(sys), exact_block(sys)
         assert modp.tau == exact.tau == tuple(range(1, dims.N + 1))
         for mb, eb in ((at_delay(modp, i), at_delay(exact, i)) for i in range(dims.N)):
-            assert (mb.dims, mb.tau, mb.slow_rows) == (eb.dims, eb.tau, eb.slow_rows)
+            assert (mb.dims, mb.tau) == (eb.dims, eb.tau)
             for name in ("A_tau", "B_tau", "C_tau", "D_tau"):
                 reduced = [[residue(x) for x in row] for row in getattr(eb, name).tolist()]
                 assert getattr(mb, name).dtype == np.int64

@@ -261,13 +261,13 @@ class TestFixtures:
     def test_shift_small_n_state_matrix(self):
         # shifting R^2 through m - p1 = 2 positions is the identity permutation
         d = Dimensions(2, 3, 1, 5, 2)
-        sys = fixture("shift_small_n", d, tau=1, seed=0)
+        sys = fixture("shift_small_n", d, tau=1)
         assert np.array_equal(sys.A, np.eye(2))
         assert np.allclose(sys.A @ sys.A.T, np.eye(2))
 
     def test_shift_small_n_is_a_permutation(self):
         d = Dimensions(4, 4, 1, 8, 3)  # w = 3, n = 4: a genuine cycle
-        sys = fixture("shift_small_n", d, tau=1, seed=0)
+        sys = fixture("shift_small_n", d, tau=1)
         A = sys.A
         assert np.array_equal(np.sort(A, axis=0)[-1], np.ones(4))
         assert np.allclose(A @ A.T, np.eye(4))
@@ -276,20 +276,16 @@ class TestFixtures:
     def test_shift_small_n_gate(self):
         d = Dimensions(3, 3, 1, 5, 2)  # n = 3 > (N - tau)(m - p1) = 2
         with pytest.raises(ValueError, match=r"shift_small_n needs n <= \(N-tau\)\(m-p1\) = 2"):
-            fixture("shift_small_n", d, tau=1, seed=0)
+            fixture("shift_small_n", d, tau=1)
 
     def test_shift_large_n_gate(self):
         d = Dimensions(2, 3, 1, 5, 2)  # n = 2 <= (N - tau)(m - p1): not large
         with pytest.raises(ValueError, match=r"shift_large_n needs n > \(N-tau\)\(m-p1\) = 2"):
-            fixture("shift_large_n", d, tau=1, seed=0)
-
-    def test_example1_dims_are_fixed(self):
-        with pytest.raises(ValueError, match=r"example1 is defined for dims \(1,3,1,5,2\)"):
-            fixture("example1", Dimensions(2, 3, 1, 5, 2), tau=1, seed=0)
+            fixture("shift_large_n", d, tau=1)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            fixture("nope", EXAMPLE1_DIMS, tau=1, seed=0)
+            fixture("nope", EXAMPLE1_DIMS, tau=1)
 
     def test_shift_orthogonality_and_reachability(self):
         # the shift construction: A orthogonal, and the blocked input map
@@ -304,7 +300,7 @@ class TestFixtures:
             d = Dimensions(n, m, p1, p2, N)
             w = m - p1
             assert n <= (N - tau) * w
-            sys = fixture("shift_small_n", d, tau=tau, seed=0)
+            sys = fixture("shift_small_n", d, tau=tau)
             assert np.allclose(sys.A @ sys.A.T, np.eye(n))
             blocks = [np.linalg.matrix_power(sys.A, k) @ sys.B
                       for k in range(N - tau - 1, -1, -1)]
@@ -312,7 +308,7 @@ class TestFixtures:
             assert np.linalg.matrix_rank(reach) == n
 
     def test_shift_controllability_rank(self):
-        sys = fixture("shift_controllability", Dimensions(4, 2, 1, 1, 2), tau=1, seed=0)
+        sys = fixture("shift_controllability", Dimensions(4, 2, 1, 1, 2), tau=1)
         ctrb = np.hstack([sys.B, sys.A @ sys.B])
         assert np.linalg.matrix_rank(ctrb) == 4
 

@@ -12,8 +12,7 @@ from multirate_zeros import numerics
 from multirate_zeros.blocking import MatrixPencil, block, block_all, system_pencil
 from multirate_zeros.errors import ConvergenceFailure  # noqa: F401  (surfaced type)
 from multirate_zeros.model import Dimensions, TolerancePolicy, _rng, random_generic
-from multirate_zeros.numerics import (NORMAL_RANK_RADIUS, eigenvalues,
-                                      normal_rank, numerical_rank, rank_at)
+from multirate_zeros.numerics import NORMAL_RANK_RADIUS, normal_rank, numerical_rank, rank_at
 from multirate_zeros.oracle import predict
 from multirate_zeros.zeros import multiplicities
 
@@ -414,35 +413,11 @@ class TestMultiplicities:
         d = Dimensions(2, 1, 1, 1, 2)
         blk = BlockedSystem(dims=d, tau=1, A_tau=np.eye(2),
                             B_tau=np.ones((2, 2)), C_tau=np.ones((3, 2)),
-                            D_tau=np.zeros((3, 2)), slow_rows=1)
+                            D_tau=np.zeros((3, 2)))
         assert self.rank_at_infinity(blk, policy) == 2
 
     def test_fast_tall_full_column(self, policy):
         dims = Dimensions(2, 1, 2, 1, 3)
         blk = block(random_generic(dims, seed=12), 1)
         assert self.rank_at_infinity(blk, policy) == dims.n + dims.N * dims.m
-
-
-class TestEigenvalues:
-    def test_diagonal(self):
-        got = sorted(eigenvalues(np.diag([1.0, 2.0, 3.0])).real)
-        assert np.allclose(got, [1, 2, 3])
-
-    def test_rotation(self):
-        got = eigenvalues(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        assert np.allclose(sorted(got, key=lambda z: z.imag), [-1j, 1j])
-
-    def test_companion(self):
-        # companion matrix of z^2 - 3z + 2
-        got = sorted(eigenvalues(np.array([[0.0, -2.0], [1.0, 3.0]])).real)
-        assert np.allclose(got, [1, 2])
-
-    def test_multiplicity_kept(self):
-        got = eigenvalues(np.eye(3))
-        assert len(got) == 3
-        assert np.allclose(got, 1.0)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            eigenvalues(np.zeros((2, 3)))
 
