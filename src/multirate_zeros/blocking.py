@@ -176,16 +176,16 @@ def _solve_resolvent(blk: BlockedSystem, points, policy: TolerancePolicy) -> np.
 
 
 def transfer_eval(blk: BlockedSystem, Z: complex,
-                  policy: TolerancePolicy | None = None) -> np.ndarray:
+                  policy: TolerancePolicy = TolerancePolicy()) -> np.ndarray:
     """Blocked transfer function V_tau(Z) = C_tau (Z*I - A_tau)^-1 B_tau + D_tau.
 
     On a stack it is the stack of V_tau(Z) at its delays, from one solve.
     """
-    return blk.C_tau @ _solve_resolvent(blk, [Z], policy or TolerancePolicy())[0] + blk.D_tau
+    return blk.C_tau @ _solve_resolvent(blk, [Z], policy)[0] + blk.D_tau
 
 
 def lift_relation_residual(blk: BlockedSystem, Z,
-                           policy: TolerancePolicy | None = None) -> float:
+                           policy: TolerancePolicy = TolerancePolicy()) -> float:
     """Largest relative residual of the one-step lifting identity over delays 1..N.
 
     blk is one system blocked at every delay 1..N, the stack block_all
@@ -214,7 +214,7 @@ def lift_relation_residual(blk: BlockedSystem, Z,
     if any(z == 0 for z in points):
         raise ValueError("the lifting relation involves 1/Z and is undefined at Z=0")
     m, p1, N = blk.dims.m, blk.dims.p1, blk.dims.N
-    Xs = _solve_resolvent(blk, points, policy or TolerancePolicy())
+    Xs = _solve_resolvent(blk, points, policy)
     step = max(1, LIFT_STACK_BYTES // blk.D_tau.nbytes)
     worst = []
     for i in range(0, len(points), step):

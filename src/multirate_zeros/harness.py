@@ -387,7 +387,7 @@ def _read(sys: MultirateSystem, taus, zeros_at, policy: TolerancePolicy, seed: i
 
 
 def run_trial(dims: Dimensions, tau: int, seed: int,
-              policy: TolerancePolicy | None = None) -> TrialRecord:
+              policy: TolerancePolicy = TolerancePolicy()) -> TrialRecord:
     """Generate, block, measure and compare one random system.
 
     Beyond the four headline quantities, three structural checks run on the
@@ -404,7 +404,6 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
     captured in the record, not raised. A numpy integer tau or seed is
     recorded as its Python int.
     """
-    policy = policy or TolerancePolicy()
     pred = predict(dims, tau)
     tau = pred.tau      # checked, and a Python int
     dual = dual_index(tau, dims.N)
@@ -439,7 +438,7 @@ def run_trial(dims: Dimensions, tau: int, seed: int,
 
 
 def analyze(sys: MultirateSystem, tau: int | str = "all",
-            policy: TolerancePolicy | None = None) -> dict:
+            policy: TolerancePolicy = TolerancePolicy()) -> dict:
     """Zero structure of one system at delay tau, or at every delay for "all".
 
     Returns the payload `analyze --out` writes, timestamp included. The
@@ -456,7 +455,6 @@ def analyze(sys: MultirateSystem, tau: int | str = "all",
     """
     if tau != "all" and not _is_int(tau):
         raise ValueError(f'tau must be an integer or "all", got {tau!r}')
-    policy = policy or TolerancePolicy()
     dims = sys.dims
     taus = range(1, dims.N + 1) if tau == "all" else [int(tau)]
     preds = ({t: predict(dims, t) for t in taus}
@@ -597,11 +595,8 @@ def _fixture_rank_rows(policy: TolerancePolicy) -> list[dict]:
                 p2 = N * w + 1
                 for tau in range(1, N + 1):
                     T = (N - tau) * w
-                    # small-state fixtures up to the saturation point T, large-state past it
-                    cases = [("shift_small_n", n) for n in range(w, T + 1)]
-                    if tau <= N - 1:
-                        cases += [("shift_large_n", T + q) for q in (1, 2)]
-                    for name, n in cases:
+                    for n in range(w, T + 3 if tau < N else T + 1):
+                        name = "shift_small_n" if n <= T else "shift_large_n"
                         dims = Dimensions(n=n, m=m, p1=p1, p2=p2, N=N)
                         expected = predict(dims, tau).rank_D
                         sys = fixture(name, dims, tau)
@@ -634,7 +629,7 @@ def _controllability_rows(policy: TolerancePolicy) -> list[dict]:
     return rows
 
 
-def run_fixture_suite(policy: TolerancePolicy | None = None) -> VerificationReport:
+def run_fixture_suite(policy: TolerancePolicy = TolerancePolicy()) -> VerificationReport:
     """Exact-rank checks on the structured 0/1 fixtures.
 
     The shift fixtures are swept over every admissible (n, m, p1, N, tau)
@@ -643,7 +638,6 @@ def run_fixture_suite(policy: TolerancePolicy | None = None) -> VerificationRepo
     match the closed forms exactly, with no genericity caveat: these
     matrices attain the generic values by construction.
     """
-    policy = policy or TolerancePolicy()
     rows = _fixture_rank_rows(policy) + _controllability_rows(policy)
     agree = sum(r["agree"] for r in rows)
     total = len(rows)

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +57,6 @@ class Dimensions:
                 raise ValueError(f"dimension {name} must be >= 1, got {getattr(self, name)}")
         if self.N < 2:
             raise ValueError(f"rate ratio N must be >= 2, got {self.N}")
-
-    @property
-    def p(self) -> int:
-        return self.p1 + self.p2
 
 
 class SystemClass(str, Enum):
@@ -218,10 +215,7 @@ def random_generic(dims: Dimensions, seed: int) -> MultirateSystem:
 
 def _shift_matrix(n: int, s: int) -> np.ndarray:
     """Circular left-shift through s positions on R^n, as columns of the canonical basis."""
-    A = np.zeros((n, n))
-    for i in range(n):
-        A[(i - s) % n, i] = 1.0
-    return A
+    return np.roll(np.eye(n), -s, axis=0)
 
 
 def _shift_system(dims: Dimensions, T: int) -> MultirateSystem:
@@ -244,60 +238,43 @@ def _shift_system(dims: Dimensions, T: int) -> MultirateSystem:
                            Cs=Cs, Df=Df, Ds=Ds)
 
 
-def _fixture_shift_small_n(dims: Dimensions, tau: int) -> MultirateSystem:
+def _fixture_shift(dims: Dimensions, tau: int, small: bool) -> MultirateSystem:
+    # both regimes cycle T = min(n, (N-tau)(m-p1)) states: all n of them
+    # when small, the (N-tau)(m-p1) the blocked input reaches when large
     n, m, p1, p2, N = dims.n, dims.m, dims.p1, dims.p2, dims.N
+    name = "shift_small_n" if small else "shift_large_n"
     w = m - p1
     if w < 1:
-        raise ValueError(f"shift_small_n needs p1 < m, got p1={p1}, m={m}")
-    if n > (N - tau) * w:
-        raise ValueError(
-            f"shift_small_n needs n <= (N-tau)(m-p1) = {(N - tau) * w}, got n={n}")
-    if n < w:
-        raise ValueError(f"shift_small_n needs n >= m-p1 = {w}, got n={n}")
-    if p2 < n or p2 + p1 - n - m < 0:
-        raise ValueError(
-            f"shift_small_n needs p2 >= n and p2+p1 >= n+m, got p2={p2}")
-    return _shift_system(dims, n)    # every state is cycled
-
-
-def _fixture_shift_large_n(dims: Dimensions, tau: int) -> MultirateSystem:
-    n, m, p1, p2, N = dims.n, dims.m, dims.p1, dims.p2, dims.N
-    w = m - p1
-    if w < 1:
-        raise ValueError(f"shift_large_n needs p1 < m, got p1={p1}, m={m}")
-    T = (N - tau) * w       # size of the cycled part of the state
-    if n - T < 1:
-        raise ValueError(
-            f"shift_large_n needs n > (N-tau)(m-p1) = {T}, got n={n}")
-    if N - tau - 1 < 0:
-        raise ValueError(f"shift_large_n block layout needs tau <= N-1, got tau={tau}")
-    if p2 < T or p2 + p1 - m - T < 0:
-        raise ValueError(
-            f"shift_large_n needs p2 >= (N-tau)(m-p1) and p2+p1 >= m+(N-tau)(m-p1), got p2={p2}")
+        raise ValueError(f"{name} needs p1 < m, got p1={p1}, m={m}")
+    reach = (N - tau) * w
+    if (n <= reach) != small:
+        gate = "<=" if small else ">"
+        raise ValueError(f"{name} needs n {gate} (N-tau)(m-p1) = {reach}, got n={n}")
+    T = min(n, reach)
+    if T < w:
+        raise ValueError(f"{name} needs min(n, (N-tau)(m-p1)) >= m-p1 = {w}, "
+                         f"got {T} at n={n}, tau={tau}")
+    if p2 < T or p2 + p1 < m + T:
+        raise ValueError(f"{name} needs p2 >= T and p2+p1 >= m+T for "
+                         f"T = min(n, (N-tau)(m-p1)) = {T}, got p2={p2}")
     return _shift_system(dims, T)
 
 
 def _fixture_shift_controllability(dims: Dimensions, tau: int) -> MultirateSystem:
+    # circular left-shift through m positions; B selects e_1..e_k, k = min(n, m)
     n, m = dims.n, dims.m
-    if n > m:
-        # circular left-shift through m positions; B selects e_1..e_m
-        A = _shift_matrix(n, m)
-        B = np.zeros((n, m))
-        B[:m, :m] = np.eye(m)
-    else:
-        # B alone already has full row rank; keep the same selection pattern
-        A = _shift_matrix(n, m % n)
-        B = np.zeros((n, m))
-        B[:n, :n] = np.eye(n)
+    k = min(n, m)
+    B = np.zeros((n, m))
+    B[:k, :k] = np.eye(k)
     zeros = np.zeros
-    return MultirateSystem(dims=dims, A=A, B=B,
+    return MultirateSystem(dims=dims, A=_shift_matrix(n, m), B=B,
                            Cf=zeros((dims.p1, n)), Cs=zeros((dims.p2, n)),
                            Df=zeros((dims.p1, m)), Ds=zeros((dims.p2, m)))
 
 
 _FIXTURES = {
-    "shift_small_n": _fixture_shift_small_n,
-    "shift_large_n": _fixture_shift_large_n,
+    "shift_small_n": partial(_fixture_shift, small=True),
+    "shift_large_n": partial(_fixture_shift, small=False),
     "shift_controllability": _fixture_shift_controllability,
 }
 
@@ -305,8 +282,10 @@ _FIXTURES = {
 def fixture(name: str, dims: Dimensions, tau: int) -> MultirateSystem:
     """Instantiate a named structured system.
 
-    shift_small_n / shift_large_n: the explicit circular-shift systems that
-    attain rank(D_tau) = (N-1)p1+m+n, respectively (tau-1)p1+(N-tau+1)m.
+    shift_small_n / shift_large_n: one circular-shift construction, cycling
+    min(n, (N-tau)(m-p1)) states, for n at most (N-tau)(m-p1), respectively
+    above it; it attains rank(D_tau) = (N-1)p1+m+n, respectively
+    (tau-1)p1+(N-tau+1)m.
     shift_controllability: the (A, B) pair whose controllability matrix
     [B AB ... A^(nu-1)B] attains rank min(n, nu*m), with all-zero outputs.
 

@@ -35,12 +35,12 @@ def _ranks(M: np.ndarray, policy: TolerancePolicy) -> tuple[np.ndarray, np.ndarr
     return np.sum(s > policy.rel_rank_tol * s[..., :1] * max(M.shape[-2:]), axis=-1), s
 
 
-def numerical_rank(M: np.ndarray, policy: TolerancePolicy | None = None) -> int | list[int]:
+def numerical_rank(M: np.ndarray, policy: TolerancePolicy = TolerancePolicy()) -> int | list[int]:
     """Count singular values above rel_rank_tol * sigma_1 * max(rows, cols).
 
     Given a stack (k, rows, cols), the list of the k ranks, from one svd call.
     """
-    ranks = _ranks(np.atleast_2d(M), policy or TolerancePolicy())[0]
+    ranks = _ranks(np.atleast_2d(M), policy)[0]
     return ranks.tolist() if ranks.ndim else int(ranks)
 
 
@@ -50,7 +50,7 @@ def _evaluate(E: np.ndarray, F: np.ndarray, Z: complex) -> np.ndarray:
     return Z * E - F if abs(Z) <= 1.0 else E - F / Z
 
 
-def rank_at(pencil: MatrixPencil, Z: complex, policy: TolerancePolicy | None = None) -> int:
+def rank_at(pencil: MatrixPencil, Z: complex, policy: TolerancePolicy = TolerancePolicy()) -> int:
     """Numerical rank of the pencil evaluated at the point Z.
 
     A real Z, including a complex one with zero imaginary part, is read in
@@ -108,7 +108,7 @@ def _sample_points(seed: int, count: int) -> tuple[float, ...]:
                  for u in _sample_uniforms(seed, count))
 
 
-def normal_ranks(pencils: MatrixPencil, policy: TolerancePolicy | None = None,
+def normal_ranks(pencils: MatrixPencil, policy: TolerancePolicy = TolerancePolicy(),
                  seed: int = 0, bound: int | None = None, first=None) -> list[int]:
     """`normal_rank` of each pencil of a stack sharing E, one svd call a point.
 
@@ -122,7 +122,6 @@ def normal_ranks(pencils: MatrixPencil, policy: TolerancePolicy | None = None,
     (`harness._read` reads them in one svd call with its ranks at Z = 0),
     and the sweep carries on from the second point.
     """
-    policy = policy or TolerancePolicy()
     E, F = pencils.E, pencils.F.reshape(-1, *pencils.shape)
     limit = _rank_limit(E.shape, bound)
     points = _sample_points(seed, policy.normal_rank_samples)
@@ -139,7 +138,7 @@ def normal_ranks(pencils: MatrixPencil, policy: TolerancePolicy | None = None,
     return best.tolist()
 
 
-def normal_rank(pencil: MatrixPencil, policy: TolerancePolicy | None = None,
+def normal_rank(pencil: MatrixPencil, policy: TolerancePolicy = TolerancePolicy(),
                 seed: int = 0, bound: int | None = None) -> int:
     """Maximum rank over sampled real points Z of either sign.
 

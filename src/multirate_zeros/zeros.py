@@ -169,7 +169,7 @@ def multiplicities(rho: int, rank_at_zero: int, rank_D: int, n: int) -> tuple[in
     return max(0, rho - rank_at_zero), max(0, rho - n - rank_D)
 
 
-def zero_report(pencil: MatrixPencil, tau: int, policy: TolerancePolicy | None = None,
+def zero_report(pencil: MatrixPencil, tau: int, policy: TolerancePolicy = TolerancePolicy(),
                 seed: int = 0, rho: int | None = None, norm: float | None = None) -> ZeroReport:
     """Verified finite nonzero zeros of a blocked system.
 
@@ -190,7 +190,6 @@ def zero_report(pencil: MatrixPencil, tau: int, policy: TolerancePolicy | None =
     `finite_zero_candidates` when it is None; `harness._read` passes the
     readings it holds for both.
     """
-    policy = policy or TolerancePolicy()
     if rho is None:
         rho = normal_rank(pencil, policy, seed)
     candidates = finite_zero_candidates(pencil, policy, norm)

@@ -18,8 +18,9 @@ from multirate_zeros.harness import (AGREEMENT_KEYS, CSV_COLUMNS, LIFT_SAMPLES, 
                                      cells, emit_report, grid_spec_from_dict,
                                      grid_spec_to_dict, run_fixture_suite,
                                      run_grid, run_trial)
-from multirate_zeros.model import (Dimensions, MultirateSystem, TolerancePolicy,
-                                   fixture, random_generic, save_system)
+from multirate_zeros.model import (Dimensions, MultirateSystem, SystemClass,
+                                   TolerancePolicy, classify, fixture, random_generic,
+                                   save_system)
 from multirate_zeros.numerics import normal_rank, normal_ranks, numerical_rank, rank_at
 from multirate_zeros.oracle import dual_index, predict
 from multirate_zeros.zeros import (ZeroReport, finite_zero_candidates, multiplicities,
@@ -695,6 +696,20 @@ class TestRunGrid:
         assert row["rank_D_meas"] == row["rank_D_pred"]
         assert row["nrank_meas"] == row["nrank_pred"]
         assert row["agree_all"] is True
+
+    # the canonical grids draw p1 in 1..m only, so no other test runs a
+    # trial on a FastTall system, where rank(D_tau) is full-column
+    def test_fast_tall_cells_agree(self):
+        spec = GridSpec(n_values=(1, 2, 3, 4, 5), m_values=(1, 2), N_values=(2, 3, 4),
+                        p1_values=(3, 4), p2_offsets=(1, 2), taus="all",
+                        trials_per_cell=1, base_seed=0)
+        assert {classify(dims) for dims, _ in cells(spec)} == {SystemClass.FAST_TALL}
+        report = run_grid(spec)
+        assert report.total_trials == 360
+        assert {row["class"] for row in report.trials} == {"FastTall"}
+        assert report.all_agree
+        assert report.failed_trials == 0
+        assert report.escalated_trials == 0
 
 
 class TestGridSpecDict:

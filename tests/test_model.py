@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multirate_zeros.model import (Dimensions, MultirateSystem, SystemClass,
-                                   TolerancePolicy, _rng, classify, fixture,
+                                   TolerancePolicy, _rng, _shift_matrix, classify, fixture,
                                    load_system, policy_from_dict,
                                    random_generic, save_system,
                                    system_from_dict, system_to_dict)
@@ -29,9 +29,6 @@ dims_strategy = st.builds(
 
 
 class TestDimensions:
-    def test_p_is_total_output_dim(self):
-        assert Dimensions(1, 3, 1, 5, 2).p == 6
-
     @pytest.mark.parametrize("kwargs", [
         dict(n=0, m=1, p1=1, p2=1, N=2),
         dict(n=1, m=0, p1=1, p2=1, N=2),
@@ -255,6 +252,128 @@ class TestSeeds:
                 want = np.random.Generator(np.random.Philox(key=key)).uniform(size=3)
                 assert np.array_equal(_rng(seed, purpose).uniform(size=3), want)
         assert _rng(0, 1).uniform() != _rng(0).uniform()
+
+
+# The reference: the fixture functions as they stood with one function per
+# shift regime, a branch on n > m in the controllability fixture and the
+# shift matrix filled column by column. `fixture` must build the same
+# systems, bit for bit, and refuse the same inputs.
+
+def ref_shift_matrix(n: int, s: int) -> np.ndarray:
+    A = np.zeros((n, n))
+    for i in range(n):
+        A[(i - s) % n, i] = 1.0
+    return A
+
+
+def ref_shift_system(dims: Dimensions, T: int) -> MultirateSystem:
+    n, m, p1, p2 = dims.n, dims.m, dims.p1, dims.p2
+    w = m - p1
+    A = np.zeros((n, n))
+    A[:T, :T] = ref_shift_matrix(T, w)
+    B = np.zeros((n, m))
+    B[:w, :w] = np.eye(w)
+    Df = np.zeros((p1, m))
+    Df[:, w:] = np.eye(p1)
+    Cs = np.zeros((p2, n))
+    Cs[:T, :T] = np.eye(T)
+    Ds = np.zeros((p2, m))
+    Ds[T:T + w, :w] = np.eye(w)
+    return MultirateSystem(dims=dims, A=A, B=B, Cf=np.zeros((p1, n)),
+                           Cs=Cs, Df=Df, Ds=Ds)
+
+
+def ref_shift_small_n(dims: Dimensions, tau: int) -> MultirateSystem:
+    n, m, p1, p2, N = dims.n, dims.m, dims.p1, dims.p2, dims.N
+    w = m - p1
+    if w < 1:
+        raise ValueError("p1 < m")
+    if n > (N - tau) * w:
+        raise ValueError("n <= (N-tau)(m-p1)")
+    if n < w:
+        raise ValueError("n >= m-p1")
+    if p2 < n or p2 + p1 - n - m < 0:
+        raise ValueError("p2 >= n and p2+p1 >= n+m")
+    return ref_shift_system(dims, n)
+
+
+def ref_shift_large_n(dims: Dimensions, tau: int) -> MultirateSystem:
+    n, m, p1, p2, N = dims.n, dims.m, dims.p1, dims.p2, dims.N
+    w = m - p1
+    if w < 1:
+        raise ValueError("p1 < m")
+    T = (N - tau) * w
+    if n - T < 1:
+        raise ValueError("n > (N-tau)(m-p1)")
+    if N - tau - 1 < 0:
+        raise ValueError("tau <= N-1")
+    if p2 < T or p2 + p1 - m - T < 0:
+        raise ValueError("p2 >= T and p2+p1 >= m+T")
+    return ref_shift_system(dims, T)
+
+
+def ref_shift_controllability(dims: Dimensions, tau: int) -> MultirateSystem:
+    n, m = dims.n, dims.m
+    if n > m:
+        A = ref_shift_matrix(n, m)
+        B = np.zeros((n, m))
+        B[:m, :m] = np.eye(m)
+    else:
+        A = ref_shift_matrix(n, m % n)
+        B = np.zeros((n, m))
+        B[:n, :n] = np.eye(n)
+    zeros = np.zeros
+    return MultirateSystem(dims=dims, A=A, B=B,
+                           Cf=zeros((dims.p1, n)), Cs=zeros((dims.p2, n)),
+                           Df=zeros((dims.p1, m)), Ds=zeros((dims.p2, m)))
+
+
+REF_FIXTURES = {
+    "shift_small_n": ref_shift_small_n,
+    "shift_large_n": ref_shift_large_n,
+    "shift_controllability": ref_shift_controllability,
+}
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFixturesEqualTheReference:
+    def test_shift_matrix_is_the_column_fill(self):
+        for n in range(13):
+            for s in range(15):
+                assert same_bits(_shift_matrix(n, s), ref_shift_matrix(n, s)), (n, s)
+
+    def test_every_system_and_refusal(self):
+        built = dict.fromkeys(REF_FIXTURES, 0)
+        for n in range(1, 7):
+            for m in range(1, 5):
+                for p1 in range(1, m + 1):
+                    for p2 in range(1, 13):
+                        for N in range(2, 5):
+                            dims = Dimensions(n, m, p1, p2, N)
+                            for tau in range(1, N + 1):
+                                for name, ref in REF_FIXTURES.items():
+                                    try:
+                                        want = ref(dims, tau)
+                                    except ValueError:
+                                        with pytest.raises(ValueError, match=name):
+                                            fixture(name, dims, tau)
+                                        continue
+                                    got = fixture(name, dims, tau)
+                                    assert got.dims == dims
+                                    for mat in ("A", "B", "Cf", "Cs", "Df", "Ds"):
+                                        assert same_bits(getattr(got, mat), getattr(want, mat)), \
+                                            (name, dims, tau, mat)
+                                    built[name] += 1
+        # both shift regimes are built, not only refused
+        assert min(built.values()) > 0, built
+
+    def test_controllability_shift_is_taken_mod_n(self):
+        for n in range(1, 12):
+            for m in range(1, 12):
+                assert same_bits(_shift_matrix(n, m), ref_shift_matrix(n, m % n))
 
 
 class TestFixtures:

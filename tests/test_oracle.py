@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multirate_zeros.blocking import _check_tau
+from multirate_zeros import _exact
+from multirate_zeros.blocking import _assemble, _check_tau, system_pencil
+from multirate_zeros.harness import _delay_fields
 from multirate_zeros.model import Dimensions, SystemClass, classify
 from multirate_zeros.oracle import dual_index, predict, predict_controllability_rank
 
@@ -341,3 +343,43 @@ class TestPredictBundle:
         pred = predict(dims, tau)
         assert pred.mult_at_zero <= pred.normal_rank
         assert pred.mult_at_infinity <= pred.normal_rank
+
+
+class TestGenericValuesOverFP:
+    def test_random_systems_over_fp_attain_every_prediction(self):
+        """Random systems over F_P read predict's values at every delay.
+
+        Each system's entries are drawn uniformly from F_P, P = _exact.P,
+        and assembled and read in F_P, so no rank needs a tolerance. Every
+        minor is a polynomial with integer coefficients in the entries (and
+        in Z, for the pencil), so a rank over F_P is at most the generic
+        rank over Q: a reading above a prediction refutes it. A reading
+        below a generic rank r needs a draw on a root of an r-minor that is
+        nonzero mod P, of probability at most deg/P by Schwartz (1980) and
+        Zippel (1979), an r-minor having degree at most r(N+1), or a P that
+        divides the content of every r-minor. The draws are seeded, so the
+        test is deterministic.
+        The range reaches FastTall (p1 > m), which the float grids never draw,
+        and every case label of every quantity in each class it occurs in.
+        """
+        rng = np.random.default_rng(0)
+        seen, checked = set(), 0
+        for n, m, N, off in itertools.product(range(1, 6), range(1, 5), range(2, 5), (1, 2)):
+            for p1 in range(1, m + 3):
+                dims = Dimensions(n, m, p1, max(N * (m - p1), 0) + off, N)
+                shapes = [(n, n), (n, m), (p1, n), (dims.p2, n), (p1, m), (dims.p2, m)]
+                mats = [rng.integers(0, _exact.P, size=s) for s in shapes]
+                blk = _assemble(dims, range(1, N + 1), *mats, matmul=_exact._matmul_mod)
+                pencil = system_pencil(blk)
+                at_z = pencil.at(int(rng.integers(1, _exact.P))) % _exact.P
+                for t in range(1, N + 1):
+                    rank = {("normal_rank", t): _exact.modp_rank(at_z[t - 1]),
+                            ("rank_D", t): _exact.modp_rank(blk.D_tau[t - 1]),
+                            ("rank_at_zero", t): _exact.modp_rank(-pencil.F[t - 1] % _exact.P)}
+                    fields, pred = _delay_fields(rank, n, t), predict(dims, t)
+                    for q, label in pred.case_labels.items():
+                        assert fields[q] == getattr(pred, q), (dims, t, q)
+                        seen.add((q, label, pred.system_class))
+                    checked += 1
+        assert checked == 1620
+        assert len(seen) == 14
