@@ -22,10 +22,11 @@ ROOT = Path(__file__).resolve().parents[1]
 RECORD = Path(__file__).with_name("digests.json")
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 
-import env  # noqa: E402  (perfbench's process set-up, before numpy loads)
+import env  # noqa: E402
 
-env.pin_blas()
-env.use_checkout_package()
+if __name__ == "__main__":   # perfbench's process set-up, before numpy loads
+    env.pin_blas()
+    env.use_checkout_package()
 
 from test_acceptance import EXTREME_SPEC, GRID_SPEC, WORKED_SPEC, canon  # noqa: E402
 

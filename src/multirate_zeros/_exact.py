@@ -33,7 +33,7 @@ prove. An unlucky P, one that divides every nonzero minor of the largest
 size, only makes the screen fall short.
 
 Second, the fallback for the readings the screen leaves short, and for
-them only. Their delays' matrices are rebuilt from the original entries
+them only. The blocked matrices are rebuilt from the original entries
 with Fraction arithmetic, which is rounding-free,
 and a rank is computed in integers: each row, scaled by the lcm of its
 denominators, goes through fraction-free Bareiss elimination, whose
@@ -112,21 +112,19 @@ def _matmul_mod(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y % P
 
 
-def _block_from(sys: MultirateSystem, taus, entries,
-                matmul=operator.matmul) -> BlockedSystem:
-    # `_assemble` at the delays in taus, in order (every delay 1..N when
-    # None), on the entries of the six system matrices, taken in one pass
+def _block_from(sys: MultirateSystem, entries, matmul=operator.matmul) -> BlockedSystem:
+    # `_assemble` on the entries of the six system matrices, taken in one pass
     mats = (sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
     flat = entries(np.concatenate([M.ravel() for M in mats]))[0]
     parts = np.split(flat, np.cumsum([M.size for M in mats])[:-1])
-    return _assemble(sys.dims, range(1, sys.dims.N + 1) if taus is None else taus,
-                     *(x.reshape(M.shape) for x, M in zip(parts, mats)), matmul=matmul)
+    return _assemble(sys.dims, *(x.reshape(M.shape) for x, M in zip(parts, mats)),
+                     matmul=matmul)
 
 
-def modp_block(sys: MultirateSystem, taus=None) -> BlockedSystem:
-    """`block_all` over F_P at the delays in taus (every delay when None):
-    one stack, each entry the residue of the exact one."""
-    return _block_from(sys, taus, residue_matrix, _matmul_mod)
+def modp_block(sys: MultirateSystem) -> BlockedSystem:
+    """`block_all` over F_P: one stack of every delay, each entry the
+    residue of the exact one."""
+    return _block_from(sys, residue_matrix, _matmul_mod)
 
 
 def modp_rank(M: np.ndarray) -> int:
@@ -154,10 +152,9 @@ def modp_rank(M: np.ndarray) -> int:
     return rank
 
 
-def exact_block(sys: MultirateSystem, taus=None) -> BlockedSystem:
-    """`block_all` in Fraction arithmetic, free of rounding, at the delays
-    in taus (every delay when None): one stack."""
-    return _block_from(sys, taus, fraction_matrix)
+def exact_block(sys: MultirateSystem) -> BlockedSystem:
+    """`block_all` in Fraction arithmetic, free of rounding: one stack of every delay."""
+    return _block_from(sys, fraction_matrix)
 
 
 def exact_rank(M: np.ndarray) -> int:
@@ -193,9 +190,9 @@ def settle(sys: MultirateSystem, rank: dict, generic: dict) -> dict:
     (`modp_block`, `modp_rank`, a point's residue), then Bareiss
     (`exact_block`, `exact_rank`, a point as a Fraction). A stage re-reads
     only the readings still off their generic value, from one stack of
-    their delays and the one pencil stack it gives: rank(D_tau) from the
-    stack's D_tau, and a pencil reading as the max of the ranks of its
-    delay's pencil at Z = 0, or at _SAMPLE_POINTS for the normal rank,
+    every delay and the one pencil stack it gives: rank(D_tau) at delay t
+    from D_tau[t - 1], and a pencil reading as the max of the ranks of
+    delay t's pencil at Z = 0, or at _SAMPLE_POINTS for the normal rank,
     stopped by `_max_rank` at the generic value. A mod-P rank that meets
     the generic value is exact, so each value returned is the one a
     Bareiss re-read of every reading gives.
@@ -208,15 +205,13 @@ def settle(sys: MultirateSystem, rank: dict, generic: dict) -> dict:
         off = [key for key, value in rank.items() if value != generic[key]]
         if not off:
             break
-        taus = sorted({t for _, t in off})
-        blocks = assemble(sys, taus)
+        blocks = assemble(sys)
         pencils = system_pencil(blocks)
         for q, t in off:
-            i = taus.index(t)
             if q == "rank_D":
-                rank[q, t] = rank_of(blocks.D_tau[i])
+                rank[q, t] = rank_of(blocks.D_tau[t - 1])
                 continue
-            pencil = MatrixPencil(pencils.E, pencils.F[i])
+            pencil = MatrixPencil(pencils.E, pencils.F[t - 1])
             rank[q, t] = _max_rank((rank_of(pencil.at(point(z))) for z in points[q]),
                                    pencil.shape, generic[q, t])
     return rank

@@ -24,21 +24,21 @@ LIFT_STACK_BYTES = 32 * 1024
 
 @dataclass(frozen=True)
 class BlockedSystem:
-    """Time-invariant lift of a multirate system at one blocking delay, or a stack of them.
+    """Time-invariant lift of a multirate system at one blocking delay, or the stack of them.
 
     For one delay tau is an int and every matrix is 2-D. A stack, as
-    `block_all` returns it, holds the system at several delays: tau is the
-    tuple of them, and C_tau and D_tau carry a leading delay axis, C_tau[i]
-    being the one at delay tau[i]. A_tau and B_tau do not depend on the
-    delay, so a stack holds them once, as `MatrixPencil.F` shares its E.
+    `block_all` returns it, holds every delay 1..N: tau is (1, ..., N), and
+    C_tau and D_tau carry a leading delay axis, C_tau[t - 1] being the one
+    at delay t. A_tau and B_tau do not depend on the delay, so a stack
+    holds them once, as `MatrixPencil.F` shares its E.
     """
 
     dims: Dimensions
     tau: int | tuple[int, ...]
     A_tau: np.ndarray   # n x n
     B_tau: np.ndarray   # n x N*m
-    C_tau: np.ndarray   # ([delays,] N*p1 + p2, n)
-    D_tau: np.ndarray   # ([delays,] N*p1 + p2, N*m)
+    C_tau: np.ndarray   # ([N,] N*p1 + p2, n)
+    D_tau: np.ndarray   # ([N,] N*p1 + p2, N*m)
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,8 @@ def _check_tau(tau, N: int) -> int:
     return int(tau)
 
 
-def _assemble(d: Dimensions, taus, A, B, Cf, Cs, Df, Ds,
-              matmul=operator.matmul) -> BlockedSystem:
-    """The stack of blocked systems at the delays in taus, from raw state-space matrices.
+def _assemble(d: Dimensions, A, B, Cf, Cs, Df, Ds, matmul=operator.matmul) -> BlockedSystem:
+    """The stack of blocked systems at every delay 1..N, from raw state-space matrices.
 
     Every block is gathered from products of the stacked powers A^0..A^N,
     each product taken once. Only the p2 slow rows depend on the delay:
@@ -93,7 +92,6 @@ def _assemble(d: Dimensions, taus, A, B, Cf, Cs, Df, Ds,
     matmul, so a matmul that reduces its result (modulo a prime, say)
     assembles in that ring.
     """
-    taus = tuple(_check_tau(tau, d.N) for tau in taus)
     n, m, N = d.n, d.m, d.N
     Ak = _powers(A, N, matmul)
 
@@ -109,36 +107,37 @@ def _assemble(d: Dimensions, taus, A, B, Cf, Cs, Df, Ds,
 
     def every_delay(fast, slow):
         # the fast rows, the same at every delay, over each delay's slow rows
-        fast = fast.reshape(1, -1, fast.shape[-1]).repeat(len(taus), axis=0)
+        fast = fast.reshape(1, -1, fast.shape[-1]).repeat(N, axis=0)
         return np.concatenate([fast, slow], axis=1)
 
     (C_fast, D_fast), (C_slow, D_slow) = (row_blocks(np.arange(N), Cf, Df),
-                                          row_blocks(N - np.array(taus, dtype=np.intp), Cs, Ds))
-    return BlockedSystem(dims=d, tau=taus, A_tau=Ak[N],
+                                          row_blocks(np.arange(N - 1, -1, -1), Cs, Ds))
+    return BlockedSystem(dims=d, tau=tuple(range(1, N + 1)), A_tau=Ak[N],
                          B_tau=matmul(Ak[N - 1::-1], B).transpose(1, 0, 2).reshape(n, N * m),
                          C_tau=every_delay(C_fast, C_slow), D_tau=every_delay(D_fast, D_slow))
 
 
 def block(sys: MultirateSystem, tau: int) -> BlockedSystem:
-    """Assemble the blocked system for blocking delay tau.
+    """Assemble the blocked system for blocking delay tau: delay tau of `block_all`.
 
     A_tau = A^N, B_tau = [A^(N-1)B | ... | B]. C_tau stacks the fast rows
     Cf A^i for i = 0..N-1 and the slow row Cs A^(N-tau). D_tau has Df on the
     fast block diagonal with Cf A^(i-j-1) B below it, and a slow row block
     [Cs A^(N-tau-1)B ... Cs B  Ds  0 ... 0] with tau-1 trailing zero blocks.
     """
-    stack = _assemble(sys.dims, (tau,), sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
-    return replace(stack, tau=stack.tau[0], C_tau=stack.C_tau[0], D_tau=stack.D_tau[0])
+    tau = _check_tau(tau, sys.dims.N)
+    stack = block_all(sys)
+    return replace(stack, tau=tau, C_tau=stack.C_tau[tau - 1], D_tau=stack.D_tau[tau - 1])
 
 
 def block_all(sys: MultirateSystem) -> BlockedSystem:
     """The system blocked at every delay 1..N, as one stack: tau is (1, ..., N),
     and C_tau[t - 1] and D_tau[t - 1] equal those of block(sys, t).
 
-    The whole stack costs little more than a single block call.
+    The whole stack costs little more than one delay's blocks: every
+    product is shared, and only the gathers and copies grow with N.
     """
-    return _assemble(sys.dims, range(1, sys.dims.N + 1),
-                     sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
+    return _assemble(sys.dims, sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
 
 
 def system_pencil(blk: BlockedSystem) -> MatrixPencil:
@@ -225,6 +224,12 @@ def lift_relation_residual(blk: BlockedSystem, Z,
                                lo[..., N * p1:, :]], axis=2)
         rotated = np.concatenate([rows[..., m:], rows[..., :m] / Z], axis=3)
         res, ref = _squared_norms(hi - rotated), _squared_norms(hi)
+        if not np.isfinite(ref).all():
+            # a square past the float range overflows: scale each pair by a
+            # power of two from its largest entry, which is exact, and redo it
+            _, e = np.frexp(np.maximum(abs(hi), abs(rotated)).max(axis=(-2, -1), keepdims=True))
+            hi, rotated = hi * np.ldexp(1.0, -e), rotated * np.ldexp(1.0, -e)
+            res, ref = _squared_norms(hi - rotated), _squared_norms(hi)
         ratios = np.divide(res, ref, out=np.where(res > 0, np.inf, 0.0), where=ref > 0)
         worst += np.sqrt(np.max(ratios, axis=1, initial=0.0)).tolist()
     return max(worst)

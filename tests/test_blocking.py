@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multirate_zeros import blocking
-from multirate_zeros._exact import exact_block, modp_block
-from multirate_zeros.blocking import (_assemble, block, block_all, lift_relation_residual,
+from multirate_zeros.blocking import (block, block_all, lift_relation_residual,
                                       system_pencil, transfer_eval)
 from multirate_zeros.errors import ResolventSingular
+from multirate_zeros.harness import LIFT_RESIDUAL_TOL
 from multirate_zeros.model import Dimensions, MultirateSystem, fixture, random_generic
 
 from conftest import EXAMPLE1_DIMS, LONG_HORIZON_DIMS, at_delay, fast_subsystem
@@ -138,36 +138,6 @@ class TestBlockAll:
                 for got in (getattr(blk, name), getattr(single, name)):
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), (t, name)
-
-    @pytest.mark.parametrize("dims,seed", [(Dimensions(3, 2, 1, 3, 4), 12),
-                                           (Dimensions(2, 1, 2, 1, 3), 3)])
-    @pytest.mark.parametrize("taus", [(3,), (2, 1), (3, 2, 3), (1, 2, 3),
-                                      (np.int64(3), 1), ()])
-    def test_any_delays_are_those_of_one_delay(self, dims, seed, taus):
-        # one stack at any delays, in any order, repeats included: in float
-        # each entry is bitwise block's; mod P and in Fractions it equals
-        # the assembly at that delay alone
-        sys = random_generic(dims, seed)
-        mats = (sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
-        stack = _assemble(dims, taus, *mats)
-        assert stack.tau == taus
-        assert stack.C_tau.shape[0] == stack.D_tau.shape[0] == len(taus)
-        for i, t in enumerate(taus):
-            one, want = at_delay(stack, i), block(sys, t)
-            assert one.tau == want.tau
-            for name in ("A_tau", "B_tau", "C_tau", "D_tau"):
-                got, ref = getattr(one, name), getattr(want, name)
-                assert got.dtype == ref.dtype and got.shape == ref.shape
-                assert got.tobytes() == ref.tobytes(), (t, name)
-        for assemble in (modp_block, exact_block):
-            chosen = assemble(sys, taus)
-            assert chosen.tau == taus
-            for i, t in enumerate(taus):
-                alone = assemble(sys, [t])
-                for name in ("A_tau", "B_tau"):
-                    assert np.array_equal(getattr(chosen, name), getattr(alone, name))
-                for name in ("C_tau", "D_tau"):
-                    assert np.array_equal(getattr(chosen, name)[i], getattr(alone, name)[0])
 
 
 class TestWorkedInstance:
@@ -470,6 +440,19 @@ class TestLiftRelation:
             warnings.simplefilter("error")
             assert lift_relation_residual(replace(blocks, D_tau=D), [0.9, -1.1]) == np.inf
 
+    @pytest.mark.parametrize("points", [[0.9, -1.1, 1.3], [0.6 + 0.8j]])
+    @pytest.mark.parametrize("k", [154, 160, 200])
+    def test_finite_stack_too_large_to_square_reads_its_residual(self, k, points):
+        # B, Df and Ds scaled by 10**k leave every blocked matrix finite,
+        # but their squared norms overflow; the relation holds, and reads so
+        sys = random_generic(Dimensions(2, 2, 1, 3, 3), 4)
+        big = replace(sys, B=sys.B * 10.0**k, Df=sys.Df * 10.0**k, Ds=sys.Ds * 10.0**k)
+        blocks = block_all(big)
+        assert np.isfinite(blocks.C_tau).all() and np.isfinite(blocks.D_tau).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0 < lift_relation_residual(blocks, points) < LIFT_RESIDUAL_TOL
+
     def test_systems_must_match(self):
         # a system blocked at one delay is refused; a stack holds one
         # system's A_tau and B_tau, and rows of another system at delays 3
@@ -482,12 +465,14 @@ class TestLiftRelation:
         assert lift_relation_residual(mixed, 0.7 + 0.2j) >= 1e-3
 
     def test_delays_must_be_consecutive(self):
-        sys = random_generic(LIFT_DIMS, seed=21)
-        mats = (sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds)
-        # missing, duplicate, none, out of order
+        # stacks built by hand from block_all's: missing, duplicate, none,
+        # out of order
+        blocks = block_all(random_generic(LIFT_DIMS, seed=21))
         for taus in ((1, 3, 4), (1, 2, 2, 4), (), (4, 3, 2, 1)):
+            at = [t - 1 for t in taus]
+            bad = replace(blocks, tau=taus, C_tau=blocks.C_tau[at], D_tau=blocks.D_tau[at])
             with pytest.raises(ValueError, match="every delay"):
-                lift_relation_residual(_assemble(LIFT_DIMS, taus, *mats), 1.0)
+                lift_relation_residual(bad, 1.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_residual_on_unit_circle(self, seed):

@@ -188,21 +188,22 @@ class TestAnalyze:
     def test_every_delay_is_settled_from_one_assembly(self, example1_file, tmp_path,
                                                       monkeypatch):
         # every float reading at both delays falls short; one mod-P
-        # assembly of the delays to re-read, here all N, serves every re-read
+        # assembly of every delay serves every re-read
         pol = tmp_path / "policy.json"
         pol.write_text(json.dumps({"rel_rank_tol": 0.5}))
         assembled = []
 
-        def counting(sys_, taus):
-            assembled.append(list(taus))
-            return modp_block(sys_, taus)
+        def counting(sys_):
+            blocks = modp_block(sys_)
+            assembled.append(blocks.tau)
+            return blocks
 
         monkeypatch.setattr(_exact, "modp_block", counting)
         out = tmp_path / "report.json"
         assert main(["analyze", "--system", str(example1_file), "--policy", str(pol),
                      "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["results"]) == EXAMPLE1_DIMS.N == 2
-        assert assembled == [[1, 2]]
+        assert assembled == [(1, 2)]
 
     def test_genuine_rank_drop_reports_disagreement(self, example1_sys, tmp_path):
         # with no feedthrough, rank(D_tau) is exactly below its generic
@@ -276,15 +277,16 @@ class TestAnalyze:
 
     def test_every_delay_is_read_from_one_assembly_and_one_sweep(self, tmp_path,
                                                                  monkeypatch):
-        # --tau all at N = 8: one assembly of all N blocked systems, none of
-        # a single delay, one stack of their N pencils, which the zero search
-        # reads too, and one stacked normal-rank sweep over it
+        # --tau all at N = 8: one assembly of all N blocked systems, one stack
+        # of their N pencils, which the zero search reads too, and one
+        # stacked normal-rank sweep over it
         assembled, sweeps, pencils = [], [], []
         assemble, stacked = blocking._assemble, numerics.normal_ranks
 
-        def counting_assembly(d, taus, *args, **kwargs):
-            assembled.append(list(taus))
-            return assemble(d, assembled[-1], *args, **kwargs)
+        def counting_assembly(*args, **kwargs):
+            blocks = assemble(*args, **kwargs)
+            assembled.append(blocks.tau)
+            return blocks
 
         def counting_sweep(pencils, *args, **kwargs):
             sweeps.append(pencil_count(pencils))
@@ -301,7 +303,7 @@ class TestAnalyze:
         assert main(["analyze", "--system", str(sys_path), "--tau", "all",
                      "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["results"]) == LONG_HORIZON_DIMS.N
-        assert assembled == [list(range(1, LONG_HORIZON_DIMS.N + 1))]
+        assert assembled == [tuple(range(1, LONG_HORIZON_DIMS.N + 1))]
         assert sweeps == [LONG_HORIZON_DIMS.N]
         assert pencils == [LONG_HORIZON_DIMS.N]
 

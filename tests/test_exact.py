@@ -377,23 +377,12 @@ class TestModpBlock:
                 assert getattr(mb, name).dtype == np.int64
                 assert getattr(mb, name).tolist() == reduced
 
-    @pytest.mark.parametrize("taus", [[2], [3, 1], [1, 2, 3]])
-    def test_chosen_delays_are_those_of_every_delay(self, taus):
-        sys = random_generic(Dimensions(2, 2, 1, 3, 3), seed=5)
-        for assemble in (modp_block, exact_block):
-            every, chosen = assemble(sys), assemble(sys, taus)
-            assert chosen.tau == tuple(taus)
-            for i, t in enumerate(taus):
-                b = at_delay(chosen, i)
-                for name in ("A_tau", "B_tau", "C_tau", "D_tau"):
-                    assert np.array_equal(getattr(b, name), getattr(at_delay(every, t - 1), name))
-
     def test_residues_of_all_six_matrices_in_one_pass(self, monkeypatch):
         sys = random_generic(Dimensions(2, 3, 1, 4, 3), seed=9)
         passes = []
         monkeypatch.setattr(_exact, "residue_matrix",
                             lambda M: passes.append(np.size(M)) or residue_matrix(M))
-        modp_block(sys, [1])
+        modp_block(sys)
         assert passes == [sum(M.size for M in (sys.A, sys.B, sys.Cf, sys.Cs, sys.Df, sys.Ds))]
 
     def test_inner_dimension_that_could_wrap_is_refused(self):
@@ -403,6 +392,18 @@ class TestModpBlock:
         for k in (8193, 2**14):
             with pytest.raises(ValueError, match="overflow"):
                 _matmul_mod(np.ones((1, k), dtype=np.int64), np.ones((k, 1), dtype=np.int64))
+
+
+def record_assemblies(monkeypatch) -> list:
+    # the name and tau of each stack settle assembles, mod P or in Fractions
+    assembled = []
+    for name, assemble in (("modp_block", modp_block), ("exact_block", exact_block)):
+        def recording(sys, name=name, assemble=assemble):
+            blocks = assemble(sys)
+            assembled.append((name, blocks.tau))
+            return blocks
+        monkeypatch.setattr(_exact, name, recording)
+    return assembled
 
 
 class TestEscalation:
@@ -444,9 +445,11 @@ class TestEscalation:
         assert screened
         assert rec.agree_all
 
-    def test_only_the_delays_to_re_read_are_assembled(self, monkeypatch):
-        # delay 2 of 3 has the one reading off its generic value; the generic
-        # values come from the caller's predictions, with no predict call
+    def test_the_screen_assembles_one_full_stack(self, monkeypatch):
+        # delay 2 of 3 has the one reading off its generic value; the screen
+        # assembles every delay once, and settles it, so Bareiss builds
+        # nothing; the generic values come from the caller's predictions,
+        # with no predict call
         dims = Dimensions(2, 2, 1, 4, 3)
         sys_ = random_generic(dims, 1)
         preds = {t: predict(dims, t) for t in (1, 2, 3)}
@@ -456,13 +459,11 @@ class TestEscalation:
             rank["rank_D", t] = pred.rank_D
             rank["rank_at_zero", t] = pred.normal_rank - pred.mult_at_zero
         rank["rank_D", 2] -= 1
-        assembled, predicted = [], []
-        monkeypatch.setattr(_exact, "modp_block",
-                            lambda s, taus: assembled.append(list(taus)) or modp_block(s, taus))
+        assembled, predicted = record_assemblies(monkeypatch), []
         monkeypatch.setattr(harness, "predict",
                             lambda *args: predicted.append(args) or predict(*args))
         settled = harness._escalate(sys_, rank, preds)
-        assert assembled == [[2]]
+        assert assembled == [("modp_block", (1, 2, 3))]
         assert settled["rank_D", 2] == predict(dims, 2).rank_D
         assert predicted == []
 
@@ -491,24 +492,23 @@ class TestEscalation:
         assert "screen" not in rec.measured
         assert rec.agree_all
 
-    def test_bareiss_assembles_only_the_delays_the_screen_leaves_short(self, monkeypatch):
+    def test_bareiss_assembles_once_when_the_screen_leaves_a_reading_short(self, monkeypatch):
         # rank(D) reads one short at delays 1 and 2; the screen settles
         # delay 1 but falls one short on delay 2's D, which Bareiss re-reads
+        # from one full Fraction stack; each stage assembles every delay once
         dims = Dimensions(2, 2, 1, 4, 3)
         sys_ = random_generic(dims, 1)
         generic = {("rank_D", t): predict(dims, t).rank_D for t in (1, 2, 3)}
         rank = {key: value - (key[1] < 3) for key, value in generic.items()}
-        short_D = modp_block(sys_, [2]).D_tau[0].tolist()
+        short_D = modp_block(sys_).D_tau[1].tolist()
         monkeypatch.setattr(_exact, "modp_rank",
                             lambda M: modp_rank(M) - (np.asarray(M).tolist() == short_D))
-        modp_assembled, exact_assembled = [], []
-        monkeypatch.setattr(_exact, "modp_block", lambda s, taus: modp_assembled.append(
-            list(taus)) or modp_block(s, taus))
-        monkeypatch.setattr(_exact, "exact_block", lambda s, taus: exact_assembled.append(
-            list(taus)) or exact_block(s, taus))
+        read, assembled = [], record_assemblies(monkeypatch)
+        monkeypatch.setattr(_exact, "exact_rank",
+                            lambda M: read.append(np.shape(M)) or exact_rank(M))
         assert settle(sys_, rank, generic) == generic
-        assert modp_assembled == [[1, 2]]
-        assert exact_assembled == [[2]]
+        assert assembled == [("modp_block", (1, 2, 3)), ("exact_block", (1, 2, 3))]
+        assert read == [np.shape(short_D)]
 
     @pytest.mark.parametrize("case", ESCALATION_CASES, ids=lambda c: str(c["seed"]))
     def test_analyze_settles_what_run_trial_settles(self, case):

@@ -345,8 +345,31 @@ class TestPredictBundle:
         assert pred.mult_at_infinity <= pred.normal_rank
 
 
+def range_cells():
+    # n 1..5, m 1..4, p1 1..m+2 (FastTall included), two p2 offsets, N 2..4
+    for n, m, N, off in itertools.product(range(1, 6), range(1, 5), range(2, 5), (1, 2)):
+        for p1 in range(1, m + 3):
+            yield Dimensions(n, m, p1, max(N * (m - p1), 0) + off, N)
+
+
+def boundary_cells():
+    # m 1..4, p1 1..m, two p2 offsets, N 2..5, and every n >= 1 at or next
+    # to a branch boundary of oracle.py: (N-tau)w, (N-1)w or (tau-1)w, any tau
+    for m, N, off in itertools.product(range(1, 5), range(2, 6), (1, 2)):
+        for p1 in range(1, m + 1):
+            w = m - p1
+            edges = {b for t in range(1, N + 1) for b in ((N - t) * w, (N - 1) * w, (t - 1) * w)}
+            for n in sorted({n for b in edges for n in (b - 1, b, b + 1) if n >= 1}):
+                yield Dimensions(n, m, p1, N * w + off, N)
+
+
 class TestGenericValuesOverFP:
-    def test_random_systems_over_fp_attain_every_prediction(self):
+    @pytest.mark.parametrize("cells,checked,combinations", [
+        pytest.param(range_cells, 1620, 14, id="range"),
+        pytest.param(boundary_cells, 1080, 10, id="boundary"),
+    ])
+    def test_random_systems_over_fp_attain_every_prediction(self, cells, checked,
+                                                            combinations):
         """Random systems over F_P read predict's values at every delay.
 
         Each system's entries are drawn uniformly from F_P, P = _exact.P,
@@ -360,26 +383,26 @@ class TestGenericValuesOverFP:
         divides the content of every r-minor. The draws are seeded, so the
         test is deterministic.
         The range reaches FastTall (p1 > m), which the float grids never draw,
-        and every case label of every quantity in each class it occurs in.
+        and every case label of every quantity in each class it occurs in;
+        the boundary sweep puts n on and either side of each branch's edge.
         """
         rng = np.random.default_rng(0)
-        seen, checked = set(), 0
-        for n, m, N, off in itertools.product(range(1, 6), range(1, 5), range(2, 5), (1, 2)):
-            for p1 in range(1, m + 3):
-                dims = Dimensions(n, m, p1, max(N * (m - p1), 0) + off, N)
-                shapes = [(n, n), (n, m), (p1, n), (dims.p2, n), (p1, m), (dims.p2, m)]
-                mats = [rng.integers(0, _exact.P, size=s) for s in shapes]
-                blk = _assemble(dims, range(1, N + 1), *mats, matmul=_exact._matmul_mod)
-                pencil = system_pencil(blk)
-                at_z = pencil.at(int(rng.integers(1, _exact.P))) % _exact.P
-                for t in range(1, N + 1):
-                    rank = {("normal_rank", t): _exact.modp_rank(at_z[t - 1]),
-                            ("rank_D", t): _exact.modp_rank(blk.D_tau[t - 1]),
-                            ("rank_at_zero", t): _exact.modp_rank(-pencil.F[t - 1] % _exact.P)}
-                    fields, pred = _delay_fields(rank, n, t), predict(dims, t)
-                    for q, label in pred.case_labels.items():
-                        assert fields[q] == getattr(pred, q), (dims, t, q)
-                        seen.add((q, label, pred.system_class))
-                    checked += 1
-        assert checked == 1620
-        assert len(seen) == 14
+        seen, read = set(), 0
+        for dims in cells():
+            n, m, p1, p2, N = dims.n, dims.m, dims.p1, dims.p2, dims.N
+            shapes = [(n, n), (n, m), (p1, n), (p2, n), (p1, m), (p2, m)]
+            mats = [rng.integers(0, _exact.P, size=s) for s in shapes]
+            blk = _assemble(dims, *mats, matmul=_exact._matmul_mod)
+            pencil = system_pencil(blk)
+            at_z = pencil.at(int(rng.integers(1, _exact.P))) % _exact.P
+            for t in range(1, N + 1):
+                rank = {("normal_rank", t): _exact.modp_rank(at_z[t - 1]),
+                        ("rank_D", t): _exact.modp_rank(blk.D_tau[t - 1]),
+                        ("rank_at_zero", t): _exact.modp_rank(-pencil.F[t - 1] % _exact.P)}
+                fields, pred = _delay_fields(rank, n, t), predict(dims, t)
+                for q, label in pred.case_labels.items():
+                    assert fields[q] == getattr(pred, q), (dims, t, q)
+                    seen.add((q, label, pred.system_class))
+                read += 1
+        assert read == checked
+        assert len(seen) == combinations
