@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multirate_zeros import blocking
+from multirate_zeros._exact import exact_block, fraction_matrix, modp_block, residue_matrix
 from multirate_zeros.blocking import (block, block_all, lift_relation_residual,
                                       system_pencil, transfer_eval)
 from multirate_zeros.errors import ResolventSingular
@@ -138,6 +139,40 @@ class TestBlockAll:
                 for got in (getattr(blk, name), getattr(single, name)):
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), (t, name)
+
+    @pytest.mark.parametrize("assemble,entries", [(block_all, np.asarray),
+                                                  (modp_block, residue_matrix),
+                                                  (exact_block, fraction_matrix)],
+                             ids=["float", "modp", "exact"])
+    @pytest.mark.parametrize("dims,seed", [
+        (Dimensions(2, 2, 1, 3, 3), 1),
+        (Dimensions(3, 2, 2, 1, 4), 7),
+        (Dimensions(2, 1, 2, 1, 3), 3),
+        (Dimensions(3, 2, 1, 2, 5), 5),
+        (Dimensions(1, 3, 1, 5, 2), 11),
+    ])
+    def test_delay_t_sits_at_index_t_minus_1_in_every_arithmetic(
+            self, assemble, entries, dims, seed):
+        # in float, mod P and in Fractions a stack holds delays 1..N in
+        # order: at index t - 1 the slow rows hold Ds in input block N - t
+        # with zeros after it, at delay N they read Cs on the state, and the
+        # fast rows are the same at every delay
+        sys = random_generic(dims, seed)
+        stack = assemble(sys)
+        n, m, p1, p2, N = dims.n, dims.m, dims.p1, dims.p2, dims.N
+        assert stack.tau == tuple(range(1, N + 1))
+        assert all(type(t) is int for t in stack.tau)
+        assert stack.C_tau.shape == (N, N * p1 + p2, n)
+        assert stack.D_tau.shape == (N, N * p1 + p2, N * m)
+        Ds, slow = entries(sys.Ds), slice(N * p1, None)
+        assert np.array_equal(stack.C_tau[N - 1][slow], entries(sys.Cs))
+        for t in range(1, N + 1):
+            D = stack.D_tau[t - 1]
+            assert np.array_equal(D[slow, (N - t) * m:(N - t + 1) * m], Ds), t
+            assert np.all(D[slow, (N - t + 1) * m:] == 0), t
+            for name in ("C_tau", "D_tau"):
+                rows = getattr(stack, name)
+                assert np.array_equal(rows[t - 1][:N * p1], rows[0][:N * p1]), (t, name)
 
 
 class TestWorkedInstance:
