@@ -20,6 +20,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORD = Path(__file__).with_name("digests.json")
+# perfbench/ and tests/ are on sys.path for the imports below only, so
+# loading this script leaves the importer's sys.path as it was
+SYS_PATH = list(sys.path)
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import env  # noqa: E402
@@ -28,11 +31,14 @@ if __name__ == "__main__":   # perfbench's process set-up, before numpy loads
     env.pin_blas()
     env.use_checkout_package()
 
+import workloads  # noqa: E402
 from test_acceptance import EXTREME_SPEC, GRID_SPEC, WORKED_SPEC, canon  # noqa: E402
 
 from multirate_zeros import harness  # noqa: E402
 from multirate_zeros.model import (Dimensions, TolerancePolicy, fixture,  # noqa: E402
                                    random_generic)
+
+sys.path[:] = SYS_PATH
 
 # the fingerprint fields a float payload can depend on
 FINGERPRINT_KEYS = ("machine", "python", "numpy", "blas_name", "blas_version")
@@ -60,8 +66,6 @@ def shift_fixture_digest() -> str:
 
 
 def workload_digest(name: str) -> str:
-    import workloads
-
     with tempfile.TemporaryDirectory() as out:
         return workloads.WORKLOADS[name](1).run_pass(Path(out)).digest
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceFailure, ResolventSingular
-from .model import Dimensions, MultirateSystem, TolerancePolicy, _is_int
+from .model import Dimensions, MultirateSystem, TolerancePolicy, _check_tau
 
 # the byte budget of one stacked product of lift transfer functions: points
 # share a stack while their N transfer functions fit it
@@ -71,13 +71,6 @@ def _powers(A: np.ndarray, k: int, matmul=operator.matmul) -> np.ndarray:
     for i in range(k):
         out[i + 1] = matmul(out[i], A)
     return out
-
-
-def _check_tau(tau, N: int) -> int:
-    # tau as a Python int, refused unless it is an integer in 1..N
-    if not _is_int(tau) or not 1 <= tau <= N:
-        raise ValueError(f"blocking delay tau must be an integer in 1..{N}, got {tau!r}")
-    return int(tau)
 
 
 def _assemble(d: Dimensions, A, B, Cf, Cs, Df, Ds, matmul=operator.matmul) -> BlockedSystem:
@@ -195,23 +188,27 @@ def lift_relation_residual(blk: BlockedSystem, Z,
     rotations, and the Frobenius-norm residual is zero in exact arithmetic
     for every Z != 0. A pair whose V_tau+1 is zero reads 0 when its
     residual is zero too, and inf otherwise. Z is one point or a nonempty
-    sequence of them, whose result is the max of the one-point values; an
-    empty sequence, or a point at 0, is refused with a ValueError. A_tau and B_tau do not
-    depend on the delay, so one stacked resolvent solve serves every point
-    and all N transfer functions. The transfer functions are formed for
-    as many points at once as fit LIFT_STACK_BYTES (at least one), in one
-    stacked product, and their residuals come from one rotation of that
-    stack; a larger stack outgrows the cache and runs slower. The harness
-    reads it at real points, where X, V and the residuals are all real.
+    sequence of them, whose result is the max of the one-point values; any
+    other Z, or a point that is 0 or not finite, is refused with a ValueError.
+    A_tau and B_tau do not depend on the delay, so one stacked resolvent solve
+    serves every point and all N transfer functions. The transfer functions are
+    formed for as many points at once as fit LIFT_STACK_BYTES (at least one),
+    in one stacked product, and their residuals come from one rotation of that
+    stack; a larger stack outgrows the cache and runs slower. The harness reads
+    it at real points, where X, V and the residuals are all real.
     """
     if blk.tau != tuple(range(1, blk.dims.N + 1)):
         raise ValueError("the lifting relation needs one system blocked at every "
                          f"delay 1..N, in order, as block_all returns it, got tau={blk.tau}")
     points = [Z] if np.ndim(Z) == 0 else list(Z)
-    if not points:
-        raise ValueError("the lifting relation needs at least one point, got an empty sequence")
-    if any(z == 0 for z in points):
-        raise ValueError("the lifting relation involves 1/Z and is undefined at Z=0")
+    if not points or np.ndim(Z) > 1:
+        raise ValueError("the lifting relation needs one point or a nonempty sequence of "
+                         f"points, got {Z!r}")
+    for z in points:
+        if not np.isfinite(z):
+            raise ValueError(f"the lifting relation needs finite points, got Z={z!r}")
+        if z == 0:
+            raise ValueError("the lifting relation involves 1/Z and is undefined at Z=0")
     m, p1, N = blk.dims.m, blk.dims.p1, blk.dims.N
     Xs = _solve_resolvent(blk, points, policy)
     step = max(1, LIFT_STACK_BYTES // blk.D_tau.nbytes)

@@ -12,22 +12,12 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from ._version import __version__
 from .errors import MultirateError
-from .harness import analyze, emit_report, grid_spec_from_dict, run_fixture_suite, run_grid
-from .model import Dimensions, TolerancePolicy, load_system, policy_from_dict
+from .harness import _write, analyze, emit_report, grid_spec_from_dict, run_fixture_suite, run_grid
+from .model import Dimensions, TolerancePolicy, _load_json, load_system, policy_from_dict
 from .oracle import predict
-
-
-def _load_policy(path: str | None) -> TolerancePolicy:
-    if path is None:
-        return TolerancePolicy()
-    try:
-        return policy_from_dict(json.loads(Path(path).read_text()))
-    except ValueError as exc:
-        raise ValueError(f"policy file {path}: {exc}") from exc
 
 
 def _tau_arg(text: str):
@@ -54,22 +44,16 @@ def _dims_arg(text: str) -> Dimensions:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _write(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    payload = analyze(load_system(args.system), args.tau, _load_policy(args.policy))
+    policy = (TolerancePolicy() if args.policy is None
+              else _load_json(args.policy, "policy", policy_from_dict))
+    payload = analyze(load_system(args.system), args.tau, policy)
     _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if payload["all_agree"] else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    data = json.loads(Path(args.grid).read_text())
-    spec = grid_spec_from_dict(data)
+    spec = _load_json(args.grid, "grid", grid_spec_from_dict)
     if args.seeds is not None:
         if args.seeds < 1:
             raise ValueError("--seeds must be >= 1")

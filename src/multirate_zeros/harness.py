@@ -24,11 +24,11 @@ import numpy as np
 
 from ._exact import settle
 from ._version import __version__
-from .blocking import (BlockedSystem, MatrixPencil, _check_tau, block, block_all,
-                       lift_relation_residual, system_pencil)
+from .blocking import (BlockedSystem, MatrixPencil, block, block_all, lift_relation_residual,
+                       system_pencil)
 from .errors import MultirateError
 from .model import (Dimensions, MultirateSystem, SystemClass, TolerancePolicy, _check_fields,
-                    _is_int, classify, fixture, policy_from_dict, random_generic)
+                    _check_tau, _is_int, classify, fixture, policy_from_dict, random_generic)
 # normal_rank is not called here (run_trial reads through normal_ranks), but
 # perfbench's tracer reads and wraps harness.normal_rank, so it stays bound
 from .numerics import (_evaluate, _ranks, _sample_points, _sample_uniforms,  # noqa: F401
@@ -344,7 +344,7 @@ def _escalate(sys: MultirateSystem, rank: dict, preds: dict) -> dict:
 def _read(sys: MultirateSystem, taus, zeros_at, policy: TolerancePolicy, seed: int,
           preds: dict) -> tuple[BlockedSystem, dict, dict]:
     """The blocked systems of sys at every delay, their float rank readings, and the zero
-    reports at the delays in zeros_at, which are among taus.
+    reports at the delays in zeros_at, which are among taus: checked delays, in 1..N.
 
     One `block_all` stack holds the N blocked systems, and its pencils are
     one stack sharing E: delay t has C_tau[t - 1], D_tau[t - 1] and F[t - 1].
@@ -364,7 +364,7 @@ def _read(sys: MultirateSystem, taus, zeros_at, policy: TolerancePolicy, seed: i
     meaningless; the overflow warns nothing on the way.
     """
     # in order, each delay once
-    taus = list(dict.fromkeys(_check_tau(t, sys.dims.N) for t in taus))
+    taus = list(dict.fromkeys(taus))
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = block_all(sys)
         pencils = system_pencil(blocks)
@@ -453,10 +453,8 @@ def analyze(sys: MultirateSystem, tau: int | str = "all",
     in trials: their list and multiplicities are those of the zero report,
     and no_finite_nonzero compares their float count.
     """
-    if tau != "all" and not _is_int(tau):
-        raise ValueError(f'tau must be an integer or "all", got {tau!r}')
     dims = sys.dims
-    taus = range(1, dims.N + 1) if tau == "all" else [int(tau)]
+    taus = range(1, dims.N + 1) if tau == "all" else [_check_tau(tau, dims.N)]
     preds = ({t: predict(dims, t) for t in taus}
              if classify(dims) is not SystemClass.NOT_TALL else {})
     _, rank, reports = _read(sys, taus, taus, policy, ANALYZE_SEED, preds)
@@ -661,7 +659,6 @@ def run_fixture_suite(policy: TolerancePolicy = TolerancePolicy()) -> Verificati
 
 def emit_report(report: VerificationReport, format: str, path: str | Path) -> None:
     """Write a report as nested JSON or as one CSV row per trial."""
-    path = Path(path)
     if format == "json":
         text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     elif format == "csv":
@@ -678,7 +675,11 @@ def emit_report(report: VerificationReport, format: str, path: str | Path) -> No
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown report format {format!r}, expected json or csv")
+    _write(path, text)
+
+
+def _write(path: str | Path, text: str) -> None:
     try:
-        path.write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc

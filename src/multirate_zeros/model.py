@@ -14,7 +14,8 @@ serialization. Each value object checks its own input when it is built:
 `Dimensions`, `TolerancePolicy` and `MultirateSystem` refuse bad values
 with a `ValueError` naming the field, so every path that makes one (a
 file, the Python API, `random_generic`, a fixture) gets the same checks.
-The file readers add only the JSON checks of `_check_fields`.
+The file readers add only the JSON checks of `_check_fields`, through
+`_load_json`, whose errors name the file. `_check_tau` checks every delay.
 """
 from __future__ import annotations
 
@@ -34,6 +35,12 @@ def _is_int(v) -> bool:
     # no size or count. A value it accepts is kept as int(v), so it
     # serializes and keys the same as the Python int
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_tau(tau, N: int) -> int:
+    if not _is_int(tau) or not 1 <= tau <= N:
+        raise ValueError(f"blocking delay tau must be an integer in 1..{N}, got {tau!r}")
+    return int(tau)
 
 
 @dataclass(frozen=True)
@@ -289,12 +296,12 @@ def fixture(name: str, dims: Dimensions, tau: int) -> MultirateSystem:
     shift_controllability: the (A, B) pair whose controllability matrix
     [B AB ... A^(nu-1)B] attains rank min(n, nu*m), with all-zero outputs.
 
-    Raises ValueError for an unknown name, and when the block layout is
-    inconsistent with dims.
+    Raises ValueError for an unknown name, a delay tau outside 1..N, and
+    when the block layout is inconsistent with dims.
     """
     if name not in _FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; choose from {sorted(_FIXTURES)}")
-    return _FIXTURES[name](dims, tau)
+    return _FIXTURES[name](dims, _check_tau(tau, dims.N))
 
 
 def system_to_dict(sys: MultirateSystem) -> dict:
@@ -314,10 +321,16 @@ def system_from_dict(data: dict) -> MultirateSystem:
                            **{name: data[name] for name in _MATRIX_SHAPES})
 
 
+def _load_json(path: str | Path, what: str, build):
+    """The value build makes of the UTF-8 JSON file at path; each ValueError names the file."""
+    try:
+        return build(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise ValueError(f"{what} file {path}: {exc}") from exc
+
+
 def load_system(path: str | Path) -> MultirateSystem:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return system_from_dict(data)
+    return _load_json(path, "system", system_from_dict)
 
 
 def save_system(sys: MultirateSystem, path: str | Path) -> None:

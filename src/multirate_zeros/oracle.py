@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocking import _check_tau
-from .model import Dimensions, SystemClass, _is_int, classify
+from .model import Dimensions, SystemClass, _check_tau, _is_int, classify
 
 
 @dataclass(frozen=True)

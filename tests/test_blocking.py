@@ -1,6 +1,7 @@
 """Blocked system assembly, the pencil, transfer evaluation, lifting recursion."""
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -455,6 +456,20 @@ class TestLiftRelation:
     def test_empty_sequence_refused(self):
         with pytest.raises(ValueError, match="empty"):
             lift_relation_residual(block_all(random_generic(LIFT_DIMS, seed=21)), [])
+
+    @pytest.mark.parametrize("points,named", [
+        ([1.0, np.nan], "Z=nan"),
+        ([np.inf], "Z=inf"),
+        ([complex(1.0, np.nan)], "Z=(1+nanj)"),
+        (np.array([[1.0, 2.0]]), "array([[1., 2.]])"),
+        ([[0.5], [2.0]], "[[0.5], [2.0]]"),
+    ])
+    def test_bad_points_are_refused_by_name(self, points, named):
+        # bad input, not a numerical failure: a non-finite point would reach
+        # LAPACK as a ConvergenceFailure, and a 2-D Z would fail in numpy
+        blocks = block_all(random_generic(Dimensions(2, 2, 1, 4, 3), 1))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            lift_relation_residual(blocks, points)
 
     @pytest.mark.parametrize("points", [[0.9, -1.1], [-1.1, 0.9]])
     def test_zero_transfer_function_reads_zero(self, points):

@@ -452,6 +452,30 @@ class TestTable:
         assert exc.value.code == 2
 
 
+class TestFileErrorsNameTheFile:
+    # a JSON syntax error, a decoding error and a field check, in every file the CLI reads
+    @pytest.mark.parametrize("content", [b"{n: 1}", b"\xff", b'{"bogus": 1}'],
+                             ids=["syntax", "decoding", "field"])
+    @pytest.mark.parametrize("what", ["system", "policy", "grid"])
+    def test_bad_input_file(self, what, content, example1_file, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = {"system": ["analyze", "--system", str(bad)],
+                "policy": ["analyze", "--system", str(example1_file), "--policy", str(bad)],
+                "grid": ["verify", "--grid", str(bad)]}[what]
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 2
+        assert f"error: {what} file {bad}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "table"])
+    def test_unwritable_report(self, command, example1_file, grid_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.out"
+        argv = {"analyze": ["analyze", "--system", str(example1_file)],
+                "verify": ["verify", "--grid", str(grid_file)],
+                "table": ["table", "--dims", "1,3,1,5,2"]}[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"error: cannot write report to {out}: " in capsys.readouterr().err
+
+
 class TestParser:
     def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

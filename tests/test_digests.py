@@ -26,14 +26,13 @@ def load_script():
     return module
 
 
-def test_cheap_digests_match_the_record(monkeypatch):
-    # the script puts perfbench/ and tests/ on sys.path when it loads, which
-    # is put back afterwards; it pins BLAS only when run, so loading it
-    # leaves os.environ as it was
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    environ = dict(os.environ)
+def test_cheap_digests_match_the_record():
+    # the script puts perfbench/ and tests/ on sys.path only for its own
+    # imports, and pins BLAS only when run, so loading it leaves sys.path
+    # and os.environ as they were
+    path, environ = list(sys.path), dict(os.environ)
     digests = load_script()
-    assert dict(os.environ) == environ
+    assert (sys.path, dict(os.environ)) == (path, environ)
     record = json.loads(digests.RECORD.read_text())
     here = digests.fingerprint()
     if here != record["fingerprint"]:

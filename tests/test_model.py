@@ -406,6 +406,15 @@ class TestFixtures:
         with pytest.raises(ValueError):
             fixture("nope", EXAMPLE1_DIMS, tau=1)
 
+    @pytest.mark.parametrize("name", ["shift_small_n", "shift_large_n", "shift_controllability"])
+    @pytest.mark.parametrize("tau", [0, -1, True, 2.5, "x", 3])
+    def test_delay_outside_1_to_N_is_refused(self, name, tau):
+        # checked before the builder runs: no system at a delay that is not
+        # one, and no regime message computed from one
+        with pytest.raises(ValueError, match=re.escape(
+                f"blocking delay tau must be an integer in 1..2, got {tau!r}")):
+            fixture(name, Dimensions(2, 3, 1, 5, 2), tau)
+
     def test_shift_orthogonality_and_reachability(self):
         # the shift construction: A orthogonal, and the blocked input map
         # [A^(N-tau-1)B ... B] reaches the whole state space whenever the
@@ -487,6 +496,14 @@ class TestSerialization:
             MultirateSystem(dims=Dimensions(2, 1, 1, 1, 2),
                             **{k: data[k] for k in MATRICES})
         assert str(from_file.value) == str(from_python.value)
+
+    @pytest.mark.parametrize("text", [b"{n: 1}", b"\xff", b'{"n": 1}'])
+    def test_load_error_names_the_file(self, text, tmp_path):
+        # a JSON syntax error, a decoding error and a field check alike
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=re.escape(f"system file {path}: ")):
+            load_system(path)
 
     def test_file_format_is_plain_json(self, tmp_path):
         sys = random_generic(Dimensions(1, 1, 1, 1, 2), seed=0)
